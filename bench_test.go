@@ -127,7 +127,7 @@ func BenchmarkE7SocialCost(b *testing.B) {
 	})
 }
 
-// BenchmarkE8Distributed measures the goroutine-per-node asynchronous runs.
+// BenchmarkE8Distributed measures RunDistributed at its default shard count.
 func BenchmarkE8Distributed(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		topo := lr.LayeredDAG(4, n/4, 0.4, 4)
@@ -144,10 +144,10 @@ func BenchmarkE8Distributed(b *testing.B) {
 	}
 }
 
-// BenchmarkDistEngines compares the three execution engines — the
-// centralized sequential engine, the goroutine-per-node distributed engine
-// and the sharded worker-pool engine — on chain, grid and random-tree
-// topologies up to 100k nodes (the ROADMAP's dist throughput benchmark).
+// BenchmarkDistEngines compares the two execution engines — the
+// centralized sequential engine and the sharded distributed runtime at its
+// default GOMAXPROCS shards — on chain, grid and random-tree topologies up
+// to 100k nodes (the ROADMAP's dist throughput benchmark).
 // All runs execute Partial Reversal, whose repair work is linear on these
 // topologies, so ns/op and allocs/op measure engine overhead rather than
 // protocol work; topology construction and core.Init are hoisted out of
@@ -181,27 +181,23 @@ func BenchmarkDistEngines(b *testing.B) {
 					}
 				}
 			})
-			for _, eng := range []lr.DistEngine{lr.DistGoroutinePerNode, lr.DistSharded} {
-				eng := eng
-				b.Run(fmt.Sprintf("%s/n=%d/%v", topo.Name, n, eng), func(b *testing.B) {
-					in := topo.MustInit()
-					var last *dist.Result
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						res, err := dist.RunWith(context.Background(), in, dist.PartialReversal,
-							dist.Options{Engine: eng})
-						if err != nil {
-							b.Fatal(err)
-						}
-						last = res
+			b.Run(fmt.Sprintf("%s/n=%d/sharded", topo.Name, n), func(b *testing.B) {
+				in := topo.MustInit()
+				var last *dist.Result
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := dist.RunWith(context.Background(), in, dist.PartialReversal, dist.Options{})
+					if err != nil {
+						b.Fatal(err)
 					}
-					b.StopTimer()
-					if !graph.IsDestinationOriented(last.Final, in.Destination()) {
-						b.Fatal("run did not repair the orientation")
-					}
-				})
-			}
+					last = res
+				}
+				b.StopTimer()
+				if !graph.IsDestinationOriented(last.Final, in.Destination()) {
+					b.Fatal("run did not repair the orientation")
+				}
+			})
 		}
 	}
 }
@@ -269,7 +265,7 @@ func BenchmarkDistMillion(b *testing.B) {
 			// engine's: build them once outside the timer so ns/op and
 			// allocs/op measure the engine.
 			in := g.mk(million).MustInit()
-			bench(b, in, dist.Options{Engine: dist.Sharded, RecordTrace: dist.TraceOff}, million)
+			bench(b, in, dist.Options{RecordTrace: dist.TraceOff}, million)
 		})
 	}
 	const huge = 10_000_000
@@ -284,10 +280,7 @@ func BenchmarkDistMillion(b *testing.B) {
 				in := g.mk(huge).MustInit()
 				// Shards pinned so xshard-msgs is a property of the partition
 				// scheme, not of the machine's GOMAXPROCS.
-				opts := dist.Options{
-					Engine: dist.Sharded, Shards: 4,
-					Partition: part, RecordTrace: dist.TraceOff,
-				}
+				opts := dist.Options{Shards: 4, Partition: part, RecordTrace: dist.TraceOff}
 				bench(b, in, opts, huge)
 			})
 		}

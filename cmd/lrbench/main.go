@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	lrbench [-quick] [-csv|-json] [-only E4] [-engine sharded]
+//	lrbench [-quick] [-csv|-json] [-only E4]
 //	        [-partition block|hash|locality]
 //	        [-faults lossy|flaky|adversarial] [-seed 7]
 //
@@ -47,7 +47,6 @@ func run(args []string) error {
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut  = fs.Bool("json", false, "emit one JSON array of table objects")
 		only     = fs.String("only", "", "run a single experiment (E1..E8)")
-		engine   = fs.String("engine", "both", "dist execution engine for E8: goroutine, sharded or both")
 		part     = fs.String("partition", "block", "sharded node-to-shard assignment for E8: block, hash or locality")
 		faultsIn = fs.String("faults", "off", "network adversary for the distributed experiments: off, lossy, flaky or adversarial")
 		seed     = fs.Int64("seed", 0, "seed of the fault adversary (every adversarial row replays from it)")
@@ -66,16 +65,6 @@ func run(args []string) error {
 			Densities:   []float64{0.2, 0.5, 0.8},
 			Seeds:       2,
 		}
-	}
-	switch *engine {
-	case "both":
-		// Suite default: run every engine.
-	case "goroutine":
-		suite.Engines = []dist.Engine{dist.GoroutinePerNode}
-	case "sharded":
-		suite.Engines = []dist.Engine{dist.Sharded}
-	default:
-		return fmt.Errorf("unknown -engine %q (want goroutine, sharded or both)", *engine)
 	}
 	switch *part {
 	case "block":

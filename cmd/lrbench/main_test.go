@@ -37,7 +37,8 @@ func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nope"},
 		{"-csv", "-json"},
-		{"-engine", "quantum"},
+		{"-engine", "sharded"}, // no such flag
+		{"-partition", "psychic"},
 		{"-faults", "sunny"},
 	} {
 		if err := run(args); err == nil {
@@ -65,8 +66,8 @@ func TestRunQuickE1JSON(t *testing.T) {
 	}
 }
 
-// TestRunQuickE11 smokes the dynamic-network experiment end to end (both
-// engines, partition heal path included).
+// TestRunQuickE11 smokes the dynamic-network experiment end to end
+// (partition heal path included).
 func TestRunQuickE11(t *testing.T) {
 	out := captureStdout(t, func() error {
 		return run([]string{"-quick", "-only", "E11"})

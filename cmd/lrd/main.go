@@ -6,7 +6,7 @@
 // Usage:
 //
 //	lrd -addr 127.0.0.1:8080 -topo grid -n 10000 \
-//	    [-engine sharded] [-shards 8] [-partition locality] \
+//	    [-shards 8] [-partition locality] \
 //	    [-faults flaky] [-seed 1] [-publish 25ms] \
 //	    [-log-level info] [-pprof] [-flightrec] [-flightrec-sample 1]
 //
@@ -48,14 +48,17 @@ func main() {
 	}
 }
 
-func parseEngine(s string) (lr.DistEngine, error) {
+// checkEngine validates -engine, which survives only so existing command
+// lines keep working: the sharded runtime is the only engine, and one node
+// per shard (-shards n) gives every node its own goroutine.
+func checkEngine(s string) error {
 	switch strings.ToLower(s) {
-	case "", "goroutine", "goroutine-per-node":
-		return lr.DistGoroutinePerNode, nil
 	case "sharded":
-		return lr.DistSharded, nil
+		return nil
+	case "goroutine", "goroutine-per-node":
+		return fmt.Errorf("-engine %s was removed: the sharded runtime is the only engine; for one goroutine per node, set -shards to the node count", s)
 	default:
-		return 0, fmt.Errorf("unknown engine %q (goroutine, sharded)", s)
+		return fmt.Errorf("unknown engine %q (sharded)", s)
 	}
 }
 
@@ -123,8 +126,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		addr      = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		topoName  = fs.String("topo", "grid", "topology: chain, bad-chain, star, grid, tree, ring, random")
 		n         = fs.Int("n", 10000, "total node budget")
-		engName   = fs.String("engine", "goroutine", "execution engine: goroutine, sharded")
-		shards    = fs.Int("shards", 0, "shard count for -engine sharded (0 = GOMAXPROCS)")
+		engName   = fs.String("engine", "sharded", "execution engine; sharded is the only one (deprecated)")
+		shards    = fs.Int("shards", 0, "shard count (0 = GOMAXPROCS; the node count gives one node per shard)")
 		partName  = fs.String("partition", "block", "sharded partition: block, hash, locality")
 		faultName = fs.String("faults", "none", "fault scenario: none, lossy, flaky, adversarial")
 		seed      = fs.Int64("seed", 1, "seed for random topologies and the fault adversary")
@@ -142,8 +145,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	logger := slog.New(slog.NewTextHandler(out, &slog.HandlerOptions{Level: level}))
-	engine, err := parseEngine(*engName)
-	if err != nil {
+	if err := checkEngine(*engName); err != nil {
 		return err
 	}
 	partition, err := parsePartition(*partName)
@@ -173,7 +175,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	network, err := lr.NewDynamicNetworkWith(topo, lr.DynNetOptions{
-		Engine:       engine,
 		Shards:       *shards,
 		Partition:    partition,
 		Adversary:    adversary,
@@ -195,7 +196,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"topology", topo.Name,
 		"elapsed", time.Since(start).Round(time.Millisecond),
 		"nodes", topo.Graph.NumNodes(),
-		"engine", engine,
+		"shards", *shards,
 		"faults", scenarioName(adversary))
 
 	l, err := net.Listen("tcp", *addr)
@@ -209,7 +210,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	cfg := lr.ServeConfig{
 		Topology:       topo.Name,
-		Engine:         engine.String(),
 		Shards:         *shards,
 		Partition:      partition.String(),
 		Scenario:       scenarioName(adversary),

@@ -231,6 +231,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-nope"},
 		{"-topo", "torus"},
 		{"-engine", "quantum"},
+		{"-engine", "goroutine"},
 		{"-partition", "psychic"},
 		{"-faults", "solar-flare"},
 		{"-n", "1"},
@@ -240,5 +241,14 @@ func TestRunFlagErrors(t *testing.T) {
 		if err := run(context.Background(), args, &syncBuffer{}); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// TestRunGoroutineEnginePointsAtShards pins the message for the removed
+// goroutine engine: it must name -shards, the way to one node per shard.
+func TestRunGoroutineEnginePointsAtShards(t *testing.T) {
+	err := run(context.Background(), []string{"-engine", "goroutine"}, &syncBuffer{})
+	if err == nil || !strings.Contains(err.Error(), "-shards") {
+		t.Errorf("-engine goroutine: err = %v, want a pointer to -shards", err)
 	}
 }

@@ -117,7 +117,7 @@ func render(rep *hunt.Report) {
 		}
 		fmt.Printf("  %s %12.2f  steps=%-8d work=%-8d retrans=%-8d skew=%.2f  %s/%s\n",
 			tag, ev.Score, ev.Stats.Steps, ev.Stats.TotalReversals, ev.Stats.Retransmits,
-			ev.Skew, ev.Candidate.Engine, ev.Candidate.Genome.Scenario())
+			ev.Skew, ev.Candidate.Layout(), ev.Candidate.Genome.Scenario())
 	}
 	for i, r := range rep.Reproducers {
 		fmt.Printf("BREACH %d: %s (shrunk to %s n=%d, %d shrink runs, witness %d, %d recorded events)\n",

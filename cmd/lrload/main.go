@@ -54,7 +54,6 @@ type status struct {
 	Cut         []int64 `json:"cut"`
 	Config      struct {
 		Topology string `json:"topology"`
-		Engine   string `json:"engine"`
 		Scenario string `json:"scenario"`
 		Seed     int64  `json:"seed"`
 	} `json:"config"`
@@ -181,7 +180,7 @@ func run(args []string, out io.Writer) error {
 
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	tb := trace.NewTable(
-		fmt.Sprintf("E13: serving latency — %s on %s, %s network", st.Config.Topology, st.Config.Engine, st.Config.Scenario),
+		fmt.Sprintf("E13: serving latency — %s, %s network", st.Config.Topology, st.Config.Scenario),
 		"requests", "workers", "churn-ops", "failed-routes", "5xx",
 		"p50-ms", "p99-ms", "p999-ms", "max-ms",
 	)

@@ -24,7 +24,7 @@ func startServer(t *testing.T, topo *workload.Topology, opts dist.DynOptions) st
 		t.Fatalf("AwaitQuiescence: %v", err)
 	}
 	ts := httptest.NewServer(serve.New(network, serve.Config{
-		Topology: topo.Name, Engine: opts.Engine.String(), Scenario: "reliable", Seed: 1,
+		Topology: topo.Name, Shards: opts.Shards, Scenario: "reliable", Seed: 1,
 	}))
 	t.Cleanup(ts.Close)
 	return strings.TrimPrefix(ts.URL, "http://")

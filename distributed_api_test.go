@@ -54,8 +54,8 @@ func TestRunDistributedAllTopologies(t *testing.T) {
 	}
 }
 
-// TestRunDistributedWithSharded pins the sharded engine behind the public
-// API: same invariants as the goroutine engine, identical final
+// TestRunDistributedWithSharded pins explicit shard options behind the
+// public API: same invariants as the default layout, identical final
 // orientation, and a batch count bounded by the message count.
 func TestRunDistributedWithSharded(t *testing.T) {
 	for _, topo := range []*lr.Topology{
@@ -74,7 +74,6 @@ func TestRunDistributedWithSharded(t *testing.T) {
 					t.Fatal(err)
 				}
 				rep, err := lr.RunDistributedWith(ctx, topo, alg, lr.DistOptions{
-					Engine:    lr.DistSharded,
 					Shards:    3,
 					Partition: lr.DistPartitionHash,
 				})
@@ -85,7 +84,7 @@ func TestRunDistributedWithSharded(t *testing.T) {
 					t.Errorf("bad outcome %+v", rep)
 				}
 				if !rep.Final.Equal(ref.Final) {
-					t.Error("sharded engine final orientation diverged from goroutine engine")
+					t.Error("3-shard hash layout diverged from the default layout's final orientation")
 				}
 				if rep.Batches > rep.Messages {
 					t.Errorf("batches %d > messages %d", rep.Batches, rep.Messages)
@@ -101,7 +100,6 @@ func TestRunDistributedWithBadOptions(t *testing.T) {
 	for _, opts := range []lr.DistOptions{
 		{Shards: -1},
 		{MailboxCap: -1},
-		{StepLimitSlack: -2},
 		{Engine: lr.DistEngine(9)},
 		{Adversary: &lr.NetworkAdversary{}}, // no policy
 		{Adversary: lr.NewNetworkAdversary(lr.FaultDrop{P: 2}, 1)}, // probability out of range
@@ -114,9 +112,10 @@ func TestRunDistributedWithBadOptions(t *testing.T) {
 
 // TestRunDistributedWithNetworkAdversary exercises fault injection behind
 // the public API: under every preset adversary (and a composed custom
-// one), both engines must absorb the interference via retransmission and
-// land on the fault-free final orientation, with the fault counters
-// reporting what happened.
+// one), both one node per shard ("goroutine-per-node": every node on its
+// own goroutine) and the default shard layout must absorb the
+// interference via retransmission and land on the fault-free final
+// orientation, with the fault counters reporting what happened.
 func TestRunDistributedWithNetworkAdversary(t *testing.T) {
 	topo := lr.Grid(5, 5)
 	ref, err := lr.RunDistributed(context.Background(), topo, lr.DistPR)
@@ -135,14 +134,20 @@ func TestRunDistributedWithNetworkAdversary(t *testing.T) {
 		lr.AdversarialNetwork(7),
 		custom,
 	} {
-		for _, engine := range []lr.DistEngine{lr.DistGoroutinePerNode, lr.DistSharded} {
-			adv, engine := adv, engine
-			t.Run(adv.Scenario+"/"+engine.String(), func(t *testing.T) {
+		for _, layout := range []struct {
+			name   string
+			shards int
+		}{
+			{"goroutine-per-node", topo.Graph.NumNodes()},
+			{"sharded", 0},
+		} {
+			adv, layout := adv, layout
+			t.Run(adv.Scenario+"/"+layout.name, func(t *testing.T) {
 				t.Parallel()
 				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 				defer cancel()
 				rep, err := lr.RunDistributedWith(ctx, topo, lr.DistPR, lr.DistOptions{
-					Engine:    engine,
+					Shards:    layout.shards,
 					Adversary: adv,
 				})
 				if err != nil {

@@ -25,8 +25,11 @@ func dupHeavy(seed int64) *faults.Adversary {
 // and off, identical final orientations and an identical protocol and
 // fault ledger — while actually coalescing something when on and nothing
 // when off — and the coalesced run's trace must still replay verbatim on
-// the sequential automaton. Full Reversal keeps every counter a pure
-// function of (topology, seed), so the ledgers are compared exactly.
+// the sequential automaton. The reference is a one-shard run, which has no
+// shard boundary and so neither crosses nor coalesces anything; one node
+// per shard, where every transmission crosses a boundary, must match it
+// too. Full Reversal keeps every counter a pure function of (topology,
+// seed), so the ledgers are compared exactly.
 func TestCoalescingConfluence(t *testing.T) {
 	in, err := workload.Grid(5, 5).Init()
 	if err != nil {
@@ -34,28 +37,21 @@ func TestCoalescingConfluence(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	run := func(coalesce Coalescing) *Result {
-		res, err := RunWith(ctx, in, FullReversal, Options{
-			Engine:    Sharded,
-			Shards:    4,
-			Partition: PartitionHash,
-			Coalesce:  coalesce,
-			Adversary: dupHeavy(7),
-		})
+	run := func(opts Options) *Result {
+		opts.Adversary = dupHeavy(7)
+		res, err := RunWith(ctx, in, FullReversal, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	on := run(CoalesceOn)
-	off := run(CoalesceOff)
-	ref, err := RunWith(ctx, in, FullReversal, Options{Engine: GoroutinePerNode, Adversary: dupHeavy(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	on := run(Options{Shards: 4, Partition: PartitionHash, Coalesce: CoalesceOn})
+	off := run(Options{Shards: 4, Partition: PartitionHash, Coalesce: CoalesceOff})
+	ref := run(Options{Shards: 1})
+	perNode := run(Options{Shards: perNodeShards})
 
-	if !on.Final.Equal(off.Final) || !on.Final.Equal(ref.Final) {
-		t.Error("final orientations diverged between coalescing modes")
+	if !on.Final.Equal(off.Final) || !on.Final.Equal(ref.Final) || !perNode.Final.Equal(ref.Final) {
+		t.Error("final orientations diverged between coalescing modes or shard counts")
 	}
 	// The entire ledger — protocol work and fault traffic — must be
 	// untouched by coalescing; only the transport counters (Batches, and
@@ -77,14 +73,16 @@ func TestCoalescingConfluence(t *testing.T) {
 			on.Stats.Remote, off.Stats.Remote)
 	}
 	if ref.Stats.Remote != 0 || ref.Stats.Coalesced != 0 {
-		t.Errorf("goroutine engine reports Remote=%d Coalesced=%d, want 0,0 (no shard boundary)",
+		t.Errorf("one-shard run reports Remote=%d Coalesced=%d, want 0,0 (no shard boundary)",
 			ref.Stats.Remote, ref.Stats.Coalesced)
 	}
-	if on.Stats.Drops != ref.Stats.Drops || on.Stats.Dups != ref.Stats.Dups ||
-		on.Stats.Held != ref.Stats.Held || on.Stats.Retransmits != ref.Stats.Retransmits ||
-		on.Stats.Acks != ref.Stats.Acks {
-		t.Errorf("fault ledger diverged from the goroutine reference:\n  sharded   %+v\n  goroutine %+v",
-			on.Stats, ref.Stats)
+	for _, r := range []*Result{on, perNode} {
+		if r.Stats.Drops != ref.Stats.Drops || r.Stats.Dups != ref.Stats.Dups ||
+			r.Stats.Held != ref.Stats.Held || r.Stats.Retransmits != ref.Stats.Retransmits ||
+			r.Stats.Acks != ref.Stats.Acks {
+			t.Errorf("fault ledger diverged from the one-shard reference:\n  got %+v\n  ref %+v",
+				r.Stats, ref.Stats)
+		}
 	}
 
 	// The coalesced run's linearization is still a legal sequential
@@ -123,7 +121,6 @@ func TestCoalescedSteadyStateAllocs(t *testing.T) {
 	measure := func(coalesce Coalescing) float64 {
 		run := func() {
 			res, err := RunWith(context.Background(), in, FullReversal, Options{
-				Engine:      Sharded,
 				Shards:      3,
 				RecordTrace: TraceOff,
 				Coalesce:    coalesce,

@@ -8,6 +8,7 @@ import (
 
 	"linkreversal/internal/automaton"
 	"linkreversal/internal/core"
+	"linkreversal/internal/graph"
 	"linkreversal/internal/workload"
 )
 
@@ -26,6 +27,25 @@ func sequentialTwin(alg Algorithm, in *core.Init) (automaton.Automaton, []automa
 	}
 }
 
+// sequentialFinal runs alg's sequential twin on in until no sink is
+// enabled, always stepping the first enabled action, and returns its final
+// orientation and reversal count: a reference that shares no code with the
+// dist runtime. Link reversal is confluent, so any schedule reaches the
+// same final orientation with the same work.
+func sequentialFinal(t testing.TB, alg Algorithm, in *core.Init) (*graph.Orientation, int) {
+	t.Helper()
+	twin, _, err := sequentialTwin(alg, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !twin.Quiescent() {
+		if err := twin.Step(twin.Enabled()[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return twin.Orientation(), twin.(interface{ TotalReversals() int }).TotalReversals()
+}
+
 // TestDistributedMatchesSequential replays each distributed run's recorded
 // step linearization on the matching sequential automaton over a seed
 // sweep, for every engine configuration. Every step must satisfy the
@@ -42,7 +62,7 @@ func TestDistributedMatchesSequential(t *testing.T) {
 			for _, alg := range allAlgorithms() {
 				for _, opts := range testEngines(t) {
 					topo, alg, seed, opts := topo, alg, seed, opts
-					t.Run(fmt.Sprintf("%s/%v/seed%d/%v", topo.Name, alg, seed, opts.Engine), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/%v/seed%d/%v", topo.Name, alg, seed, engineName(opts)), func(t *testing.T) {
 						t.Parallel()
 						in, err := topo.Init()
 						if err != nil {

@@ -11,20 +11,21 @@
 //     messages. Every step a node takes is a valid step of the
 //     corresponding sequential automaton (see the safety argument below),
 //     so the recorded step order replays verbatim on the internal/core
-//     automata — the cross-check exploited by the test suite. Two
-//     interchangeable execution engines back them (see Engine): the
-//     goroutine-per-node reference engine and a sharded worker-pool engine
-//     that partitions nodes across O(GOMAXPROCS) shard goroutines and
-//     batches cross-shard traffic, selected through Options.
+//     automata — the cross-check exploited by the test suite. A sharded
+//     worker pool runs them: nodes are partitioned across Options.Shards
+//     shard goroutines (default GOMAXPROCS) and cross-shard traffic
+//     travels in batches. Shards ≥ n gives one node per shard, so every
+//     node runs on its own goroutine with its own mailbox: per-node
+//     asynchrony.
 //
 //   - DynamicNetwork runs the height-based (Gafni–Bertsekas pair) protocol
 //     over a topology that changes at runtime: links are added and failed,
 //     and nodes added, removed, crashed and recovered, while the protocol
-//     keeps running. Both execution backends are available through
-//     DynOptions, and internal/faults adversaries can be aimed at the
-//     height-announcement plane. Heights carry TORA-style reference levels
-//     (generate / propagate / reflect), so a component cut off from the
-//     destination detects the partition in O(component) steps;
+//     keeps running. It runs on the same kind of shard pool
+//     (DynOptions.Shards), and internal/faults adversaries can be aimed at
+//     the height-announcement plane. Heights carry TORA-style reference
+//     levels (generate / propagate / reflect), so a component cut off from
+//     the destination detects the partition in O(component) steps;
 //     AwaitQuiescence validates every suspicion against the authoritative
 //     topology and reports a PartitionError naming the exact cut
 //     component. Healing the cut erases the stranded heights (CLR-style),
@@ -129,13 +130,6 @@ var (
 	// to the destination. Match it with errors.Is; unwrap the
 	// *PartitionError itself (errors.As) for the exact cut component.
 	ErrPartitioned = errors.New("dist: network partitioned from the destination")
-	// ErrHeightCeiling is the former name of ErrPartitioned, kept so
-	// existing errors.Is checks keep matching.
-	//
-	// Deprecated: partition detection is exact now (TORA-style reflection
-	// validated against the authoritative topology), not a height-ceiling
-	// heuristic. Use ErrPartitioned.
-	ErrHeightCeiling = ErrPartitioned
 	// ErrStopped is returned by DynamicNetwork operations after Stop.
 	ErrStopped = errors.New("dist: network stopped")
 	// ErrCrashed is returned by Crash for an already-crashed node.
@@ -158,9 +152,8 @@ var (
 
 // PartitionError is the exact partition report of
 // DynamicNetwork.AwaitQuiescence: the network quiesced, but the named live
-// nodes have no path to the destination. It wraps ErrPartitioned (and thus
-// the deprecated ErrHeightCeiling), so existing errors.Is checks continue
-// to work; use errors.As to recover the cut component.
+// nodes have no path to the destination. It wraps ErrPartitioned, so
+// errors.Is checks match it; use errors.As to recover the cut component.
 type PartitionError struct {
 	// Cut lists every live node without a path to the destination,
 	// ascending.
@@ -181,12 +174,10 @@ type Stats struct {
 	// edge in Run; one height announcement per live neighbour per step in
 	// DynamicNetwork).
 	Messages int
-	// Batches is the number of message batches handed to the transport:
-	// equal to Messages under the goroutine-per-node engine, where every
-	// message travels alone, and the number of cross-shard flushes under
-	// the sharded engine, where intra-shard messages bypass the transport
-	// entirely — so Batches ≤ Messages, reaching 0 when all traffic stays
-	// inside one shard.
+	// Batches is the number of cross-shard batches handed to the
+	// transport. Intra-shard messages bypass the transport entirely, so
+	// Batches ≤ Messages on a reliable network, reaching 0 when all
+	// traffic stays inside one shard (for example with Shards: 1).
 	Batches int
 	// Steps is the number of node steps taken (including NewPR's dummy
 	// parity-fixing steps).
@@ -207,10 +198,10 @@ type Stats struct {
 	// Acks is the number of acknowledgements sent by the reliable-delivery
 	// layer; 0 unless an adversary armed it.
 	Acks int
-	// Remote is the number of transmissions that crossed a shard boundary
-	// under the Sharded engine, counted before outbox coalescing — the
-	// partition-quality metric a topology-aware Options.Partition is meant
-	// to shrink. 0 under GoroutinePerNode, which has no shard boundary.
+	// Remote is the number of transmissions that crossed a shard boundary,
+	// counted before outbox coalescing — the partition-quality metric a
+	// topology-aware Options.Partition is meant to shrink. 0 with one
+	// shard, which has no shard boundary.
 	Remote int
 	// Coalesced is the number of byte-identical transmissions the sharded
 	// outbox folded into an already-pending entry instead of shipping
@@ -242,9 +233,9 @@ type Result struct {
 	NodeSteps     []int64
 	NodeReversals []int64
 	// Shards is the per-shard telemetry snapshot captured when
-	// Options.Observer was armed (nil otherwise): one entry per engine
-	// shard plus a trailing control-plane entry (Shard == -1). Under
-	// GoroutinePerNode all activity lands on shard 0. See obs.ShardStats
-	// for the counter semantics.
+	// Options.Observer was armed (nil otherwise): one entry per shard of
+	// the run (Options.Shards clamped to the node count) plus a trailing
+	// control-plane entry (Shard == -1). See obs.ShardStats for the
+	// counter semantics.
 	Shards []obs.ShardStats
 }

@@ -20,9 +20,8 @@ import (
 // over a topology that changes at runtime. Links are added and failed, and
 // nodes added, removed, crashed and recovered, through the control-plane
 // methods; nodes learn about changes via messages, exactly like they learn
-// about neighbour heights. Two execution backends are available through
-// DynOptions: the goroutine-per-node reference and a sharded worker pool
-// that runs the same per-node logic on O(shards) goroutines.
+// about neighbour heights. The protocol runs on a sharded worker pool of
+// DynOptions.Shards goroutines; Shards = n gives every node its own shard.
 //
 // Partition detection is exact: a component cut off from the destination
 // escalates through TORA reference levels — generate on a failure-caused
@@ -109,7 +108,7 @@ type DynamicNetwork struct {
 	stopped  bool
 
 	inj *faults.Injector
-	be  dynBackend
+	be  *dynShardBackend
 
 	// pub is the epoch-snapshot publication slot: an immutable *Snapshot
 	// swapped in atomically (RCU-style) by the serialized control plane, so
@@ -134,7 +133,7 @@ type DynamicNetwork struct {
 }
 
 // NewDynamicNetwork starts the protocol on topo's graph with the default
-// options (goroutine-per-node backend, reliable network), with initial
+// options (GOMAXPROCS shards, reliable network), with initial
 // heights chosen so the derived link directions equal topo's initial
 // orientation. Call AwaitQuiescence before reading a Snapshot, and Stop
 // when done.
@@ -143,7 +142,7 @@ func NewDynamicNetwork(topo *workload.Topology) (*DynamicNetwork, error) {
 }
 
 // NewDynamicNetworkWith starts the protocol on topo's graph with explicit
-// engine and fault options.
+// shard and fault options.
 func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNetwork, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -199,15 +198,9 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 	if opts.Adversary != nil {
 		d.inj = faults.NewInjector(opts.Adversary)
 	}
-	if opts.Observer != nil {
-		// One sink per shard plus the control plane; backends pick their
-		// sinks up from opts during construction below.
-		if opts.Engine == Sharded {
-			opts.Observer.Attach(opts.Shards)
-		} else {
-			opts.Observer.Attach(1)
-		}
-	}
+	// One sink per shard plus the control plane; the shards pick their
+	// sinks up from opts during construction below.
+	opts.Observer.Attach(opts.Shards)
 	states := make([]*dynState, n)
 	for u := 0; u < n; u++ {
 		st := &dynState{net: d, id: graph.NodeID(u), h: d.heights[u]}
@@ -220,12 +213,7 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 		}
 		states[u] = st
 	}
-	switch opts.Engine {
-	case Sharded:
-		d.be = newDynShardBackend(d, states)
-	default:
-		d.be = newDynGoBackend(d, states)
-	}
+	d.be = newDynShardBackend(d, states)
 	d.be.start()
 	// Publish the initial state as epoch 1 so ReadSnapshot never returns
 	// nil, then start the cadence publisher if one was configured.
@@ -838,7 +826,7 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 	}
 }
 
-// Stop terminates every backend goroutine and waits for them to exit. It
+// Stop terminates every shard goroutine and waits for them to exit. It
 // is idempotent and wakes any AwaitQuiescence caller with ErrStopped.
 func (d *DynamicNetwork) Stop() {
 	d.stopOnce.Do(func() {

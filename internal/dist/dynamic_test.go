@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
 
@@ -13,25 +12,34 @@ import (
 	"linkreversal/internal/workload"
 )
 
-// dynEngines returns the DynamicNetwork backend configurations exercised
-// by this test process, following the same LR_DIST_ENGINE / LR_DIST_FAULTS
-// environment matrix as testEngines: both backends by default, the sharded
-// one pinned to three shards so cross-shard batching is exercised on any
-// machine, and every configuration carrying the selected fault adversary.
-func dynEngines(t testing.TB) []DynOptions {
+// dynConfig is one DynamicNetwork configuration of the test matrix.
+type dynConfig struct {
+	name    string
+	opts    DynOptions
+	perNode bool
+}
+
+// on returns the options for a network built on topo. The dynamic plane
+// does not clamp Shards to the node count (AddNode may grow the network),
+// so the per-node configuration is sized here: one shard per initial node.
+func (c dynConfig) on(topo *workload.Topology) DynOptions {
+	o := c.opts
+	if c.perNode {
+		o.Shards = topo.Graph.NumNodes()
+	}
+	return o
+}
+
+// dynEngines returns the DynamicNetwork configurations exercised by this
+// test process, the dynamic counterparts of testEngines: one node per
+// shard, and three shards — so cross-shard batching is exercised on any
+// machine — under the partition scheme selected by LR_DIST_PARTITION. Both
+// carry the fault adversary selected by LR_DIST_FAULTS.
+func dynEngines(t testing.TB) []dynConfig {
 	adv := testAdversary(t)
-	gpn := DynOptions{Engine: GoroutinePerNode, Adversary: adv}
-	sharded := DynOptions{Engine: Sharded, Shards: 3, Adversary: adv}
-	switch v := os.Getenv("LR_DIST_ENGINE"); v {
-	case "", "both":
-		return []DynOptions{gpn, sharded}
-	case "goroutine":
-		return []DynOptions{gpn}
-	case "sharded":
-		return []DynOptions{sharded}
-	default:
-		t.Fatalf("unknown LR_DIST_ENGINE %q (want goroutine, sharded or both)", v)
-		return nil
+	return []dynConfig{
+		{name: perNodeName, opts: DynOptions{Adversary: adv}, perNode: true},
+		{name: "sharded", opts: DynOptions{Shards: 3, Partition: testPartition(t), Adversary: adv}},
 	}
 }
 
@@ -51,20 +59,20 @@ func requireRoutes(t *testing.T, s *Snapshot, n int, dst graph.NodeID) {
 }
 
 // TestDynamicInitialConvergence starts the network on assorted topologies
-// under every backend and checks that it quiesces with a route from every
+// under every configuration and checks that it quiesces with a route from every
 // node.
 func TestDynamicInitialConvergence(t *testing.T) {
-	for _, opts := range dynEngines(t) {
+	for _, c := range dynEngines(t) {
 		for _, topo := range []*workload.Topology{
 			workload.BadChain(10),
 			workload.Star(9),
 			workload.Grid(3, 4),
 			workload.RandomConnected(16, 0.25, 5),
 		} {
-			opts, topo := opts, topo
-			t.Run(fmt.Sprintf("%v/%s", opts.Engine, topo.Name), func(t *testing.T) {
+			c, topo := c, topo
+			t.Run(fmt.Sprintf("%s/%s", c.name, topo.Name), func(t *testing.T) {
 				t.Parallel()
-				net, err := NewDynamicNetworkWith(topo, opts)
+				net, err := NewDynamicNetworkWith(topo, c.on(topo))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,12 +93,12 @@ func TestDynamicInitialConvergence(t *testing.T) {
 // TestDynamicChurnHeals drives random link failures and recoveries with
 // quiescence between events; routes must survive every repair.
 func TestDynamicChurnHeals(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.RandomConnected(12, 0.3, 3)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := NewDynamicNetworkWith(topo, c.on(topo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,12 +155,12 @@ func TestDynamicChurnHeals(t *testing.T) {
 // graph; the endpoints exchange heights to orient it and the network stays
 // quiescent and routable.
 func TestDynamicAddsNewLink(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.GoodChain(6)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := NewDynamicNetworkWith(topo, c.on(topo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,12 +193,12 @@ func TestDynamicAddsNewLink(t *testing.T) {
 // quiesce cleanly with full routes. Removing a rim edge of the wheel never
 // cuts the graph, so any partition report here would be view corruption.
 func TestDynamicConcurrentControlPlane(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.Wheel(8)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := NewDynamicNetworkWith(topo, c.on(topo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,9 +281,9 @@ func TestDynamicOptionsValidation(t *testing.T) {
 	topo := workload.GoodChain(4)
 	for _, opts := range []DynOptions{
 		{Engine: Engine(42)},
+		{Engine: 1}, // no engine has value 1
 		{Partition: Partition(42)},
 		{Shards: -1},
-		{MailboxCap: -3},
 	} {
 		if _, err := NewDynamicNetworkWith(topo, opts); !errors.Is(err, ErrBadOption) {
 			t.Errorf("opts %+v: err = %v, want ErrBadOption", opts, err)
@@ -285,10 +293,11 @@ func TestDynamicOptionsValidation(t *testing.T) {
 
 // TestDynamicStop checks Stop is idempotent and fails later operations.
 func TestDynamicStop(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
-			net, err := NewDynamicNetworkWith(workload.GoodChain(4), opts)
+	for _, c := range dynEngines(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			topo := workload.GoodChain(4)
+			net, err := NewDynamicNetworkWith(topo, c.on(topo))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,14 +12,14 @@ import (
 
 // TestNodeChurnGrowAndShrink adds a node at runtime, wires it in, removes
 // an interior node, and requires clean quiescence with full routes at each
-// stage — under both backends.
+// stage — under every test configuration.
 func TestNodeChurnGrowAndShrink(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.Grid(3, 3)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := NewDynamicNetworkWith(topo, c.on(topo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,12 +71,12 @@ func TestNodeChurnGrowAndShrink(t *testing.T) {
 // TestRemoveNodeCanPartition removes a cut vertex: the orphaned suffix
 // must be reported exactly, and healing around the hole must converge.
 func TestRemoveNodeCanPartition(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.GoodChain(5)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := NewDynamicNetworkWith(topo, c.on(topo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,12 +105,12 @@ func TestRemoveNodeCanPartition(t *testing.T) {
 // carries the control plane's authoritative neighbourhood snapshot — puts
 // it back in sync: clean quiescence, full routes.
 func TestCrashRecoveryResumesFromSnapshot(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.Grid(3, 3)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := NewDynamicNetworkWith(topo, c.on(topo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestCrashRecoveryResumesFromSnapshot(t *testing.T) {
 }
 
 // orientationString renders the snapshot's derived edge directions in a
-// canonical form for cross-engine comparison.
+// canonical form for comparison across shard layouts.
 func orientationString(s *Snapshot, n int) string {
 	out := ""
 	for u := 0; u < n; u++ {
@@ -172,9 +172,9 @@ func orientationString(s *Snapshot, n int) string {
 // after every event — and returns the final orientation. Partition reports
 // are part of the observable behaviour: the script records each cut
 // component and heals it.
-func dynChurnScript(opts DynOptions, seed int64) (string, error) {
+func dynChurnScript(c dynConfig, seed int64) (string, error) {
 	topo := workload.RandomConnected(14, 0.3, seed)
-	net, err := NewDynamicNetworkWith(topo, opts)
+	net, err := NewDynamicNetworkWith(topo, c.on(topo))
 	if err != nil {
 		return "", err
 	}
@@ -264,32 +264,34 @@ func dynChurnScript(opts DynOptions, seed int64) (string, error) {
 }
 
 // TestDynEnginesAgreeOnFinal runs the full churn script — link and node
-// churn, partitions, crash windows — under the goroutine-per-node
-// reference and the sharded backend and requires identical observable
-// behaviour: the same partition reports with the same cut components, and
-// the same final orientation. This is the acceptance cross-check for the
-// sharded port.
+// churn, partitions, crash windows — under several shard layouts and
+// requires the observable behaviour of a one-shard reference, which has no
+// shard boundary: the same partition reports with the same cut
+// components, and the same final orientation. The reference is rerun
+// first, so a nondeterministic script shows up as such.
 func TestDynEnginesAgreeOnFinal(t *testing.T) {
 	adv := testAdversary(t)
+	one := dynConfig{name: "1 shard", opts: DynOptions{Shards: 1, Adversary: adv}}
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			ref, err := dynChurnScript(DynOptions{Engine: GoroutinePerNode, Adversary: adv}, seed)
+			ref, err := dynChurnScript(one, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range []DynOptions{
-				{Engine: GoroutinePerNode, Adversary: adv},
-				{Engine: Sharded, Shards: 3, Adversary: adv},
-				{Engine: Sharded, Shards: 5, Partition: PartitionHash, Adversary: adv},
+			for _, c := range []dynConfig{
+				one,
+				{name: "3 shards", opts: DynOptions{Shards: 3, Adversary: adv}},
+				{name: "5 shards, hash", opts: DynOptions{Shards: 5, Partition: PartitionHash, Adversary: adv}},
+				{name: "one node per shard", opts: DynOptions{Adversary: adv}, perNode: true},
 			} {
-				got, err := dynChurnScript(opts, seed)
+				got, err := dynChurnScript(c, seed)
 				if err != nil {
-					t.Fatalf("%v: %v", opts.Engine, err)
+					t.Fatalf("%s: %v", c.name, err)
 				}
 				if got != ref {
-					t.Errorf("%v shards=%d diverged\nref: %s\ngot: %s", opts.Engine, opts.Shards, ref, got)
+					t.Errorf("%s diverged\nref: %s\ngot: %s", c.name, ref, got)
 				}
 			}
 		})

@@ -9,124 +9,21 @@ import (
 	"linkreversal/internal/obs"
 )
 
-// dynBackend is a DynamicNetwork execution engine: it owns the per-node
-// dynState executors and moves dynMsgs between them. Both backends run the
-// identical protocol logic in dynnode.go; they differ only in scheduling.
-type dynBackend interface {
-	// start launches the executors for the construction-time nodes. Each
-	// node's start token was accounted in the constructor.
-	start()
-	// addNode attaches an executor for a node added at runtime. The backend
-	// accounts the node's own start token.
-	addNode(st *dynState)
-	// inject delivers one control-plane message whose token the caller
-	// accounted.
-	inject(m dynMsg)
-}
-
-// dynGoBackend is the goroutine-per-node reference engine: one mailbox
-// pump plus one handler goroutine per node, unbounded effective mailbox
-// via the elastic pump, per-node FIFO delivery.
-type dynGoBackend struct {
-	net    *DynamicNetwork
-	states []*dynState
-	// tx is published by copy-on-write so AddNode never blocks senders;
-	// senders reach new entries only via messages that causally follow the
-	// publication.
-	tx atomic.Pointer[[]chan dynMsg]
-	// obs is the backend's telemetry sink (the whole backend counts as
-	// shard 0), nil unless DynOptions.Observer is armed. It is shared by
-	// every node goroutine; the sink's atomics and multi-writer ring make
-	// that safe. Busy/idle spans are not measured here — they would time
-	// the Go scheduler, not the protocol.
-	obs *obs.Shard
-}
-
-func newDynGoBackend(net *DynamicNetwork, states []*dynState) *dynGoBackend {
-	return &dynGoBackend{net: net, states: states, obs: net.opts.Observer.Shard(0)}
-}
-
-func (b *dynGoBackend) start() {
-	txs := make([]chan dynMsg, len(b.states))
-	for i := range txs {
-		txs[i] = make(chan dynMsg, b.net.opts.MailboxCap)
-	}
-	b.tx.Store(&txs)
-	for _, st := range b.states {
-		b.spawn(st, txs[st.id])
-	}
-}
-
-func (b *dynGoBackend) addNode(st *dynState) {
-	old := *b.tx.Load()
-	txs := make([]chan dynMsg, len(old)+1)
-	copy(txs, old)
-	ch := make(chan dynMsg, b.net.opts.MailboxCap)
-	txs[st.id] = ch
-	b.tx.Store(&txs)
-	b.net.mu.Lock()
-	b.net.inflight++ // the new node's start token
-	b.net.mu.Unlock()
-	b.spawn(st, ch)
-}
-
-func (b *dynGoBackend) spawn(st *dynState, tx chan dynMsg) {
-	rx := make(chan dynMsg)
-	b.net.wg.Add(2)
-	go func() {
-		defer b.net.wg.Done()
-		mailbox(tx, rx, b.net.stop)
-	}()
-	go b.loop(st, rx)
-}
-
-func (b *dynGoBackend) loop(st *dynState, rx chan dynMsg) {
-	defer b.net.wg.Done()
-	if st.handle(b, dynMsg{Kind: dynStart, To: st.id}) {
-		b.net.retire(1)
-	}
-	for {
-		select {
-		case <-b.net.stop:
-			return
-		case m := <-rx:
-			if st.handle(b, m) {
-				b.net.retire(1)
-			}
-		}
-	}
-}
-
-func (b *dynGoBackend) push(m dynMsg) {
-	txs := *b.tx.Load()
-	select {
-	case txs[m.To] <- m:
-	case <-b.net.stop:
-	}
-}
-
-func (b *dynGoBackend) inject(m dynMsg) { b.push(m) }
-
-// transmit and requeue implement dynEnv. Requeueing is a self-send: the
-// pump always consumes, so it cannot deadlock, and the message lands
-// behind the node's current backlog exactly as the holdback fault wants.
-func (b *dynGoBackend) transmit(st *dynState, m dynMsg) { b.net.fanout(st, m, b.push, b.obs) }
-func (b *dynGoBackend) requeue(st *dynState, m dynMsg)  { b.push(m) }
-func (b *dynGoBackend) sink() *obs.Shard                { return b.obs }
-
-// dynShardBackend runs the same protocol on a fixed worker pool: nodes are
-// partitioned across shards, each shard owns its nodes' states outright
-// and processes its run-queue to exhaustion, and cross-shard messages
-// travel in batches through per-shard elastic pumps. Unlike the static
-// engine's batch tokens, every dynamic message carries its own in-flight
-// token: control injections and fault-plane duplicates make per-batch
-// accounting the wrong granularity here.
+// dynShardBackend is the execution engine of a DynamicNetwork: it runs the
+// protocol of dynnode.go on a fixed worker pool. Nodes are partitioned
+// across shards, each shard owns its nodes' states outright and processes
+// its run-queue to exhaustion, and cross-shard messages travel in batches
+// through per-shard elastic pumps. Unlike the static engine's batch tokens,
+// every dynamic message carries its own in-flight token: control
+// injections and fault-plane duplicates make per-batch accounting the
+// wrong granularity here.
 type dynShardBackend struct {
 	net    *DynamicNetwork
 	part   partitioner
 	shards []*dynShard
-	// states is published copy-on-write for the same reason as the
-	// goroutine backend's tx slice.
+	// states is published copy-on-write so AddNode never blocks senders;
+	// shards reach new entries only via messages that causally follow the
+	// publication.
 	states atomic.Pointer[[]*dynState]
 	pool   sync.Pool
 }
@@ -173,7 +70,7 @@ func newDynShardBackend(net *DynamicNetwork, states []*dynState) *dynShardBacken
 			be:  b,
 			id:  i,
 			out: make([]*dynBatch, nsh),
-			tx:  make(chan *dynBatch, net.opts.MailboxCap),
+			tx:  make(chan *dynBatch, defaultMailboxCap),
 			rx:  make(chan *dynBatch),
 			obs: net.opts.Observer.Shard(i), // nil when no observer is armed
 		}
@@ -195,6 +92,8 @@ func (b *dynShardBackend) shardOf(u graph.NodeID) int {
 	return s
 }
 
+// start launches the shards for the construction-time nodes. Each node's
+// start token was accounted in the network constructor.
 func (b *dynShardBackend) start() {
 	for _, sh := range b.shards {
 		b.net.wg.Add(2)
@@ -206,6 +105,7 @@ func (b *dynShardBackend) start() {
 	}
 }
 
+// addNode attaches a node added at runtime and accounts its start token.
 func (b *dynShardBackend) addNode(st *dynState) {
 	old := *b.states.Load()
 	states := make([]*dynState, len(old)+1)
@@ -224,6 +124,8 @@ func (b *dynShardBackend) getBatch() *dynBatch {
 	return nb
 }
 
+// inject delivers one control-plane message whose token the caller
+// accounted.
 func (b *dynShardBackend) inject(m dynMsg) {
 	nb := b.getBatch()
 	nb.msgs = append(nb.msgs, m)

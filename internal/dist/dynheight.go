@@ -192,8 +192,7 @@ const (
 // dynMsg is a DynamicNetwork protocol or control message.
 type dynMsg struct {
 	Kind dynKind
-	// To is the receiver; the sharded backend routes on it (goroutine
-	// mailboxes make it implicit, but it is always set).
+	// To is the receiver; the shards route on it.
 	To graph.NodeID
 	// Peer is the subject node: the sender of a height announcement, or the
 	// far endpoint of a link event.

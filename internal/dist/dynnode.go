@@ -8,11 +8,10 @@ import (
 	"linkreversal/internal/obs"
 )
 
-// dynEnv is the transport a dynState runs on. The goroutine-per-node
-// backend implements it with per-node mailboxes, the sharded backend with
-// run-queues and cross-shard batches; the protocol logic in this file is
-// shared verbatim, which is what makes the goroutine engine a meaningful
-// cross-check reference for the sharded port.
+// dynEnv is the transport a dynState runs on: the shard that owns the node,
+// with its run-queue and cross-shard batches. It is an interface so the
+// protocol logic in this file can be driven by a stand-in transport in
+// tests.
 type dynEnv interface {
 	// transmit sends m (with m.To set) on behalf of st, routing height
 	// announcements through the fault plane. The in-flight token was
@@ -28,10 +27,9 @@ type dynEnv interface {
 	sink() *obs.Shard
 }
 
-// dynState is the protocol state of one DynamicNetwork participant,
-// engine-independent. It is owned by exactly one executor at a time (the
-// node's goroutine, or the shard that the node hashes to); net.mu guards
-// only the shared mirrors it updates at commit time.
+// dynState is the protocol state of one DynamicNetwork participant. It is
+// owned by exactly one shard (the one its ID maps to); net.mu guards only
+// the shared mirrors it updates at commit time.
 type dynState struct {
 	net *DynamicNetwork
 	id  graph.NodeID

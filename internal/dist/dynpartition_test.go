@@ -10,7 +10,7 @@ import (
 )
 
 // requireCut asserts that err is a *PartitionError naming exactly want,
-// and that the legacy sentinels still match it.
+// and that ErrPartitioned matches it.
 func requireCut(t *testing.T, err error, want []graph.NodeID) {
 	t.Helper()
 	var pe *PartitionError
@@ -20,8 +20,8 @@ func requireCut(t *testing.T, err error, want []graph.NodeID) {
 	if !slices.Equal(pe.Cut, want) {
 		t.Fatalf("cut = %v, want %v", pe.Cut, want)
 	}
-	if !errors.Is(err, ErrPartitioned) || !errors.Is(err, ErrHeightCeiling) {
-		t.Fatalf("partition error does not match the sentinels: %v", err)
+	if !errors.Is(err, ErrPartitioned) {
+		t.Fatalf("partition error does not match ErrPartitioned: %v", err)
 	}
 }
 
@@ -52,13 +52,13 @@ func maxHeightMagnitudes(s *Snapshot) (maxA, maxB int) {
 // started where the last one ended — and (c) spend per-cycle steps on the
 // order of the island, not of 8n reversals.
 func TestPartitionExactAndNoRatchet(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			const n = 8
 			topo := workload.GoodChain(n)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := NewDynamicNetworkWith(topo, c.on(topo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,12 +103,12 @@ func TestPartitionExactAndNoRatchet(t *testing.T) {
 // links never becomes a sink, so no protocol signal fires — but it is cut
 // off all the same, and the report must name it.
 func TestPartitionIsolatedNode(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.Star(5)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := NewDynamicNetworkWith(topo, c.on(topo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,14 +141,14 @@ func TestPartitionIsolatedNode(t *testing.T) {
 // the report names exactly the destination-less half, not merely "some
 // partition somewhere".
 func TestPartitionSplitsAreExact(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			// 2×3 grid, dest 0: cutting {1,4} and {3,4} and {0,3} … cut the
 			// column seam instead: edges (1,2) and (4,5) isolate {2,5}.
 			topo := workload.Grid(2, 3)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := NewDynamicNetworkWith(topo, c.on(topo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,12 +179,12 @@ func TestPartitionSplitsAreExact(t *testing.T) {
 // wave dies at the frozen node, nobody detects, nobody parks. The
 // topology-validated report must still name the island.
 func TestPartitionCrashStall(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.GoodChain(6)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := NewDynamicNetworkWith(topo, c.on(topo))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,38 +11,10 @@ import (
 	"linkreversal/internal/graph"
 )
 
-// nodeEnv is a protocol node's view of its engine: announce records the
-// beginning of a step, deliver routes one reversal message toward another
-// node (slot is the receiver-side neighbour slot of the sender).
-// Implementations must guarantee that a message handed to deliver during a
-// step is received only after that step's announce returned — the property
-// that makes a recorded trace a legal sequential execution.
-//
-// send is deliver's fault-aware sibling, used only when an adversary is
-// armed: it carries the full link coordinates (so a dropped transmission
-// can be converted into a loss notification back to the sender), the
-// per-link sequence number and retransmission attempt (the fault
-// injector's decision coordinates) and the message kind. The same
-// announce-before-send ordering contract applies.
-type nodeEnv interface {
-	announce(u graph.NodeID, targets int)
-	deliver(to graph.NodeID, slot int32)
-	send(from graph.NodeID, fromSlot int32, to graph.NodeID, toSlot int32, seq uint32, attempt int32, kind msgKind)
-}
-
-// engine is one execution strategy for RunWith. start launches the engine's
-// goroutines (all registered on the shared core's WaitGroup); node exposes
-// a node's final view for reassembling the orientation after the WaitGroup
-// has drained.
-type engine interface {
-	start()
-	node(u graph.NodeID) *runNode
-}
-
-// runCore is the accounting shared by all engines of one RunWith
+// runCore is the accounting shared by the shards of one RunWith
 // invocation. The hot-path counters — statistics and the in-flight token
 // count that detects quiescence — are plain atomics, so steps on different
-// shards or nodes never serialize through a lock. Only the optional trace
+// shards never serialize through a lock. Only the optional trace
 // (and the failure slot) sit behind mu: when Options.RecordTrace is off,
 // the mutex is never taken after construction.
 type runCore struct {
@@ -53,23 +25,22 @@ type runCore struct {
 	batches     atomic.Int64
 	acks        atomic.Int64
 	retransmits atomic.Int64
-	// remote and coalesced are the sharded engine's transport counters:
-	// cross-shard transmissions (counted before coalescing) and squashed
-	// duplicate copies. Shards accumulate them locally and fold them in at
-	// flush time, so neither costs a per-message atomic. Both stay zero
-	// under the goroutine-per-node engine, which has no shard boundary.
+	// remote and coalesced are the transport counters: cross-shard
+	// transmissions (counted before coalescing) and squashed duplicate
+	// copies. Shards accumulate them locally and fold them in at flush
+	// time, so neither costs a per-message atomic.
 	remote    atomic.Int64
 	coalesced atomic.Int64
 
 	stepLimit   int64
 	recordTrace bool
-	// inj is the armed fault injector, nil on a reliable network. Engines
+	// inj is the armed fault injector, nil on a reliable network. Shards
 	// route every transmission through it when set.
 	inj *faults.Injector
 	// nodeSteps and nodeWork are the per-node profile counters, nil unless
-	// Options.Profile is ProfileOn. Slot u is written only by u's owning
-	// executor (its goroutine, or the shard that owns it), so the writes
-	// need no synchronization; readers wait for wg before looking.
+	// Options.Profile is ProfileOn. Slot u is written only by the shard
+	// that owns u, so the writes need no synchronization; readers wait for
+	// wg before looking.
 	nodeSteps []int64
 	nodeWork  []int64
 
@@ -96,17 +67,15 @@ func newRunCore(stepLimit int64, startTokens int, recordTrace bool) *runCore {
 
 // record marks the beginning of a step by node u that reverses the edges to
 // targets neighbours: it appends the step to the global linearization (when
-// trace recording is on), updates the statistics, and adds credit in-flight
-// tokens and batches transport batches. The goroutine-per-node engine
-// credits one token and one batch per message; the sharded engine passes
-// zero for both and accounts whole batches at flush time instead. The
-// caller must hand the step's messages to the transport only after record
-// returns: recording before sending is what makes the trace a legal
-// sequential execution — any later step enabled by one of these reversals
-// happens after its message is delivered, hence after this append. The
-// credit is added while the caller still holds the token it is processing
-// under, so the in-flight count cannot touch zero here.
-func (c *runCore) record(u graph.NodeID, targets, credit, batches int) {
+// trace recording is on) and updates the statistics. No in-flight token is
+// taken per message: intra-shard deliveries finish before the shard retires
+// the token it currently holds, and cross-shard batches take their own
+// token at flush time. The caller must hand the step's messages to the
+// transport only after record returns: recording before sending is what
+// makes the trace a legal sequential execution — any later step enabled by
+// one of these reversals happens after its message is delivered, hence
+// after this append.
+func (c *runCore) record(u graph.NodeID, targets int) {
 	if c.recordTrace {
 		c.mu.Lock()
 		c.trace = append(c.trace, u)
@@ -119,12 +88,6 @@ func (c *runCore) record(u graph.NodeID, targets, credit, batches int) {
 	steps := c.steps.Add(1)
 	c.reversals.Add(int64(targets))
 	c.messages.Add(int64(targets))
-	if batches > 0 {
-		c.batches.Add(int64(batches))
-	}
-	if credit > 0 {
-		c.inflight.Add(int64(credit))
-	}
 	if steps > c.stepLimit {
 		c.fail(fmt.Errorf("%w: %d steps", ErrStepLimit, steps))
 	}
@@ -174,9 +137,9 @@ func (c *runCore) countSend(kind msgKind, attempt int32) {
 	}
 }
 
-// judgeSend is the engine-shared half of a faulty transmission: it counts
+// judgeSend is the accounting half of a faulty transmission: it counts
 // the reliability traffic and consults the injector. dropped reports the
-// transmission was lost; notify that the engine must route a loss
+// transmission was lost; notify that the shard must route a loss
 // notification back to the sender (payload drops only — lost acks are
 // silently gone, the payload's own retransmission path recovers). The fate
 // carries the duplication and holdback of delivered transmissions.
@@ -212,7 +175,7 @@ func (c *runCore) snapshot() Stats {
 	return s
 }
 
-// stopped reports whether the engine has been told to shut down, without
+// stopped reports whether the run has been told to shut down, without
 // blocking. Long local cascades poll it so cancellation stays prompt.
 func (c *runCore) stopped() bool {
 	select {
@@ -223,12 +186,12 @@ func (c *runCore) stopped() bool {
 	}
 }
 
-// RunWith executes alg on in's topology under the engine selected by opts
-// until global quiescence and returns the final orientation, cost
-// statistics and — unless opts.RecordTrace is TraceOff — the linearized
-// step trace. It returns ctx.Err() if the context is cancelled first —
-// cancellation propagates into the engine's stop path mid-run, it does not
-// wait for quiescence.
+// RunWith executes alg on in's topology on the sharded runtime until global
+// quiescence and returns the final orientation, cost statistics and —
+// unless opts.RecordTrace is TraceOff — the linearized step trace. It
+// returns ctx.Err() if the context is cancelled first — cancellation
+// propagates into the shards' stop path mid-run, it does not wait for
+// quiescence.
 func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*Result, error) {
 	switch alg {
 	case FullReversal, PartialReversal, StaticPartialReversal:
@@ -247,14 +210,9 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 	// NewPR takes at most one dummy step per real step, and sequential
 	// executions are bounded well under 100·n²+100 steps; double that
 	// factor so hitting the limit can only mean an engine bug.
-	limit := 200*int64(n)*int64(n) + int64(opts.StepLimitSlack)
-	record := opts.RecordTrace == TraceRecorded
+	limit := 200*int64(n)*int64(n) + stepLimitSlack
 	shards := min(opts.Shards, n)
-	startTokens := n // one start token per node
-	if opts.Engine == Sharded {
-		startTokens = shards // one start token per shard
-	}
-	c := newRunCore(limit, startTokens, record)
+	c := newRunCore(limit, shards, opts.RecordTrace == TraceRecorded) // one start token per shard
 	if opts.Adversary != nil {
 		c.inj = faults.NewInjector(opts.Adversary)
 	}
@@ -262,22 +220,9 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 		c.nodeSteps = make([]int64, n)
 		c.nodeWork = make([]int64, n)
 	}
-	if opts.Observer != nil {
-		// One sink per shard (the goroutine engine counts as one shard);
-		// engines pick their sinks up from opts after Attach.
-		if opts.Engine == Sharded {
-			opts.Observer.Attach(shards)
-		} else {
-			opts.Observer.Attach(1)
-		}
-	}
-	var eng engine
-	switch opts.Engine {
-	case GoroutinePerNode:
-		eng = newNodeEngine(c, in, alg, opts)
-	case Sharded:
-		eng = newShardEngine(c, in, alg, opts, shards)
-	}
+	// One sink per shard; the shards pick theirs up from opts.
+	opts.Observer.Attach(shards)
+	eng := newShardEngine(c, in, alg, opts, shards)
 	eng.start()
 
 	var ctxErr error
@@ -291,7 +236,7 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 	if ctxErr != nil {
 		return nil, ctxErr
 	}
-	// wg.Wait happens-after every engine goroutine exit, so reading node
+	// wg.Wait happens-after every shard goroutine exit, so reading node
 	// views here is race-free. At quiescence both endpoints agree on every
 	// edge, so either view reconstructs the orientation.
 	c.mu.Lock()
@@ -301,7 +246,7 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 	}
 	directed := make([][2]graph.NodeID, 0, g.NumEdges())
 	for _, e := range g.Edges() {
-		if eng.node(e.U).incomingTo(e.V) {
+		if eng.nodes[e.U].incomingTo(e.V) {
 			directed = append(directed, [2]graph.NodeID{e.V, e.U})
 		} else {
 			directed = append(directed, [2]graph.NodeID{e.U, e.V})

@@ -9,36 +9,45 @@ import (
 	"testing"
 	"time"
 
+	"linkreversal/internal/core"
 	"linkreversal/internal/faults"
 	"linkreversal/internal/graph"
 	"linkreversal/internal/workload"
 )
 
-// testEngines returns the engine configurations exercised by this test
-// process: both engines by default, or only the one named by the
-// LR_DIST_ENGINE environment variable (the CI test matrix). The sharded
-// configuration pins three shards so cross-shard batching is exercised even
-// on a single-CPU machine, where the GOMAXPROCS default would collapse to
-// one shard, and carries the partition scheme selected by LR_DIST_PARTITION
-// (see testPartition). Every returned configuration additionally carries
-// the network adversary selected by LR_DIST_FAULTS (see testAdversary), so
-// the CI fault matrix reruns the whole suite under loss, duplication and
-// delay.
+// perNodeShards is the Shards value of the per-node test configuration.
+// RunWith clamps Shards to the node count, so every topology of up to
+// perNodeShards nodes runs one node per shard — each node on its own
+// goroutine with its own mailbox — and larger ones run perNodeShards
+// shards, which keeps the dense per-shard outbox tables (n² pointers at
+// one node per shard) affordable.
+const perNodeShards = 2048
+
+// perNodeName labels the per-node configuration in subtest names.
+const perNodeName = "goroutine-per-node"
+
+// testEngines returns the run configurations exercised by this test
+// process: one node per shard (see perNodeShards), and three shards — so
+// cross-shard batching is exercised even on a single-CPU machine, where
+// the GOMAXPROCS default would collapse to one shard — carrying the
+// partition scheme selected by LR_DIST_PARTITION (see testPartition).
+// Both configurations carry the network adversary selected by
+// LR_DIST_FAULTS (see testAdversary), so the CI fault matrix reruns the
+// whole suite under loss, duplication and delay.
 func testEngines(t testing.TB) []Options {
 	adv := testAdversary(t)
-	gpn := Options{Engine: GoroutinePerNode, Adversary: adv}
-	sharded := Options{Engine: Sharded, Shards: 3, Partition: testPartition(t), Adversary: adv}
-	switch v := os.Getenv("LR_DIST_ENGINE"); v {
-	case "", "both":
-		return []Options{gpn, sharded}
-	case "goroutine":
-		return []Options{gpn}
-	case "sharded":
-		return []Options{sharded}
-	default:
-		t.Fatalf("unknown LR_DIST_ENGINE %q (want goroutine, sharded or both)", v)
-		return nil
+	return []Options{
+		{Shards: perNodeShards, Adversary: adv},
+		{Shards: 3, Partition: testPartition(t), Adversary: adv},
 	}
+}
+
+// engineName labels a test configuration in subtest names.
+func engineName(o Options) string {
+	if o.Shards == perNodeShards {
+		return perNodeName
+	}
+	return "sharded"
 }
 
 // testPartition returns the sharded partition scheme selected by the
@@ -89,11 +98,11 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	bad := []Options{
 		{Engine: Engine(42)},
+		{Engine: 1}, // no engine has value 1
 		{Partition: Partition(42)},
 		{Coalesce: Coalescing(42)},
 		{Shards: -1},
 		{MailboxCap: -3},
-		{StepLimitSlack: -1},
 		{RecordTrace: Trace(42)},
 	}
 	for _, opts := range bad {
@@ -104,14 +113,14 @@ func TestOptionsValidation(t *testing.T) {
 	good := []Options{
 		{},
 		{Engine: Sharded},
-		{Engine: Sharded, Shards: 64, Partition: PartitionHash}, // shards > nodes: clamped
-		{Engine: Sharded, Shards: 2, Partition: PartitionLocality},
-		{Engine: Sharded, Coalesce: CoalesceOff},
-		{Coalesce: CoalesceOn}, // accepted (and ignored) by the goroutine engine
-		{MailboxCap: 1, StepLimitSlack: 1000},
-		{Engine: Sharded, Shards: 2, MailboxCap: 1},
+		{Shards: 64, Partition: PartitionHash}, // shards > nodes: clamped
+		{Shards: 2, Partition: PartitionLocality},
+		{Coalesce: CoalesceOff},
+		{Coalesce: CoalesceOn},
+		{MailboxCap: 1},
+		{Shards: 2, MailboxCap: 1},
 		{RecordTrace: TraceOff},
-		{Engine: Sharded, RecordTrace: TraceOff},
+		{Shards: 1, RecordTrace: TraceOff},
 	}
 	for _, opts := range good {
 		res, err := RunWith(context.Background(), in, FullReversal, opts)
@@ -250,19 +259,42 @@ func TestLocalityPartitioner(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeOnFinal runs both engines — the sharded one across shard
-// counts and all partition schemes — on the same inputs and requires
-// identical final orientations. Link reversal is confluent: enabled sinks
-// are never adjacent, so their steps commute, and the final orientation is
-// a function of the input alone. Any divergence is an engine bug.
-func TestEnginesAgreeOnFinal(t *testing.T) {
-	shardedVariants := []Options{
-		{Engine: Sharded, Shards: 1},
-		{Engine: Sharded, Shards: 2},
-		{Engine: Sharded, Shards: 5, Partition: PartitionHash},
-		{Engine: Sharded, Shards: 3, Partition: PartitionLocality},
-		{Engine: Sharded}, // GOMAXPROCS shards
+// agreeVariants are the shard settings the confluence tests hold against
+// the sequential oracle: one shard, two, five under hash partitioning,
+// three under locality partitioning, the GOMAXPROCS default, and one node
+// per shard.
+var agreeVariants = []Options{
+	{Shards: 1},
+	{Shards: 2},
+	{Shards: 5, Partition: PartitionHash},
+	{Shards: 3, Partition: PartitionLocality},
+	{},
+	{Shards: perNodeShards},
+}
+
+// requireSequentialFinal runs alg on in under opts and requires the final
+// orientation and reversal count of the sequential oracle (sequentialFinal)
+// — the check that does not trust any part of the runtime under test.
+func requireSequentialFinal(t *testing.T, in *core.Init, alg Algorithm, opts Options, want *graph.Orientation, wantRev int) {
+	t.Helper()
+	res, err := RunWith(context.Background(), in, alg, opts)
+	if err != nil {
+		t.Fatalf("%v/%+v: %v", alg, opts, err)
 	}
+	if !res.Final.Equal(want) {
+		t.Errorf("%v/%+v: final orientation diverged from the sequential automaton's", alg, opts)
+	}
+	if res.Stats.TotalReversals != wantRev {
+		t.Errorf("%v/%+v: %d reversals, sequential automaton %d", alg, opts, res.Stats.TotalReversals, wantRev)
+	}
+}
+
+// TestEnginesAgreeOnFinal runs every shard setting of agreeVariants on the
+// same inputs and requires the sequential automaton's final orientation
+// and reversal count. Link reversal is confluent: enabled sinks are never
+// adjacent, so their steps commute, and the final orientation and work are
+// functions of the input alone. Any divergence is an engine bug.
+func TestEnginesAgreeOnFinal(t *testing.T) {
 	for _, topo := range []*workload.Topology{
 		workload.AlternatingChain(9),
 		workload.Grid(4, 5),
@@ -273,23 +305,9 @@ func TestEnginesAgreeOnFinal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, alg := range allAlgorithms() {
-			ref, err := RunWith(context.Background(), in, alg, Options{Engine: GoroutinePerNode})
-			if err != nil {
-				t.Fatalf("%s/%v: reference engine: %v", topo.Name, alg, err)
-			}
-			for _, opts := range shardedVariants {
-				res, err := RunWith(context.Background(), in, alg, opts)
-				if err != nil {
-					t.Fatalf("%s/%v/%+v: %v", topo.Name, alg, opts, err)
-				}
-				if !res.Final.Equal(ref.Final) {
-					t.Errorf("%s/%v: sharded engine %+v diverged from goroutine-per-node final orientation",
-						topo.Name, alg, opts)
-				}
-				if res.Stats.TotalReversals != ref.Stats.TotalReversals {
-					t.Errorf("%s/%v: sharded %+v did %d reversals, reference %d",
-						topo.Name, alg, opts, res.Stats.TotalReversals, ref.Stats.TotalReversals)
-				}
+			want, wantRev := sequentialFinal(t, alg, in)
+			for _, opts := range agreeVariants {
+				requireSequentialFinal(t, in, alg, opts, want, wantRev)
 			}
 		}
 	}
@@ -307,7 +325,7 @@ func TestRunWithCancelMidRun(t *testing.T) {
 	}
 	for _, opts := range testEngines(t) {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(engineName(opts), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 			defer cancel()
 			start := time.Now()
@@ -338,7 +356,7 @@ func TestShardedGoroutineCount(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunWith(context.Background(), in, FullReversal, Options{Engine: Sharded, Shards: shards})
+		_, err := RunWith(context.Background(), in, FullReversal, Options{Shards: shards})
 		done <- err
 	}()
 	peak := 0
@@ -364,12 +382,6 @@ func TestShardedGoroutineCount(t *testing.T) {
 
 // TestEngineStrings pins the enum renderings used in benchmarks and tables.
 func TestEngineStrings(t *testing.T) {
-	if GoroutinePerNode.String() != "goroutine-per-node" || Sharded.String() != "sharded" {
-		t.Error("engine strings wrong")
-	}
-	if Engine(42).String() != "Engine(42)" {
-		t.Errorf("unknown engine string = %q", Engine(42).String())
-	}
 	if PartitionBlock.String() != "block" || PartitionHash.String() != "hash" || PartitionLocality.String() != "locality" {
 		t.Error("partition strings wrong")
 	}
@@ -390,9 +402,11 @@ func TestEngineStrings(t *testing.T) {
 	}
 }
 
-// FuzzEnginesAgree feeds random topologies through both engines and
-// requires identical final orientations — the confluence cross-check over
-// the whole generator space, including degenerate shard counts.
+// FuzzEnginesAgree feeds random topologies through every shard setting of
+// agreeVariants plus one fuzzed shard count and requires the sequential
+// automaton's final orientation and reversal count — the confluence
+// cross-check over the whole generator space, including degenerate shard
+// counts.
 func FuzzEnginesAgree(f *testing.F) {
 	f.Add(uint8(8), uint8(30), int64(1), uint8(1), uint8(2))
 	f.Add(uint8(2), uint8(0), int64(-5), uint8(2), uint8(0))
@@ -401,25 +415,19 @@ func FuzzEnginesAgree(f *testing.F) {
 		n := 2 + int(rawN)%30
 		p := float64(rawP%100) / 100.0
 		alg := allAlgorithms()[int(rawAlg)%3]
-		opts := Options{Engine: Sharded, Shards: 1 + int(rawShards)%6}
+		fuzzed := Options{Shards: 1 + int(rawShards)%6}
 		if rawShards >= 128 {
-			opts.Partition = PartitionHash
+			fuzzed.Partition = PartitionHash
 		}
 		topo := workload.RandomConnected(n, p, seed)
 		in, err := topo.Init()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := RunWith(context.Background(), in, alg, Options{})
-		if err != nil {
-			t.Fatal(err)
+		want, wantRev := sequentialFinal(t, alg, in)
+		for _, opts := range agreeVariants {
+			requireSequentialFinal(t, in, alg, opts, want, wantRev)
 		}
-		res, err := RunWith(context.Background(), in, alg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Final.Equal(ref.Final) {
-			t.Fatalf("engines diverged on %s/%v with %+v", topo.Name, alg, opts)
-		}
+		requireSequentialFinal(t, in, alg, fuzzed, want, wantRev)
 	})
 }

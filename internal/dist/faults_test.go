@@ -43,11 +43,11 @@ func TestFaultyRunsMatchFaultFree(t *testing.T) {
 			}
 			for _, adv := range presetAdversaries(7) {
 				for _, opts := range []Options{
-					{Engine: GoroutinePerNode, Adversary: adv},
-					{Engine: Sharded, Shards: 3, Adversary: adv},
+					{Shards: perNodeShards, Adversary: adv},
+					{Shards: 3, Adversary: adv},
 				} {
 					topo, alg, adv, opts := topo, alg, adv, opts
-					name := fmt.Sprintf("%s/%v/%s/%v", topo.Name, alg, adv.Scenario, opts.Engine)
+					name := fmt.Sprintf("%s/%v/%s/%v", topo.Name, alg, adv.Scenario, engineName(opts))
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
 						ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -78,7 +78,8 @@ func TestFaultyRunsMatchFaultFree(t *testing.T) {
 
 // TestLossyLargeTopologies is the scale acceptance check: with the Lossy
 // preset (15% drop) on chain, grid and tree topologies up to 10k nodes,
-// both engines must terminate via retransmission with the exact fault-free
+// both the finest shard layout the tests afford (perNodeShards) and the
+// default must terminate via retransmission with the exact fault-free
 // final orientation. Partial Reversal keeps the work linear at this size.
 func TestLossyLargeTopologies(t *testing.T) {
 	if testing.Short() {
@@ -93,16 +94,16 @@ func TestLossyLargeTopologies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := RunWith(context.Background(), in, PartialReversal, Options{Engine: Sharded})
+		ref, err := RunWith(context.Background(), in, PartialReversal, Options{})
 		if err != nil {
 			t.Fatalf("%s: fault-free reference: %v", topo.Name, err)
 		}
 		for _, opts := range []Options{
-			{Engine: GoroutinePerNode, Adversary: faults.Lossy(11)},
-			{Engine: Sharded, Adversary: faults.Lossy(11)},
+			{Shards: perNodeShards, Adversary: faults.Lossy(11)},
+			{Adversary: faults.Lossy(11)},
 		} {
 			topo, opts := topo, opts
-			t.Run(topo.Name+"/"+opts.Engine.String(), func(t *testing.T) {
+			t.Run(topo.Name+"/"+engineName(opts), func(t *testing.T) {
 				t.Parallel()
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 				defer cancel()
@@ -125,7 +126,7 @@ func TestLossyLargeTopologies(t *testing.T) {
 // TestFaultReplayDeterminism pins the (scenario, seed) replay contract on
 // Full Reversal, whose message pattern is schedule independent: two runs
 // with the same seed must agree on every fault counter and on the final
-// orientation — byte-identical behaviour — across both engines, while a
+// orientation — byte-identical behaviour — across shard layouts, while a
 // different seed must make different decisions.
 func TestFaultReplayDeterminism(t *testing.T) {
 	in, err := workload.Grid(6, 6).Init()
@@ -142,20 +143,22 @@ func TestFaultReplayDeterminism(t *testing.T) {
 		}
 		adv := mk(42)
 		t.Run(adv.Scenario, func(t *testing.T) {
-			a := runStats(Options{Engine: GoroutinePerNode, Adversary: mk(42)})
-			b := runStats(Options{Engine: GoroutinePerNode, Adversary: mk(42)})
-			// Batches is the only schedule-dependent counter (it counts
-			// transport handoffs, including holdback requeues).
+			a := runStats(Options{Shards: perNodeShards, Adversary: mk(42)})
+			b := runStats(Options{Shards: perNodeShards, Adversary: mk(42)})
+			// Batches and Coalesced are the schedule-dependent counters
+			// (they count transport handoffs and what one flush window
+			// happened to fold).
 			a.Batches, b.Batches = 0, 0
+			a.Coalesced, b.Coalesced = 0, 0
 			if a != b {
 				t.Errorf("same seed, different stats:\n  %+v\n  %+v", a, b)
 			}
-			s := runStats(Options{Engine: Sharded, Shards: 4, Adversary: mk(42)})
+			s := runStats(Options{Shards: 4, Adversary: mk(42)})
 			if a.Drops != s.Drops || a.Dups != s.Dups || a.Held != s.Held ||
 				a.Retransmits != s.Retransmits || a.Acks != s.Acks {
-				t.Errorf("fault decisions differ across engines:\n  goroutine %+v\n  sharded   %+v", a, s)
+				t.Errorf("fault decisions differ across shard layouts:\n  per node %+v\n  4 shards %+v", a, s)
 			}
-			other := runStats(Options{Engine: GoroutinePerNode, Adversary: mk(43)})
+			other := runStats(Options{Shards: perNodeShards, Adversary: mk(43)})
 			if a.Drops == other.Drops && a.Retransmits == other.Retransmits && a.Dups == other.Dups {
 				t.Logf("seeds 42 and 43 coincided on all counters (possible but unlikely): %+v", a)
 			}
@@ -182,11 +185,11 @@ func TestAdversarialTraceReplaysSequentially(t *testing.T) {
 			}
 			for _, alg := range allAlgorithms() {
 				for _, opts := range []Options{
-					{Engine: GoroutinePerNode, Adversary: faults.Adversarial(seed)},
-					{Engine: Sharded, Shards: 3, Adversary: faults.Adversarial(seed)},
+					{Shards: perNodeShards, Adversary: faults.Adversarial(seed)},
+					{Shards: 3, Adversary: faults.Adversarial(seed)},
 				} {
 					topo, alg, opts, seed := topo, alg, opts, seed
-					name := fmt.Sprintf("%s/%v/seed%d/%v", topo.Name, alg, seed, opts.Engine)
+					name := fmt.Sprintf("%s/%v/seed%d/%v", topo.Name, alg, seed, engineName(opts))
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
 						ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -260,11 +263,11 @@ func TestCancelWithHeldMessages(t *testing.T) {
 	// permanently full of parked messages when the deadline hits.
 	adv := faults.New(faults.Delay{P: 1, Bound: 200}, 5)
 	for _, opts := range []Options{
-		{Engine: GoroutinePerNode, Adversary: adv},
-		{Engine: Sharded, Shards: 3, Adversary: adv},
+		{Shards: perNodeShards, Adversary: adv},
+		{Shards: 3, Adversary: adv},
 	} {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(engineName(opts), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 			defer cancel()
 			start := time.Now()
@@ -301,9 +304,10 @@ func TestFaultStatsZeroOnReliableNetwork(t *testing.T) {
 }
 
 // FuzzFaultsConfluence mutates (seed, drop rate, delay bound, duplication)
-// across random topologies and both engines, asserting the adversarial run
-// always lands on the fault-free final orientation — the CI fuzz target of
-// the fault subsystem.
+// across random topologies and every shard setting of agreeVariants,
+// asserting the adversarial run always lands on the sequential automaton's
+// final orientation and reversal count — the CI fuzz target of the fault
+// subsystem.
 func FuzzFaultsConfluence(f *testing.F) {
 	f.Add(uint8(8), uint8(30), int64(1), uint8(20), uint8(3), uint8(0), uint8(1))
 	f.Add(uint8(20), uint8(60), int64(-9), uint8(90), uint8(8), uint8(200), uint8(0))
@@ -322,20 +326,10 @@ func FuzzFaultsConfluence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := RunWith(context.Background(), in, alg, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		engine := Options{Engine: GoroutinePerNode, Adversary: adv}
-		if seed%2 == 0 {
-			engine = Options{Engine: Sharded, Shards: 1 + int(rawN)%5, Adversary: adv}
-		}
-		res, err := RunWith(context.Background(), in, alg, engine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Final.Equal(ref.Final) {
-			t.Fatalf("adversarial run diverged on %s/%v with %+v", topo.Name, alg, engine)
+		want, wantRev := sequentialFinal(t, alg, in)
+		for _, opts := range agreeVariants {
+			opts.Adversary = adv
+			requireSequentialFinal(t, in, alg, opts, want, wantRev)
 		}
 	})
 }

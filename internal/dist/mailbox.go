@@ -80,13 +80,13 @@ func (q *mailboxQueue[M]) compact() {
 
 // mailbox pumps messages from a bounded ingress channel into an unbounded
 // in-memory queue and hands them to the receiver in FIFO order. One mailbox
-// goroutine runs per node (goroutine-per-node engine) or per shard (sharded
-// engine); it exits when stop is closed.
+// goroutine runs per shard on both planes (carrying *batch on the static
+// plane and *dynBatch on the dynamic one); it exits when stop is closed.
 //
-// The pump decouples senders from receivers: a receiver busy taking a step
-// never blocks its peers' sends, which is what rules out the send/receive
-// deadlock cycles a direct buffered channel mesh would allow — for nodes
-// and just the same for shards exchanging batches.
+// The pump decouples senders from receivers: a shard busy processing a
+// batch never blocks its peers' flushes, which is what rules out the
+// send/receive deadlock cycles a direct buffered channel mesh between
+// shards would allow.
 func mailbox[M any](in <-chan M, out chan<- M, stop <-chan struct{}) {
 	var q mailboxQueue[M]
 	for {

@@ -13,8 +13,8 @@ import (
 // TestObserverOffMatchesOn is the observability confluence check: arming
 // Options.Observer may change nothing about the run but Result.Shards.
 // Final orientations and every Stats counter except the timing-dependent
-// batch count must be identical, under both engines, with and without an
-// adversary — the telemetry hooks observe the execution, they must not
+// batch count must be identical, under every test configuration, with and
+// without an adversary — the telemetry hooks observe the execution, they must not
 // steer it.
 func TestObserverOffMatchesOn(t *testing.T) {
 	for _, topo := range []*workload.Topology{
@@ -28,7 +28,7 @@ func TestObserverOffMatchesOn(t *testing.T) {
 		for _, alg := range allAlgorithms() {
 			for _, base := range testEngines(t) {
 				topo, alg, base := topo, alg, base
-				t.Run(topo.Name+"/"+alg.String()+"/"+base.Engine.String(), func(t *testing.T) {
+				t.Run(topo.Name+"/"+alg.String()+"/"+engineName(base), func(t *testing.T) {
 					t.Parallel()
 					ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 					defer cancel()
@@ -70,7 +70,7 @@ func TestObserverShardSums(t *testing.T) {
 	in := workload.BadChain(48).MustInit()
 	for _, base := range testEngines(t) {
 		base := base
-		t.Run(base.Engine.String(), func(t *testing.T) {
+		t.Run(engineName(base), func(t *testing.T) {
 			t.Parallel()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
@@ -126,7 +126,7 @@ func TestObserverShardSums(t *testing.T) {
 
 			// Reliable sub-run: no adversary, so no duplicate deliveries —
 			// the delivered count must equal the message count exactly.
-			relOpts := Options{Engine: base.Engine, Shards: base.Shards, Partition: base.Partition, Observer: obs.New()}
+			relOpts := Options{Shards: base.Shards, Partition: base.Partition, Observer: obs.New()}
 			rel, err := RunWith(ctx, in, FullReversal, relOpts)
 			if err != nil {
 				t.Fatal(err)
@@ -150,7 +150,7 @@ func TestObserverEventsRecorded(t *testing.T) {
 	in := workload.BadChain(16).MustInit()
 	for _, base := range testEngines(t) {
 		base := base
-		t.Run(base.Engine.String(), func(t *testing.T) {
+		t.Run(engineName(base), func(t *testing.T) {
 			t.Parallel()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
@@ -181,9 +181,9 @@ func TestObserverEventsRecorded(t *testing.T) {
 // epoch-publish on the control-plane track, and a real partition must fire
 // OnDump with reason "partition" — the flight recorder's black-box moment.
 func TestDynamicObserver(t *testing.T) {
-	for _, base := range dynEngines(t) {
-		base := base
-		t.Run(base.Engine.String(), func(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			o := obs.New()
 			var dumpReason string
@@ -191,9 +191,9 @@ func TestDynamicObserver(t *testing.T) {
 			o.OnDump = func(reason string, events []obs.Event) {
 				dumpReason, dumpEvents = reason, events
 			}
-			opts := base
-			opts.Observer = o
 			topo := workload.GoodChain(8)
+			opts := c.on(topo)
+			opts.Observer = o
 			net, err := NewDynamicNetworkWith(topo, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -10,45 +10,35 @@ import (
 	"linkreversal/internal/obs"
 )
 
-// Engine selects the execution engine used by RunWith. The engines differ
-// only in how node state is scheduled onto goroutines and how reversal
-// messages travel; both realize legal asynchronous executions of the same
-// protocols, record the same kind of linearized step trace, and quiesce on
-// identical final orientations.
+// Engine names an execution engine. The sharded runtime is the only one;
+// per-node asynchrony comes from Options.Shards ≥ n (or DynOptions.Shards
+// = n), which gives every node its own shard goroutine and mailbox.
+//
+// Deprecated: Options.Engine and DynOptions.Engine accept only 0 and
+// Sharded, and both mean the sharded runtime.
 type Engine int
 
-const (
-	// GoroutinePerNode is the reference engine: every node runs as its own
-	// goroutine with a dedicated mailbox pump, so the Go scheduler itself is
-	// the asynchrony adversary at single-node granularity. Memory and
-	// scheduling cost grow with the node count (two goroutines and a
-	// buffered channel per node), which caps practical topology sizes well
-	// below the sharded engine's.
-	GoroutinePerNode Engine = iota + 1
-	// Sharded partitions the nodes across a small fixed set of shard
-	// goroutines (default GOMAXPROCS). Each shard owns its nodes' state,
-	// delivers intra-shard messages through a local run-queue without
-	// touching a channel, and accumulates cross-shard messages in
-	// per-destination outboxes that are flushed as batches. The engine uses
-	// O(shards) goroutines independent of the node count, which is what
-	// makes very large topologies affordable.
-	Sharded
-)
+// Sharded partitions the nodes across a set of shard goroutines (default
+// GOMAXPROCS). Each shard owns its nodes' state, delivers intra-shard
+// messages through a local run-queue without touching a channel, and
+// accumulates cross-shard messages in per-destination outboxes that are
+// flushed as batches. Its value is 2 because 1 named an engine that no
+// longer exists.
+//
+// Deprecated: Sharded is the only engine; leave Options.Engine zero.
+const Sharded Engine = 2
 
-// String implements fmt.Stringer.
-func (e Engine) String() string {
-	switch e {
-	case GoroutinePerNode:
-		return "goroutine-per-node"
-	case Sharded:
-		return "sharded"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
+// validEngine reports whether e is accepted by the option validators: 0
+// and Sharded both select the sharded runtime.
+func validEngine(e Engine) error {
+	if e != 0 && e != Sharded {
+		return fmt.Errorf("%w: engine %d", ErrBadOption, int(e))
 	}
+	return nil
 }
 
-// Partition selects how the Sharded engine assigns nodes to shards. All
-// schemes are deterministic and assign every node to exactly one shard.
+// Partition selects how nodes are assigned to shards. All schemes are
+// deterministic and assign every node to exactly one shard.
 type Partition int
 
 const (
@@ -86,7 +76,7 @@ func (p Partition) String() string {
 	}
 }
 
-// Coalescing selects whether the Sharded engine folds byte-identical
+// Coalescing selects whether shard outboxes fold byte-identical
 // same-link transmissions pending in one outbox flush window into a single
 // shipped message.
 type Coalescing int
@@ -182,39 +172,47 @@ func (p Profile) String() string {
 // ErrBadOption is returned by RunWith for out-of-range Options values.
 var ErrBadOption = errors.New("dist: invalid option")
 
-// Defaults applied by Options.withDefaults for zero-valued fields.
+// Defaults applied by Options.withDefaults for zero-valued fields, and the
+// fixed sizes that are not options.
 const (
-	// defaultMailboxCap is the default buffer size of a mailbox's ingress
-	// channel. Senders block only while the pump goroutine is momentarily
+	// defaultMailboxCap is the default buffer size of a static shard's
+	// mailbox ingress channel and the fixed size of a dynamic shard's.
+	// Senders block only while the pump goroutine is momentarily
 	// descheduled; the pump itself never blocks on ingress, so there is no
 	// deadlock cycle regardless of traffic pattern.
 	defaultMailboxCap = 64
-	// defaultStepLimitSlack is the default additive slack of the runaway
-	// protection budget; see Options.StepLimitSlack.
-	defaultStepLimitSlack = 200
+	// stepLimitSlack is the additive slack of RunWith's runaway-step
+	// budget 200·n² + slack. Exceeding the budget aborts the run with
+	// ErrStepLimit; it indicates an engine bug, not a property of the
+	// algorithms.
+	stepLimitSlack = 200
 )
 
-// Options tunes RunWith. The zero value selects the goroutine-per-node
-// engine with default mailbox capacity and step-limit slack, matching the
+// Options tunes RunWith. The zero value runs GOMAXPROCS shards with block
+// partitioning, a recorded trace and a reliable network, matching the
 // behaviour of Run.
 type Options struct {
-	// Engine selects the execution engine; 0 means GoroutinePerNode.
+	// Engine must be 0 or Sharded; both select the sharded runtime.
+	//
+	// Deprecated: the sharded runtime is the only engine. Leave Engine zero.
 	Engine Engine
-	// Shards is the number of shard goroutines used by the Sharded engine,
-	// clamped to the node count; 0 means GOMAXPROCS. Ignored by
-	// GoroutinePerNode.
+	// Shards is the number of shard goroutines, clamped to the node count;
+	// 0 means GOMAXPROCS. Shards ≥ n gives one node per shard: every node
+	// runs on its own goroutine with its own mailbox, the finest-grained
+	// asynchrony the runtime offers. Each shard keeps one outbox slot per
+	// shard, so that setting costs n² pointers (8 MB at 1k nodes).
 	Shards int
-	// Partition selects the Sharded engine's node-to-shard assignment;
-	// 0 means PartitionBlock. Ignored by GoroutinePerNode.
+	// Partition selects the node-to-shard assignment; 0 means
+	// PartitionBlock.
 	Partition Partition
-	// Coalesce selects whether the Sharded engine's outboxes fold
-	// byte-identical transmissions of one flush window into a single
-	// shipped message; 0 means CoalesceOn. Only observable through
-	// Stats.Coalesced and transport volume — orientations, traces and the
-	// fault ledger are identical either way. Ignored by GoroutinePerNode.
+	// Coalesce selects whether the shard outboxes fold byte-identical
+	// transmissions of one flush window into a single shipped message;
+	// 0 means CoalesceOn. Only observable through Stats.Coalesced and
+	// transport volume — orientations, traces and the fault ledger are
+	// identical either way.
 	Coalesce Coalescing
-	// MailboxCap is the buffer size of each mailbox ingress channel
-	// (per node for GoroutinePerNode, per shard for Sharded); 0 means 64.
+	// MailboxCap is the buffer size of each shard's mailbox ingress
+	// channel; 0 means 64.
 	MailboxCap int
 	// RecordTrace selects whether the run records the global step
 	// linearization; 0 means TraceRecorded. Set TraceOff for
@@ -222,12 +220,6 @@ type Options struct {
 	// O(steps) trace memory, at the price of Result.Trace (and with it the
 	// sequential replay cross-check).
 	RecordTrace Trace
-	// StepLimitSlack is the additive slack of the runaway-step budget
-	// 200·n² + slack; 0 means 200. Exceeding the budget aborts the run
-	// with ErrStepLimit — it indicates an engine bug, not a property of
-	// the algorithms, so the slack only matters to tests that want a
-	// tighter abort.
-	StepLimitSlack int
 	// Profile selects whether the run maintains per-node step and reversal
 	// counters (Result.NodeSteps / Result.NodeReversals); 0 means
 	// ProfileOff. Unlike the trace it stays O(n) regardless of run length,
@@ -244,34 +236,30 @@ type Options struct {
 	// per-shard telemetry counters (Result.Shards) and the protocol flight
 	// recorder (see internal/obs). RunWith calls Observer.Attach with the
 	// effective shard count, resetting any previous recording. nil — the
-	// default — keeps the engines' sinks nil, so every hook collapses to a
+	// default — keeps the shards' sinks nil, so every hook collapses to a
 	// branch and the allocation-free hot path is preserved exactly.
 	Observer *obs.Observer
 }
 
-// DynOptions tunes a DynamicNetwork. The zero value selects the
-// goroutine-per-node backend with default mailbox capacity and a reliable
-// network, matching the behaviour of NewDynamicNetwork.
+// DynOptions tunes a DynamicNetwork. The zero value runs GOMAXPROCS shards
+// with block partitioning on a reliable network, matching the behaviour of
+// NewDynamicNetwork.
 type DynOptions struct {
-	// Engine selects the execution backend; 0 means GoroutinePerNode. Both
-	// backends run identical protocol logic and quiesce on identical final
-	// orientations, so GoroutinePerNode doubles as the cross-check
-	// reference for Sharded.
+	// Engine must be 0 or Sharded; both select the sharded runtime.
+	//
+	// Deprecated: the sharded runtime is the only engine. Leave Engine zero.
 	Engine Engine
-	// Shards is the number of shard goroutines used by the Sharded backend;
-	// 0 means GOMAXPROCS. Unlike the static engine it is not clamped to the
-	// node count: the network can grow via AddNode. Ignored by
-	// GoroutinePerNode.
+	// Shards is the number of shard goroutines; 0 means GOMAXPROCS. Unlike
+	// the static engine it is not clamped to the node count, because the
+	// network can grow via AddNode. Shards = n gives one node per shard:
+	// every initial node runs on its own goroutine with its own mailbox.
 	Shards int
-	// Partition selects the Sharded backend's node-to-shard assignment;
-	// 0 means PartitionBlock. PartitionLocality grows its regions over the
+	// Partition selects the node-to-shard assignment; 0 means
+	// PartitionBlock. PartitionLocality grows its regions over the
 	// construction-time topology only — later link churn does not
 	// re-partition. Nodes added at runtime overflow any scheme's
 	// construction-time assignment and clamp onto the last shard.
 	Partition Partition
-	// MailboxCap is the buffer size of each mailbox ingress channel
-	// (per node for GoroutinePerNode, per shard for Sharded); 0 means 64.
-	MailboxCap int
 	// Adversary injects seeded faults into the height-announcement plane
 	// (the only message kind whose loss, duplication or delay a real
 	// network could inflict without the control plane noticing); nil means
@@ -299,12 +287,8 @@ type DynOptions struct {
 
 // withDefaults validates o and fills in the defaults for zero fields.
 func (o DynOptions) withDefaults() (DynOptions, error) {
-	switch o.Engine {
-	case 0:
-		o.Engine = GoroutinePerNode
-	case GoroutinePerNode, Sharded:
-	default:
-		return o, fmt.Errorf("%w: engine %d", ErrBadOption, int(o.Engine))
+	if err := validEngine(o.Engine); err != nil {
+		return o, err
 	}
 	switch o.Partition {
 	case 0:
@@ -319,12 +303,6 @@ func (o DynOptions) withDefaults() (DynOptions, error) {
 	if o.Shards == 0 {
 		o.Shards = runtime.GOMAXPROCS(0)
 	}
-	if o.MailboxCap < 0 {
-		return o, fmt.Errorf("%w: mailbox capacity %d", ErrBadOption, o.MailboxCap)
-	}
-	if o.MailboxCap == 0 {
-		o.MailboxCap = defaultMailboxCap
-	}
 	if o.PublishEvery < 0 {
 		return o, fmt.Errorf("%w: publish cadence %v", ErrBadOption, o.PublishEvery)
 	}
@@ -338,12 +316,8 @@ func (o DynOptions) withDefaults() (DynOptions, error) {
 
 // withDefaults validates o and fills in the defaults for zero fields.
 func (o Options) withDefaults() (Options, error) {
-	switch o.Engine {
-	case 0:
-		o.Engine = GoroutinePerNode
-	case GoroutinePerNode, Sharded:
-	default:
-		return o, fmt.Errorf("%w: engine %d", ErrBadOption, int(o.Engine))
+	if err := validEngine(o.Engine); err != nil {
+		return o, err
 	}
 	switch o.Partition {
 	case 0:
@@ -377,12 +351,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.MailboxCap == 0 {
 		o.MailboxCap = defaultMailboxCap
-	}
-	if o.StepLimitSlack < 0 {
-		return o, fmt.Errorf("%w: step-limit slack %d", ErrBadOption, o.StepLimitSlack)
-	}
-	if o.StepLimitSlack == 0 {
-		o.StepLimitSlack = defaultStepLimitSlack
 	}
 	switch o.Profile {
 	case 0:

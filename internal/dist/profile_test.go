@@ -24,7 +24,7 @@ func TestProfileMatchesTraceReplay(t *testing.T) {
 			for _, opts := range testEngines(t) {
 				opts := opts
 				opts.Profile = ProfileOn
-				t.Run(topo.Name+"/"+alg.String()+"/"+opts.Engine.String(), func(t *testing.T) {
+				t.Run(topo.Name+"/"+alg.String()+"/"+engineName(opts), func(t *testing.T) {
 					t.Parallel()
 					in := topo.MustInit()
 					ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

@@ -8,7 +8,6 @@ import (
 	"linkreversal/internal/bitset"
 	"linkreversal/internal/core"
 	"linkreversal/internal/graph"
-	"linkreversal/internal/obs"
 )
 
 // msgKind distinguishes the transmissions of the reliable-delivery layer.
@@ -32,40 +31,15 @@ const (
 	msgNack
 )
 
-// reverseMsg announces that a neighbour reversed the shared edge, which now
-// points toward the receiver. Slot is the *receiver-side* neighbour slot of
-// the sender — the index i with receiver.nbrs[i] == sender — precomputed
-// once at engine construction, so applying the message is a pair of slice
-// writes with no lookup of any kind. For the height-based variants it plays
-// the role of the height announcement, and for list-based PR it
-// additionally means "add the neighbour at Slot to your list".
-//
-// The remaining fields belong to the reliable-delivery layer and stay zero
-// on a reliable network: Seq is the per-directed-link sequence number of
-// the payload (or the payload being acked/nacked), Kind the transmission
-// class, and Hold the remaining number of delivery opportunities that may
-// overtake this message (the fault adversary's logical-time holdback; the
-// transport re-enqueues the message and decrements Hold until it reaches
-// zero). For msgNack, Slot is the *sender-side* slot of the lossy link —
-// the nack is addressed to the original sender.
-type reverseMsg struct {
-	Slot int32
-	Seq  uint32
-	Kind msgKind
-	Hold uint8
-}
-
-// runNode is the per-node protocol state, shared by every engine. All views
-// are slot-indexed windows parallel to nbrs (no maps), carved from backing
-// arrays shared across the whole topology, so a million-node run costs a
-// constant number of allocations rather than O(n) maps. The boolean views
-// (incoming, list, acked) are bit-packed — one bit per edge endpoint
-// instead of one byte — which is what makes 10M-node state fit cache and
-// memory; packing is dense within one executor's nodes and word-aligned at
-// executor boundaries, so no two goroutines ever write the same word. The
-// engine behind the nodeEnv passed to act/receive decides how
-// announce/deliver are realized; the protocol rules below are engine
-// independent.
+// runNode is the per-node protocol state. All views are slot-indexed
+// windows parallel to nbrs (no maps), carved from backing arrays shared
+// across the whole topology, so a million-node run costs a constant number
+// of allocations rather than O(n) maps. The boolean views (incoming, list,
+// acked) are bit-packed — one bit per edge endpoint instead of one byte —
+// which is what makes 10M-node state fit cache and memory; packing is dense
+// within one shard's nodes and word-aligned at shard boundaries, so no two
+// shard goroutines ever write the same word. The protocol rules below hand
+// their messages to the owning shard passed to act/receive/handle.
 type runNode struct {
 	id     graph.NodeID
 	alg    Algorithm
@@ -74,12 +48,12 @@ type runNode struct {
 	// graph's adjacency storage).
 	nbrs []graph.NodeID
 	// peerSlot[i] is this node's slot in nbrs[i]'s neighbourhood: the Slot a
-	// reverseMsg to nbrs[i] must carry so the receiver locates the shared
+	// shardMsg to nbrs[i] must carry so the receiver locates the shared
 	// edge in O(1).
 	peerSlot []int32
 	// incoming bit i is this node's view of edge {id, nbrs[i]}: set if it
 	// points toward id. Views marked incoming are always truthful; views
-	// marked outgoing may lag behind an undelivered reverseMsg. The sink
+	// marked outgoing may lag behind an undelivered shardMsg. The sink
 	// check is a word-at-a-time AllSet scan, so no incremental counter is
 	// needed.
 	incoming bitset.View
@@ -134,22 +108,20 @@ func slotOf(nbrs []graph.NodeID, v graph.NodeID) int32 {
 	return int32(i)
 }
 
-// newRunNodes builds the flat node-state table shared by both engines: one
-// runNode per node, with every per-node view sliced out of a handful of
-// topology-sized backing arrays. The peer-slot table is derived from the
-// core.Init adjacency once, here, which is what lets every delivered
-// message skip the neighbour lookup forever after. With reliable set (a
-// fault adversary is armed), each node additionally gets its slot-indexed
-// ack/retransmit state, carved from more topology-sized arrays.
+// newRunNodes builds the flat node-state table: one runNode per node, with
+// every per-node view sliced out of a handful of topology-sized backing
+// arrays. The peer-slot table is derived from the core.Init adjacency once,
+// here, which is what lets every delivered message skip the neighbour
+// lookup forever after. With reliable set (a fault adversary is armed),
+// each node additionally gets its slot-indexed ack/retransmit state, carved
+// from more topology-sized arrays.
 //
 // The boolean views are packed one bit per edge endpoint into shared word
-// arrays. owner maps a node to its executor (the shard index for the
-// sharded engine); consecutive nodes with the same owner pack densely into
-// shared words, and the carver inserts word-alignment padding wherever the
-// owner changes, so two executors never write the same backing word — the
-// engines need no synchronization on the views. A nil owner means every
-// node runs on its own executor (the goroutine-per-node engine): each
-// node's bits then start on a fresh word.
+// arrays. owner maps a node to the shard that runs it; consecutive nodes
+// with the same owner pack densely into shared words, and the carver
+// inserts word-alignment padding wherever the owner changes, so two shards
+// never write the same backing word — the shards need no synchronization
+// on the views.
 func newRunNodes(in *core.Init, alg Algorithm, reliable bool, owner func(graph.NodeID) int) []runNode {
 	g := in.Graph()
 	n := g.NumNodes()
@@ -161,7 +133,7 @@ func newRunNodes(in *core.Init, alg Algorithm, reliable bool, owner func(graph.N
 	bitOffs := make([]int, n+1)
 	bitOff := 0
 	for u := 0; u < n; u++ {
-		if u > 0 && (owner == nil || owner(graph.NodeID(u)) != owner(graph.NodeID(u-1))) {
+		if u > 0 && owner(graph.NodeID(u)) != owner(graph.NodeID(u-1)) {
 			bitOff = bitset.Align(bitOff)
 		}
 		bitOffs[u] = bitOff
@@ -258,15 +230,15 @@ func (nd *runNode) incomingTo(v graph.NodeID) bool {
 // variant's rule. The caller has checked viewSink, so every incident edge
 // truly points toward this node and the reversals below are valid automaton
 // transitions. The step is announced before any of its messages is handed
-// to the engine, and all view flags are cleared before the first deliver —
-// the same step atomicity the map-based implementation had.
-func (nd *runNode) step(env nodeEnv) {
+// to the shard, and all view flags are cleared before the first send — the
+// same step atomicity the map-based implementation had.
+func (nd *runNode) step(s *shard) {
 	switch nd.alg {
 	case FullReversal:
-		env.announce(nd.id, len(nd.nbrs))
+		s.announce(nd.id, len(nd.nbrs))
 		nd.incoming.ClearAll()
 		for i := range nd.nbrs {
-			nd.sendReverse(env, int32(i))
+			nd.sendReverse(s, int32(i))
 		}
 	case PartialReversal:
 		listCount := nd.list.Count()
@@ -275,11 +247,11 @@ func (nd *runNode) step(env nodeEnv) {
 		if full {
 			targets = len(nd.nbrs)
 		}
-		env.announce(nd.id, targets)
+		s.announce(nd.id, targets)
 		if full {
 			nd.incoming.ClearAll()
 			for i := range nd.nbrs {
-				nd.sendReverse(env, int32(i))
+				nd.sendReverse(s, int32(i))
 			}
 		} else {
 			for i := range nd.nbrs {
@@ -289,7 +261,7 @@ func (nd *runNode) step(env nodeEnv) {
 			}
 			for i := range nd.nbrs {
 				if !nd.list.Test(i) {
-					nd.sendReverse(env, int32(i))
+					nd.sendReverse(s, int32(i))
 				}
 			}
 		}
@@ -300,12 +272,12 @@ func (nd *runNode) step(env nodeEnv) {
 			slots = nd.initOut
 		}
 		nd.count++
-		env.announce(nd.id, len(slots))
+		s.announce(nd.id, len(slots))
 		for _, i := range slots {
 			nd.incoming.Clear(int(i))
 		}
 		for _, i := range slots {
-			nd.sendReverse(env, i)
+			nd.sendReverse(s, i)
 		}
 	default:
 		panic(fmt.Sprintf("dist: step on %v", nd.alg))
@@ -315,44 +287,44 @@ func (nd *runNode) step(env nodeEnv) {
 // act steps while this node believes it is a sink. FullReversal and
 // PartialReversal steps always produce an outgoing edge, so the loop runs
 // at most once; StaticPartialReversal may take one dummy parity step first.
-func (nd *runNode) act(env nodeEnv) {
+func (nd *runNode) act(s *shard) {
 	for nd.viewSink() {
-		nd.step(env)
+		nd.step(s)
 	}
 }
 
 // receive applies one reversal announcement from the neighbour at slot and
-// takes any steps it enables. Engines call it with full ownership of the
-// node. Bit sets are idempotent, so duplicated deliveries (an engine
-// without the reliable-delivery layer's sequence-number dedup) cannot
-// corrupt the view.
-func (nd *runNode) receive(env nodeEnv, slot int32) {
+// takes any steps it enables. The owning shard calls it with full
+// ownership of the node. Bit sets are idempotent, so duplicated deliveries
+// cannot corrupt the view even without the reliable-delivery layer's
+// sequence-number dedup.
+func (nd *runNode) receive(s *shard, slot int32) {
 	nd.incoming.Set(int(slot))
 	if nd.alg == PartialReversal {
 		nd.list.Set(int(slot))
 	}
-	nd.act(env)
+	nd.act(s)
 }
 
 // sendReverse emits the reversal announcement for the edge at slot i. On a
-// reliable network it is a bare deliver; with the ack/retransmit layer
-// armed it assigns the link's next sequence number, resets the unacked
-// state and routes the payload through the fault injector via env.send.
-func (nd *runNode) sendReverse(env nodeEnv, i int32) {
+// reliable network it is a bare route; with the ack/retransmit layer armed
+// it assigns the link's next sequence number, resets the unacked state and
+// routes the payload through the fault injector via s.send.
+func (nd *runNode) sendReverse(s *shard, i int32) {
 	if nd.rel == nil {
-		env.deliver(nd.nbrs[i], nd.peerSlot[i])
+		s.route(shardMsg{To: nd.nbrs[i], Slot: nd.peerSlot[i]})
 		return
 	}
 	r := nd.rel
 	r.sendSeq[i]++
 	r.acked.Clear(int(i))
 	r.retries[i] = 0
-	env.send(nd.id, i, nd.nbrs[i], nd.peerSlot[i], r.sendSeq[i], 0, msgData)
+	s.send(nd.id, i, nd.nbrs[i], nd.peerSlot[i], r.sendSeq[i], 0, msgData)
 }
 
 // handle dispatches one delivered transmission under the reliable-delivery
-// layer (engines call it instead of receive when an adversary is armed;
-// holdbacks are resolved by the engine before this point).
+// layer (the shard calls it instead of receive when an adversary is armed,
+// once per coalesced copy; holdbacks are resolved before this point).
 //
 //   - Fresh payloads are acknowledged and applied; stale ones (duplicates,
 //     late retransmissions) are re-acknowledged only — a late copy must not
@@ -363,16 +335,16 @@ func (nd *runNode) sendReverse(env nodeEnv, i int32) {
 //     current, still unacknowledged payload; obsolete nacks — the link has
 //     moved on, or an ack from a surviving duplicate confirmed delivery —
 //     are dropped.
-func (nd *runNode) handle(env nodeEnv, m reverseMsg) {
+func (nd *runNode) handle(s *shard, m shardMsg) {
 	r := nd.rel
 	switch m.Kind {
 	case msgData:
-		env.send(nd.id, m.Slot, nd.nbrs[m.Slot], nd.peerSlot[m.Slot], m.Seq, 0, msgAck)
+		s.send(nd.id, m.Slot, nd.nbrs[m.Slot], nd.peerSlot[m.Slot], m.Seq, 0, msgAck)
 		if m.Seq <= r.recvSeq[m.Slot] {
 			return // stale duplicate or late retransmission: re-acked only
 		}
 		r.recvSeq[m.Slot] = m.Seq
-		nd.receive(env, m.Slot)
+		nd.receive(s, m.Slot)
 	case msgAck:
 		if m.Seq == r.sendSeq[m.Slot] {
 			r.acked.Set(int(m.Slot))
@@ -382,169 +354,15 @@ func (nd *runNode) handle(env nodeEnv, m reverseMsg) {
 			return
 		}
 		r.retries[m.Slot]++
-		env.send(nd.id, m.Slot, nd.nbrs[m.Slot], nd.peerSlot[m.Slot], m.Seq, r.retries[m.Slot], msgData)
+		s.send(nd.id, m.Slot, nd.nbrs[m.Slot], nd.peerSlot[m.Slot], m.Seq, r.retries[m.Slot], msgData)
 	}
 }
 
-// nodeEngine is the goroutine-per-node reference engine: one protocol
-// goroutine plus one mailbox pump per node, with every message travelling
-// alone through the receiver's mailbox channel.
-type nodeEngine struct {
-	c     *runCore
-	nodes []runNode
-	// tx[u] is the ingress channel of u's mailbox; rx[u] the pump's output.
-	tx, rx []chan reverseMsg
-	// obs is the telemetry sink shared by every node goroutine (the whole
-	// engine counts as shard 0 — its counters are atomics and its ring is
-	// multi-writer, so sharing is safe); nil unless Options.Observer is
-	// armed. Busy/idle spans are not measured here: with one goroutine per
-	// node they would time the Go scheduler, not the engine.
-	obs *obs.Shard
-}
-
-var _ interface {
-	engine
-	nodeEnv
-} = (*nodeEngine)(nil)
-
-func newNodeEngine(c *runCore, in *core.Init, alg Algorithm, opts Options) *nodeEngine {
-	n := in.Graph().NumNodes()
-	e := &nodeEngine{
-		c:     c,
-		nodes: newRunNodes(in, alg, c.inj != nil, nil),
-		tx:    make([]chan reverseMsg, n),
-		rx:    make([]chan reverseMsg, n),
-	}
-	for u := 0; u < n; u++ {
-		e.tx[u] = make(chan reverseMsg, opts.MailboxCap)
-		e.rx[u] = make(chan reverseMsg)
-	}
-	e.obs = opts.Observer.Shard(0) // nil when no observer is armed
-	return e
-}
-
-func (e *nodeEngine) node(u graph.NodeID) *runNode { return &e.nodes[u] }
-
-// announce records the step. On a reliable network it credits one in-flight
-// token (and one singleton transport batch) per message of the step; with
-// an adversary armed the per-message credit moves to enqueue, where the
-// actual number of transmissions (copies, acks, nacks) is known.
-func (e *nodeEngine) announce(u graph.NodeID, targets int) {
-	if e.obs != nil {
-		e.obs.Step(u, targets)
-	}
-	if e.c.inj != nil {
-		e.c.record(u, targets, 0, 0)
-		return
-	}
-	e.c.record(u, targets, targets, targets)
-}
-
-// deliver sends the message to node to's mailbox, giving up if the engine
-// stops. It is the reliable-network fast path; faulty traffic goes through
-// send.
-func (e *nodeEngine) deliver(to graph.NodeID, slot int32) {
-	select {
-	case e.tx[to] <- reverseMsg{Slot: slot}:
-	case <-e.c.stop:
-	}
-}
-
-// send routes one transmission through the fault injector (judgeSend):
-// dropped payloads become loss notifications back to the sender, surviving
-// copies (plus any duplicates) are enqueued with their holdback. Each
-// enqueued transmission is itself one transport handoff: it takes one
-// in-flight token and counts one batch.
-func (e *nodeEngine) send(from graph.NodeID, fromSlot int32, to graph.NodeID, toSlot int32, seq uint32, attempt int32, kind msgKind) {
-	f, dropped, notify := e.c.judgeSend(from, to, seq, attempt, kind)
-	if e.obs != nil {
-		switch {
-		case kind == msgAck:
-			e.obs.Ack(from, to, int64(seq))
-		case kind == msgData && attempt > 0:
-			e.obs.Retransmit(from, to, int64(seq))
-		}
-	}
-	if dropped {
-		if notify {
-			e.enqueue(from, reverseMsg{Slot: fromSlot, Seq: seq, Kind: msgNack})
-			if e.obs != nil {
-				e.obs.Nack(from, to, int64(seq))
-			}
-		}
-		return
-	}
-	m := reverseMsg{Slot: toSlot, Seq: seq, Kind: kind, Hold: uint8(f.Hold)}
-	for c := 0; c <= f.Extra; c++ {
-		e.enqueue(to, m)
-	}
-}
-
-// enqueue hands one transmission to the transport under fault injection:
-// the in-flight token is taken before the channel send — while the caller
-// still holds the token it is processing under — so the counter can never
-// touch zero while the transmission exists.
-func (e *nodeEngine) enqueue(to graph.NodeID, m reverseMsg) {
-	e.c.inflight.Add(1)
-	e.c.batches.Add(1)
-	select {
-	case e.tx[to] <- m:
-	case <-e.c.stop:
-	}
-}
-
-func (e *nodeEngine) start() {
-	for u := range e.nodes {
-		e.c.wg.Add(2)
-		nd := &e.nodes[u]
-		go func(in <-chan reverseMsg, out chan<- reverseMsg) {
-			defer e.c.wg.Done()
-			mailbox(in, out, e.c.stop)
-		}(e.tx[u], e.rx[u])
-		go e.loop(nd, e.rx[u])
-	}
-}
-
-// loop is the node goroutine: consume the start token, then serve messages
-// until shutdown. A message with a pending holdback is re-enqueued at the
-// back of the node's own mailbox with the holdback decremented — every
-// requeue lets the entire queued backlog overtake it, which realizes the
-// adversary's bounded delay; its replacement token is taken by enqueue
-// before the old one is retired.
-func (e *nodeEngine) loop(nd *runNode, rx <-chan reverseMsg) {
-	defer e.c.wg.Done()
-	nd.act(e)
-	e.c.done(1)
-	for {
-		select {
-		case <-e.c.stop:
-			return
-		case m := <-rx:
-			switch {
-			case m.Hold > 0:
-				m.Hold--
-				e.enqueue(nd.id, m)
-			case nd.rel != nil:
-				if e.obs != nil && m.Kind == msgData {
-					e.obs.Deliver(nd.id, -1, int64(m.Seq))
-				}
-				nd.handle(e, m)
-			default:
-				if e.obs != nil {
-					e.obs.Deliver(nd.id, -1, int64(m.Seq))
-				}
-				nd.receive(e, m.Slot)
-			}
-			e.c.done(1)
-		}
-	}
-}
-
-// Run executes alg on in's topology with the default goroutine-per-node
-// engine until global quiescence and returns the final orientation, cost
-// statistics and the linearized step trace. It returns ctx.Err() if the
-// context is cancelled first. Use RunWith to select the sharded engine or
-// tune the engine knobs.
+// Run executes alg on in's topology with the default Options (GOMAXPROCS
+// shards, trace recorded, reliable network) until global quiescence and
+// returns the final orientation, cost statistics and the linearized step
+// trace. It returns ctx.Err() if the context is cancelled first. Use
+// RunWith to tune the shard count, partition or fault adversary.
 func Run(ctx context.Context, in *core.Init, alg Algorithm) (*Result, error) {
 	return RunWith(ctx, in, alg, Options{})
 }

@@ -43,7 +43,7 @@ func TestRunQuiescesOnAllTopologies(t *testing.T) {
 		for _, alg := range allAlgorithms() {
 			for _, opts := range testEngines(t) {
 				topo, alg, opts := topo, alg, opts
-				t.Run(topo.Name+"/"+alg.String()+"/"+opts.Engine.String(), func(t *testing.T) {
+				t.Run(topo.Name+"/"+alg.String()+"/"+engineName(opts), func(t *testing.T) {
 					t.Parallel()
 					in, err := topo.Init()
 					if err != nil {
@@ -97,7 +97,7 @@ func TestRunDeterministicOnBadChain(t *testing.T) {
 		}
 		if res.Stats.TotalReversals != nb {
 			t.Errorf("%v: PR reversals = %d, want %d (one linear pass)",
-				opts.Engine, res.Stats.TotalReversals, nb)
+				engineName(opts), res.Stats.TotalReversals, nb)
 		}
 		resFR, err := RunWith(context.Background(), in, FullReversal, opts)
 		if err != nil {
@@ -107,7 +107,7 @@ func TestRunDeterministicOnBadChain(t *testing.T) {
 		// all-away chain.
 		if want := nb * nb; resFR.Stats.TotalReversals != want {
 			t.Errorf("%v: FR reversals = %d, want %d (quadratic)",
-				opts.Engine, resFR.Stats.TotalReversals, want)
+				engineName(opts), resFR.Stats.TotalReversals, want)
 		}
 	}
 }
@@ -123,13 +123,13 @@ func TestRunAlreadyOriented(t *testing.T) {
 		for _, opts := range testEngines(t) {
 			res, err := RunWith(context.Background(), in, alg, opts)
 			if err != nil {
-				t.Fatalf("%v/%v: %v", alg, opts.Engine, err)
+				t.Fatalf("%v/%v: %v", alg, engineName(opts), err)
 			}
 			if res.Stats.Steps != 0 || res.Stats.Messages != 0 {
-				t.Errorf("%v/%v: stats = %+v, want all zero", alg, opts.Engine, res.Stats)
+				t.Errorf("%v/%v: stats = %+v, want all zero", alg, engineName(opts), res.Stats)
 			}
 			if !res.Final.Equal(in.InitialOrientation()) {
-				t.Errorf("%v/%v: orientation changed on a quiescent start", alg, opts.Engine)
+				t.Errorf("%v/%v: orientation changed on a quiescent start", alg, engineName(opts))
 			}
 		}
 	}

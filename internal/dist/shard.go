@@ -9,13 +9,23 @@ import (
 	"linkreversal/internal/obs"
 )
 
-// shardMsg is one transmission in transit inside the sharded engine,
-// normally a reversal announcement: some neighbour of To reversed the
-// shared edge, which now points toward To. Slot is the receiver-side
-// neighbour slot of the sender (see reverseMsg), so delivery is two slice
-// writes with no lookup. Seq, Kind and Hold belong to the
-// reliable-delivery layer and stay zero on a reliable network, exactly as
-// in reverseMsg.
+// shardMsg is one transmission in transit between nodes, normally a
+// reversal announcement: some neighbour of To reversed the shared edge,
+// which now points toward To. Slot is the *receiver-side* neighbour slot of
+// the sender — the index i with To's nbrs[i] == sender — precomputed once
+// at construction, so applying the message is a pair of slice writes with
+// no lookup of any kind. For the height-based variants it plays the role
+// of the height announcement, and for list-based PR it additionally means
+// "add the neighbour at Slot to your list".
+//
+// Seq, Kind and Hold belong to the reliable-delivery layer and stay zero on
+// a reliable network: Seq is the per-directed-link sequence number of the
+// payload (or the payload being acked/nacked), Kind the transmission class,
+// and Hold the remaining number of delivery opportunities that may overtake
+// this message (the fault adversary's logical-time holdback; the shard
+// re-enqueues the message and decrements Hold until it reaches zero). For
+// msgNack, To is the original sender and Slot its *sender-side* slot of
+// the lossy link.
 //
 // Copies is the outbox coalescing count: the number of additional
 // byte-identical transmissions riding piggyback on this entry (see
@@ -39,7 +49,7 @@ type shardMsg struct {
 const maxCopies = ^uint8(0)
 
 // batch is a reusable buffer of cross-shard messages. Batches circulate
-// through the engine's pool: a sender takes one when it first writes to an
+// through the runtime's pool: a sender takes one when it first writes to an
 // outbox, and the receiving shard hands it back after processing, so the
 // steady state allocates nothing per flush — the backing arrays are
 // recycled at whatever capacity the traffic grew them to.
@@ -142,16 +152,18 @@ func localityAssign(n, shards int, nbrs func(graph.NodeID) []graph.NodeID) []int
 	return assign
 }
 
-// shardEngine partitions the nodes across a fixed set of shard goroutines.
-// Each shard owns its nodes' protocol state outright, so intra-shard
-// messages are delivered through a plain slice run-queue with no channel or
-// lock on the path; only cross-shard traffic touches the transport, and it
-// travels in per-destination batches drawn from a shared pool. Quiescence
-// detection counts batches instead of messages: the in-flight tokens are
-// one start token per shard plus one token per batch in transit, and a
-// shard retires the token it holds only after its entire local cascade has
-// run dry and its outboxes are flushed. Goroutine count is 2·shards (one
-// loop plus one mailbox pump each), independent of the node count.
+// shardEngine is the execution engine of RunWith: it partitions the nodes
+// across a fixed set of shard goroutines. Each shard owns its nodes'
+// protocol state outright, so intra-shard messages are delivered through a
+// plain slice run-queue with no channel or lock on the path; only
+// cross-shard traffic touches the transport, and it travels in
+// per-destination batches drawn from a shared pool. Quiescence detection
+// counts batches instead of messages: the in-flight tokens are one start
+// token per shard plus one token per batch in transit, and a shard retires
+// the token it holds only after its entire local cascade has run dry and
+// its outboxes are flushed. Goroutine count is 2·shards (one loop plus one
+// mailbox pump each). With one node per shard (Options.Shards ≥ n) every
+// node gets its own goroutine and mailbox: per-node asynchrony.
 type shardEngine struct {
 	c      *runCore
 	part   partitioner
@@ -160,8 +172,6 @@ type shardEngine struct {
 	// pool recycles flushed batch buffers: senders take, receivers return.
 	pool sync.Pool
 }
-
-var _ engine = (*shardEngine)(nil)
 
 func newShardEngine(c *runCore, in *core.Init, alg Algorithm, opts Options, shards int) *shardEngine {
 	g := in.Graph()
@@ -204,8 +214,6 @@ func newShardEngine(c *runCore, in *core.Init, alg Algorithm, opts Options, shar
 	return e
 }
 
-func (e *shardEngine) node(u graph.NodeID) *runNode { return &e.nodes[u] }
-
 func (e *shardEngine) start() {
 	for _, s := range e.shards {
 		e.c.wg.Add(2)
@@ -227,7 +235,7 @@ func (e *shardEngine) recycle(b *batch) {
 	e.pool.Put(b)
 }
 
-// shard is one worker of the sharded engine. Its fields are owned by the
+// shard is one worker of RunWith's engine. Its fields are owned by the
 // shard goroutine; nodes' views are read by RunWith only after the
 // WaitGroup drained.
 type shard struct {
@@ -235,7 +243,7 @@ type shard struct {
 	id  int
 	// nodes are the protocol nodes this shard owns.
 	nodes []*runNode
-	// local is the run-queue of intra-shard deliveries, appended by deliver
+	// local is the run-queue of intra-shard deliveries, appended by route
 	// and consumed in FIFO order by drain. Its backing array is reused
 	// across drains.
 	local []shardMsg
@@ -264,31 +272,20 @@ type shard struct {
 	obs *obs.Shard
 }
 
-var _ nodeEnv = (*shard)(nil)
-
 // announce records one step by a node of this shard. When trace recording
 // is on, steps are appended to the shared trace under the core mutex before
 // any of their messages moves (the run-queue and outboxes are drained only
-// after announce returns), so the linearization argument of the goroutine
-// engine carries over unchanged. No per-message in-flight credit is taken:
-// intra-shard deliveries finish before the shard retires the token it
-// currently holds, and cross-shard batches take their own token at flush
-// time.
+// after announce returns), which is what makes the trace a legal
+// sequential execution.
 func (s *shard) announce(u graph.NodeID, targets int) {
-	s.eng.c.record(u, targets, 0, 0)
+	s.eng.c.record(u, targets)
 	if s.obs != nil {
 		s.obs.Step(u, targets)
 	}
 }
 
-// deliver routes one reversal message: same shard → local run-queue,
-// otherwise → the destination shard's outbox. It is the reliable-network
-// fast path; faulty traffic goes through send.
-func (s *shard) deliver(to graph.NodeID, slot int32) {
-	s.route(shardMsg{To: to, Slot: slot})
-}
-
-// route files one transmission by destination shard. No token is taken
+// route files one transmission by destination shard: same shard → local
+// run-queue, otherwise → the destination shard's outbox. No token is taken
 // here under either path: intra-shard messages are covered by the token
 // the shard currently holds, and cross-shard batches take theirs at flush.
 // Cross-shard transmissions are counted (Stats.Remote) before coalescing,
@@ -374,7 +371,7 @@ func (s *shard) process(m shardMsg) {
 			s.obs.Deliver(m.To, -1, int64(m.Seq))
 		}
 		if nd.rel != nil {
-			nd.handle(s, reverseMsg{Slot: m.Slot, Seq: m.Seq, Kind: m.Kind})
+			nd.handle(s, m)
 		} else {
 			nd.receive(s, m.Slot)
 		}
@@ -385,10 +382,9 @@ func (s *shard) process(m shardMsg) {
 }
 
 // loop is the shard goroutine: run the initial acts of the owned nodes,
-// then serve incoming batches until shutdown. The token discipline mirrors
-// the goroutine engine's: the start token is retired after the initial
-// cascade, each batch's token after that batch is fully processed — at
-// which point the batch buffer goes back to the pool.
+// then serve incoming batches until shutdown. The start token is retired
+// after the initial cascade, each batch's token after that batch is fully
+// processed — at which point the batch buffer goes back to the pool.
 func (s *shard) loop() {
 	defer s.eng.c.wg.Done()
 	// With an observer armed, the worker's wall clock is split into busy
@@ -435,8 +431,8 @@ func (s *shard) loop() {
 
 // drain runs the local queue to exhaustion — deliveries may enqueue
 // further local messages, so the length is re-read every iteration — and
-// then flushes the outboxes. It reports false if the engine stopped, in
-// which case the shard goroutine must exit immediately.
+// then flushes the outboxes. It reports false if the run stopped, in which
+// case the shard goroutine must exit immediately.
 func (s *shard) drain() bool {
 	for i := 0; i < len(s.local); i++ {
 		if i%drainStopCheck == 0 && s.eng.c.stopped() {

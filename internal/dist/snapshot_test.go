@@ -53,30 +53,32 @@ func requireSnapEqual(t *testing.T, want, got *Snapshot, label string) {
 // TestReadSnapshotNeverNil pins that a snapshot of the initial state is
 // published at construction, before any quiescence.
 func TestReadSnapshotNeverNil(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		net, err := NewDynamicNetworkWith(workload.GoodChain(5), opts)
+	for _, c := range dynEngines(t) {
+		topo := workload.GoodChain(5)
+		net, err := NewDynamicNetworkWith(topo, c.on(topo))
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := net.ReadSnapshot()
 		if s == nil {
-			t.Fatalf("%s: ReadSnapshot nil before first quiescence", opts.Engine)
+			t.Fatalf("%s: ReadSnapshot nil before first quiescence", c.name)
 		}
 		if s.Epoch == 0 {
-			t.Errorf("%s: published snapshot has epoch 0", opts.Engine)
+			t.Errorf("%s: published snapshot has epoch 0", c.name)
 		}
 		net.Stop()
 	}
 }
 
-// TestPublishedAgreesWithSnapshotAtQuiescence pins the cross-engine epoch
+// TestPublishedAgreesWithSnapshotAtQuiescence pins the cross-layout epoch
 // contract: after a quiescent AwaitQuiescence, the published snapshot and
-// a fresh Snapshot() describe the same state, and both engines agree on
-// that state.
+// a fresh Snapshot() describe the same state, and every test configuration
+// agrees on that state.
 func TestPublishedAgreesWithSnapshotAtQuiescence(t *testing.T) {
 	var ref *Snapshot
-	for _, opts := range dynEngines(t) {
-		net, err := NewDynamicNetworkWith(workload.Grid(4, 5), opts)
+	for _, c := range dynEngines(t) {
+		topo := workload.Grid(4, 5)
+		net, err := NewDynamicNetworkWith(topo, c.on(topo))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,22 +90,22 @@ func TestPublishedAgreesWithSnapshotAtQuiescence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := net.AwaitQuiescence(); err != nil {
-			t.Fatalf("%s: %v", opts.Engine, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
 		pub := net.ReadSnapshot()
 		direct := net.Snapshot()
 		if !pub.Quiescent {
-			t.Errorf("%s: snapshot published at quiescence not marked quiescent", opts.Engine)
+			t.Errorf("%s: snapshot published at quiescence not marked quiescent", c.name)
 		}
 		if pub.Epoch == 0 {
-			t.Errorf("%s: quiescent publication kept epoch 0", opts.Engine)
+			t.Errorf("%s: quiescent publication kept epoch 0", c.name)
 		}
-		requireSnapEqual(t, direct, pub, fmt.Sprintf("%s pub-vs-direct", opts.Engine))
+		requireSnapEqual(t, direct, pub, fmt.Sprintf("%s pub-vs-direct", c.name))
 		requireRoutes(t, pub, 20, net.dest)
 		if ref == nil {
 			ref = pub
 		} else {
-			requireSnapEqual(t, ref, pub, fmt.Sprintf("%s vs reference engine", opts.Engine))
+			requireSnapEqual(t, ref, pub, fmt.Sprintf("%s vs the first configuration", c.name))
 		}
 		net.Stop()
 	}
@@ -115,8 +117,9 @@ func TestPublishedAgreesWithSnapshotAtQuiescence(t *testing.T) {
 // partition, reports it and heals, and the publications along the way
 // carry strictly increasing epochs.
 func TestSnapshotEpochConsistencyAcrossHeal(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		net, err := NewDynamicNetworkWith(workload.GoodChain(8), opts)
+	for _, c := range dynEngines(t) {
+		topo := workload.GoodChain(8)
+		net, err := NewDynamicNetworkWith(topo, c.on(topo))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +130,7 @@ func TestSnapshotEpochConsistencyAcrossHeal(t *testing.T) {
 		want := snapClone(old)
 		wantPath, ok := old.RouteFrom(7, 0, 8)
 		if !ok {
-			t.Fatalf("%s: no route on the quiesced chain", opts.Engine)
+			t.Fatalf("%s: no route on the quiesced chain", c.name)
 		}
 		wantPathCopy := append([]graph.NodeID(nil), wantPath...)
 
@@ -136,14 +139,14 @@ func TestSnapshotEpochConsistencyAcrossHeal(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err, ok := net.AwaitQuiescence().(*PartitionError); !ok {
-			t.Fatalf("%s: expected PartitionError, got %v", opts.Engine, err)
+			t.Fatalf("%s: expected PartitionError, got %v", c.name, err)
 		}
 		cutSnap := net.ReadSnapshot()
 		if cutSnap.Epoch <= old.Epoch {
-			t.Errorf("%s: partition publication epoch %d not above %d", opts.Engine, cutSnap.Epoch, old.Epoch)
+			t.Errorf("%s: partition publication epoch %d not above %d", c.name, cutSnap.Epoch, old.Epoch)
 		}
 		if len(cutSnap.Cut) != 4 {
-			t.Errorf("%s: published cut %v, want the 4 stranded nodes", opts.Engine, cutSnap.Cut)
+			t.Errorf("%s: published cut %v, want the 4 stranded nodes", c.name, cutSnap.Cut)
 		}
 
 		// Heal and requiesce.
@@ -151,22 +154,22 @@ func TestSnapshotEpochConsistencyAcrossHeal(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := net.AwaitQuiescence(); err != nil {
-			t.Fatalf("%s: heal: %v", opts.Engine, err)
+			t.Fatalf("%s: heal: %v", c.name, err)
 		}
 		healed := net.ReadSnapshot()
 		if healed.Epoch <= cutSnap.Epoch {
-			t.Errorf("%s: heal publication epoch %d not above %d", opts.Engine, healed.Epoch, cutSnap.Epoch)
+			t.Errorf("%s: heal publication epoch %d not above %d", c.name, healed.Epoch, cutSnap.Epoch)
 		}
 		if len(healed.Cut) != 0 {
-			t.Errorf("%s: healed snapshot still names a cut: %v", opts.Engine, healed.Cut)
+			t.Errorf("%s: healed snapshot still names a cut: %v", c.name, healed.Cut)
 		}
 
 		// The reader's old epoch never moved: same heights, same links, and
 		// the route it computed before the cut still derives verbatim.
-		requireSnapEqual(t, want, old, fmt.Sprintf("%s held epoch", opts.Engine))
+		requireSnapEqual(t, want, old, fmt.Sprintf("%s held epoch", c.name))
 		gotPath, ok := old.RouteFrom(7, 0, 8)
 		if !ok || fmt.Sprint(gotPath) != fmt.Sprint(wantPathCopy) {
-			t.Errorf("%s: held epoch's route changed: %v -> %v (ok=%v)", opts.Engine, wantPathCopy, gotPath, ok)
+			t.Errorf("%s: held epoch's route changed: %v -> %v (ok=%v)", c.name, wantPathCopy, gotPath, ok)
 		}
 		net.Stop()
 	}
@@ -268,9 +271,10 @@ func TestReadPathAllocationFree(t *testing.T) {
 // one grid edge — never a bridge — is missing at any quiescent instant),
 // and carry a non-decreasing epoch.
 func TestReadersVsChurnStress(t *testing.T) {
-	for _, opts := range dynEngines(t) {
-		opts.PublishEvery = 200 * time.Microsecond
+	for _, c := range dynEngines(t) {
 		topo := workload.Grid(6, 6)
+		opts := c.on(topo)
+		opts.PublishEvery = 200 * time.Microsecond
 		net, err := NewDynamicNetworkWith(topo, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -346,7 +350,7 @@ func TestReadersVsChurnStress(t *testing.T) {
 		wg.Wait()
 		close(errc)
 		for err := range errc {
-			t.Errorf("%s: reader: %v", opts.Engine, err)
+			t.Errorf("%s: reader: %v", c.name, err)
 		}
 		net.Stop()
 	}

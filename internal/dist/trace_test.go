@@ -29,7 +29,7 @@ func TestTraceOffMatchesTraceOn(t *testing.T) {
 		for _, alg := range allAlgorithms() {
 			for _, base := range testEngines(t) {
 				topo, alg, base := topo, alg, base
-				t.Run(topo.Name+"/"+alg.String()+"/"+base.Engine.String(), func(t *testing.T) {
+				t.Run(topo.Name+"/"+alg.String()+"/"+engineName(base), func(t *testing.T) {
 					t.Parallel()
 					ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 					defer cancel()
@@ -76,7 +76,7 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	}
 	const nb = 256
 	in := workload.BadChain(nb).MustInit()
-	opts := Options{Engine: Sharded, Shards: 3, RecordTrace: TraceOff}
+	opts := Options{Shards: 3, RecordTrace: TraceOff}
 	measure := func(alg Algorithm, wantMessages int) float64 {
 		run := func() {
 			res, err := RunWith(context.Background(), in, alg, opts)

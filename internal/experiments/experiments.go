@@ -31,12 +31,8 @@ type Suite struct {
 	Densities []float64
 	// Seeds per configuration.
 	Seeds int
-	// Engines are the dist execution engines exercised by E8; empty means
-	// both (goroutine-per-node and sharded).
-	Engines []dist.Engine
-	// Partition selects the sharded engine's node-to-shard assignment for
-	// E8 (lrbench -partition); 0 means block. The goroutine engine has no
-	// shards, so its rows are unaffected and report "-".
+	// Partition selects the node-to-shard assignment for E8 (lrbench
+	// -partition); 0 means block.
 	Partition dist.Partition
 	// Faults optionally injects a network adversary into every distributed
 	// run of E7/E8 (lrbench -faults); nil means a reliable network. The
@@ -59,13 +55,6 @@ func (s Suite) seeds() int {
 		return 3
 	}
 	return s.Seeds
-}
-
-func (s Suite) engines() []dist.Engine {
-	if len(s.Engines) == 0 {
-		return []dist.Engine{dist.GoroutinePerNode, dist.Sharded}
-	}
-	return s.Engines
 }
 
 // variantsFor returns constructors and invariant suites for every automaton
@@ -422,18 +411,17 @@ func E7SocialCost(s Suite) (*trace.Table, error) {
 	return tb, nil
 }
 
-// E8Distributed runs the asynchronous protocols under every configured
-// execution engine — and under Suite.Faults when a network adversary is
-// configured — and compares their work, message and batch counts against
-// centralized greedy executions. The partition column names the sharded
-// engine's node-to-shard scheme ("-" for the goroutine engine, which has no
-// shards); bytes/node is the heap allocated per node over the run, measured
-// from runtime.ReadMemStats deltas. The drops/dups/retrans columns report
-// the adversary's interference and the retransmissions that neutralized it
-// (all zero on a reliable network).
+// E8Distributed runs the asynchronous protocols on the sharded runtime at
+// its default GOMAXPROCS shards — under Suite.Faults when a network
+// adversary is configured — and compares their work, message and batch
+// counts against centralized greedy executions. The partition column names
+// the node-to-shard scheme; bytes/node is the heap allocated per node over
+// the run, measured from runtime.ReadMemStats deltas. The
+// drops/dups/retrans columns report the adversary's interference and the
+// retransmissions that neutralized it (all zero on a reliable network).
 func E8Distributed(s Suite) (*trace.Table, error) {
 	tb := trace.NewTable("E8: asynchronous distributed runs",
-		"topology", "algorithm", "engine", "partition", "messages", "batches", "bytes/node",
+		"topology", "algorithm", "partition", "messages", "batches", "bytes/node",
 		"reversals", "centralized-reversals", "drops", "dups", "retrans", "oriented")
 	topos := []*workload.Topology{
 		workload.BadChain(16),
@@ -459,39 +447,30 @@ func E8Distributed(s Suite) (*trace.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("E8 centralized %v: %w", alg, err)
 			}
-			for _, eng := range s.engines() {
-				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-				var before, after runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				res, err := dist.RunWith(ctx, in, alg, dist.Options{
-					Engine: eng, Partition: s.Partition, Adversary: s.Faults,
-				})
-				runtime.ReadMemStats(&after)
-				cancel()
-				if err != nil {
-					return nil, fmt.Errorf("E8 %s/%v/%v: %w", topo.Name, alg, eng, err)
-				}
-				bytesPerNode := int(after.TotalAlloc-before.TotalAlloc) / in.Graph().NumNodes()
-				partition := "-"
-				if eng == dist.Sharded {
-					p := s.Partition
-					if p == 0 {
-						p = dist.PartitionBlock
-					}
-					partition = p.String()
-				}
-				oriented := "yes"
-				if !graph.IsDestinationOriented(res.Final, in.Destination()) {
-					oriented = "NO"
-				}
-				tb.MustAddRow(trace.S(topo.Name), trace.S(alg.String()), trace.S(eng.String()),
-					trace.S(partition),
-					trace.I(res.Stats.Messages), trace.I(res.Stats.Batches), trace.I(bytesPerNode),
-					trace.I(res.Stats.TotalReversals), trace.I(resC.TotalReversals),
-					trace.I(res.Stats.Drops), trace.I(res.Stats.Dups), trace.I(res.Stats.Retransmits),
-					trace.S(oriented))
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			res, err := dist.RunWith(ctx, in, alg, dist.Options{Partition: s.Partition, Adversary: s.Faults})
+			runtime.ReadMemStats(&after)
+			cancel()
+			if err != nil {
+				return nil, fmt.Errorf("E8 %s/%v: %w", topo.Name, alg, err)
 			}
+			bytesPerNode := int(after.TotalAlloc-before.TotalAlloc) / in.Graph().NumNodes()
+			partition := s.Partition
+			if partition == 0 {
+				partition = dist.PartitionBlock
+			}
+			oriented := "yes"
+			if !graph.IsDestinationOriented(res.Final, in.Destination()) {
+				oriented = "NO"
+			}
+			tb.MustAddRow(trace.S(topo.Name), trace.S(alg.String()), trace.S(partition.String()),
+				trace.I(res.Stats.Messages), trace.I(res.Stats.Batches), trace.I(bytesPerNode),
+				trace.I(res.Stats.TotalReversals), trace.I(resC.TotalReversals),
+				trace.I(res.Stats.Drops), trace.I(res.Stats.Dups), trace.I(res.Stats.Retransmits),
+				trace.S(oriented))
 		}
 	}
 	return tb, nil

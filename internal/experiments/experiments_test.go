@@ -166,30 +166,23 @@ func TestE8Distributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := map[string]bool{}
+	// One row per topology × algorithm.
+	if want := 3 * 3; len(tb.Rows) != want {
+		t.Errorf("rows = %d, want %d", len(tb.Rows), want)
+	}
 	for _, row := range tb.Rows {
-		engines[cellString(row[2])] = true
-		if cellString(row[12]) != "yes" {
-			t.Errorf("distributed run not destination-oriented: %s/%s/%s",
-				cellString(row[0]), cellString(row[1]), cellString(row[2]))
+		if cellString(row[11]) != "yes" {
+			t.Errorf("distributed run not destination-oriented: %s/%s",
+				cellString(row[0]), cellString(row[1]))
 		}
-		// The partition column names the sharded scheme; the goroutine
-		// engine has no shards.
-		want := "-"
-		if cellString(row[2]) == "sharded" {
-			want = "block"
+		if got := cellString(row[2]); got != "block" {
+			t.Errorf("%s/%s row has partition %q, want block", cellString(row[0]), cellString(row[1]), got)
 		}
-		if got := cellString(row[3]); got != want {
-			t.Errorf("%s row has partition %q, want %q", cellString(row[2]), got, want)
-		}
-		for _, col := range []int{9, 10, 11} { // drops, dups, retrans on a reliable network
+		for _, col := range []int{8, 9, 10} { // drops, dups, retrans on a reliable network
 			if cellString(row[col]) != "0" {
 				t.Errorf("reliable E8 row has non-zero fault column %d: %s", col, cellString(row[col]))
 			}
 		}
-	}
-	if !engines["goroutine-per-node"] || !engines["sharded"] {
-		t.Errorf("E8 should cover both engines by default, got %v", engines)
 	}
 }
 
@@ -200,21 +193,17 @@ func TestE8DistributedPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := false
-	for _, row := range tb.Rows {
-		if cellString(row[12]) != "yes" {
-			t.Errorf("locality-partitioned run not destination-oriented: %s/%s/%s",
-				cellString(row[0]), cellString(row[1]), cellString(row[2]))
-		}
-		if cellString(row[2]) == "sharded" {
-			seen = true
-			if got := cellString(row[3]); got != "locality" {
-				t.Errorf("sharded row has partition %q, want locality", got)
-			}
-		}
+	if len(tb.Rows) == 0 {
+		t.Fatal("no rows in the locality-partitioned suite")
 	}
-	if !seen {
-		t.Error("no sharded rows in the locality-partitioned suite")
+	for _, row := range tb.Rows {
+		if cellString(row[11]) != "yes" {
+			t.Errorf("locality-partitioned run not destination-oriented: %s/%s",
+				cellString(row[0]), cellString(row[1]))
+		}
+		if got := cellString(row[2]); got != "locality" {
+			t.Errorf("row has partition %q, want locality", got)
+		}
 	}
 }
 
@@ -227,12 +216,12 @@ func TestE8DistributedAdversarial(t *testing.T) {
 	}
 	drops := 0
 	for _, row := range tb.Rows {
-		if cellString(row[12]) != "yes" {
-			t.Errorf("adversarial run not destination-oriented: %s/%s/%s",
-				cellString(row[0]), cellString(row[1]), cellString(row[2]))
+		if cellString(row[11]) != "yes" {
+			t.Errorf("adversarial run not destination-oriented: %s/%s",
+				cellString(row[0]), cellString(row[1]))
 		}
 		var d int
-		fmt.Sscanf(cellString(row[9]), "%d", &d)
+		fmt.Sscanf(cellString(row[8]), "%d", &d)
 		drops += d
 	}
 	if drops == 0 {
@@ -306,13 +295,13 @@ func TestE11DistributedChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One row per size × engine (both engines by default).
-	if want := len(small().Sizes) * 2; len(tb.Rows) != want {
+	// One row per size.
+	if want := len(small().Sizes); len(tb.Rows) != want {
 		t.Errorf("rows = %d, want %d", len(tb.Rows), want)
 	}
 	for _, row := range tb.Rows {
 		var perEvent float64
-		if _, err := sscanF(row[4], &perEvent); err != nil {
+		if _, err := sscanF(row[3], &perEvent); err != nil {
 			t.Fatal(err)
 		}
 		if perEvent < 0 {

@@ -34,11 +34,6 @@ func FuzzHuntMutator(f *testing.F) {
 			if len(c1.Genome.Genes) > maxGenes {
 				t.Fatalf("mutation %d grew %d genes (cap %d)", i, len(c1.Genome.Genes), maxGenes)
 			}
-			switch c1.Engine {
-			case 0, dist.GoroutinePerNode, dist.Sharded:
-			default:
-				t.Fatalf("mutation %d produced engine %d", i, int(c1.Engine))
-			}
 			switch c1.Partition {
 			case 0, dist.PartitionBlock, dist.PartitionHash, dist.PartitionLocality:
 			default:

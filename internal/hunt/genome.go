@@ -2,7 +2,7 @@
 // internal/faults *samples* a handful of preset scenarios, hunt *seeks*
 // the worst execution the paper's theorems quantify over. Candidates —
 // (seed, fault-policy genome, schedule knobs) triples — are driven through
-// the internal/dist engines, scored by a fitness extracted from the run
+// the internal/dist runtime, scored by a fitness extracted from the run
 // (social cost, steps, retransmissions, per-node work skew), kept in a
 // corpus of the worst executions seen, and mutated
 // splitmix64-deterministically toward even worse ones, the way a fuzzer

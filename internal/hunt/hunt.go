@@ -31,17 +31,26 @@ func observed(c Candidate) (dist.Options, *obs.Observer) {
 	return opts, o
 }
 
+// perNodeShards is the shard count of a PerNode candidate. dist.RunWith
+// clamps Shards to the node count, so topologies of up to perNodeShards
+// nodes run one node per shard; larger ones run perNodeShards shards,
+// because one node per shard costs n² outbox pointers (128 MB at 4k
+// nodes).
+const perNodeShards = 2048
+
 // Candidate is one point of the search space: the fault genome plus the
-// schedule knobs that pick how the execution engines run it. Both engines
-// are part of the space — the hunter flips between goroutine-per-node and
-// sharded scheduling the same way it retunes drop probabilities.
+// schedule knobs that pick how the shards run it. The shard layout is part
+// of the space — the hunter flips between one node per shard and a few
+// shards the same way it retunes drop probabilities.
 type Candidate struct {
 	Genome Genome `json:"genome"`
-	// Engine selects the dist engine; 0 means GoroutinePerNode.
-	Engine dist.Engine `json:"engine,omitempty"`
-	// Shards is the sharded engine's shard count; 0 means GOMAXPROCS.
+	// PerNode runs one node per shard (see perNodeShards): every node on
+	// its own goroutine with its own mailbox, the finest-grained
+	// asynchrony. It overrides Shards.
+	PerNode bool `json:"per_node,omitempty"`
+	// Shards is the shard count; 0 means GOMAXPROCS.
 	Shards int `json:"shards,omitempty"`
-	// Partition is the sharded engine's node assignment; 0 means block.
+	// Partition is the node-to-shard assignment; 0 means block.
 	Partition dist.Partition `json:"partition,omitempty"`
 	// MailboxCap is the mailbox ingress buffer size; 0 means the default.
 	// Tiny mailboxes serialize senders and surface schedules the default
@@ -49,13 +58,24 @@ type Candidate struct {
 	MailboxCap int `json:"mailbox_cap,omitempty"`
 }
 
+// Layout names the candidate's shard layout for reports.
+func (c Candidate) Layout() string {
+	if c.PerNode {
+		return "per-node"
+	}
+	return "sharded"
+}
+
 // options assembles the dist options the candidate encodes. Profiling and
 // tracing are always on: the fitness reads the per-node counters and the
 // oracles replay the trace.
 func (c Candidate) options() dist.Options {
+	shards := c.Shards
+	if c.PerNode {
+		shards = perNodeShards
+	}
 	return dist.Options{
-		Engine:     c.Engine,
-		Shards:     c.Shards,
+		Shards:     shards,
 		Partition:  c.Partition,
 		MailboxCap: c.MailboxCap,
 		Profile:    dist.ProfileOn,
@@ -75,12 +95,8 @@ func MutateCandidate(r *faults.Rand, c Candidate) Candidate {
 		return m
 	}
 	switch r.Intn(4) {
-	case 0: // Flip the engine.
-		if m.Engine == dist.Sharded {
-			m.Engine = dist.GoroutinePerNode
-		} else {
-			m.Engine = dist.Sharded
-		}
+	case 0: // Flip between one node per shard and the Shards gene.
+		m.PerNode = !m.PerNode
 	case 1: // Retune the shard count.
 		m.Shards = []int{0, 2, 3, 5}[r.Intn(4)]
 	case 2: // Swap the partition scheme.
@@ -251,23 +267,23 @@ func (h *Hunter) admit(ev *Evaluated) {
 	}
 }
 
-// Run executes the hunt: the preset baseline first (every faults preset on
-// both engines), then mutation of the corpus until the evaluation budget
-// or the context deadline is spent. A closed context is not an error — the
-// report carries whatever was found inside the time box.
+// Run executes the hunt: the preset baseline first (every faults preset at
+// one node per shard, then at the default shard count), then mutation of
+// the corpus until the evaluation budget or the context deadline is spent.
+// A closed context is not an error — the report carries whatever was found
+// inside the time box.
 func (h *Hunter) Run(ctx context.Context) (*Report, error) {
 	h.report = Report{
 		Topology:  h.topo.Name,
 		Algorithm: h.cfg.Alg.String(),
 		Fitness:   h.cfg.Fitness.String(),
 	}
-	engines := []dist.Engine{dist.GoroutinePerNode, dist.Sharded}
 	for _, g := range PresetGenomes(h.cfg.Seed) {
-		for _, e := range engines {
+		for _, perNode := range []bool{true, false} {
 			if ctx.Err() != nil || h.evals >= h.cfg.Budget {
 				break
 			}
-			ev, err := h.evaluate(ctx, Candidate{Genome: g, Engine: e}, true)
+			ev, err := h.evaluate(ctx, Candidate{Genome: g, PerNode: perNode}, true)
 			if err != nil {
 				if stop(err) {
 					break

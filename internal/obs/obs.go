@@ -358,8 +358,9 @@ func (o *Observer) ChromeTrace(w io.Writer) error {
 
 // Shard is the per-engine-shard sink: atomic telemetry counters and a ring
 // of recent events. All methods are safe on a nil receiver (no-ops) and
-// safe for concurrent use — the goroutine-per-node engines point every
-// node at the same sink.
+// safe for concurrent use — ShardStats and Events read a sink while its
+// shard goroutine writes it, and the control-plane sink is written by
+// whichever goroutine publishes an epoch.
 type Shard struct {
 	o      *Observer
 	id     int

@@ -27,7 +27,7 @@ func newObservedServer(t *testing.T, n int) (*obs.Observer, *httptest.Server) {
 	// BadChain starts all-away from the destination, so stabilization does
 	// real protocol work — the step/reversal families get nonzero series.
 	net, err := dist.NewDynamicNetworkWith(workload.BadChain(n),
-		dist.DynOptions{Engine: dist.Sharded, Shards: 2, Observer: o})
+		dist.DynOptions{Shards: 2, Observer: o})
 	if err != nil {
 		t.Fatalf("NewDynamicNetworkWith: %v", err)
 	}
@@ -35,7 +35,7 @@ func newObservedServer(t *testing.T, n int) (*obs.Observer, *httptest.Server) {
 	if err := net.AwaitQuiescence(); err != nil {
 		t.Fatalf("AwaitQuiescence: %v", err)
 	}
-	srv := New(net, Config{Topology: "chain", Engine: "sharded", Scenario: "reliable", Seed: 1,
+	srv := New(net, Config{Topology: "chain", Shards: 2, Scenario: "reliable", Seed: 1,
 		Observer: o, Pprof: true})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

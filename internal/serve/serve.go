@@ -48,13 +48,12 @@ import (
 
 // Config carries the deployment's descriptive provenance — echoed by
 // GET /status and stamped by lrload into latency tables, so every recorded
-// measurement names the engine and fault scenario it was taken under.
+// measurement names the shard layout and fault scenario it was taken
+// under.
 type Config struct {
 	// Topology names the served topology (e.g. "grid 100x100").
 	Topology string `json:"topology,omitempty"`
-	// Engine is the execution backend ("goroutine-per-node", "sharded").
-	Engine string `json:"engine,omitempty"`
-	// Shards is the shard count of the sharded backend (0 when n/a).
+	// Shards is the configured shard count (0 = GOMAXPROCS).
 	Shards int `json:"shards,omitempty"`
 	// Partition is the node-to-shard assignment scheme.
 	Partition string `json:"partition,omitempty"`
@@ -141,6 +140,26 @@ func writeJSON(w http.ResponseWriter, code int, v any) int {
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) int {
 	return writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// maxBodyBytes caps the request bodies of POST /links and /churn. Bodies
+// are decoded in full before any operation applies, so an oversized one
+// is answered 413 and changes nothing.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it writes the error response — 413 for an oversized body, 400
+// for malformed JSON — and returns its status; it returns 0 on success.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) int {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return writeError(w, http.StatusRequestEntityTooLarge, "%s over %d bytes", what, tooBig.Limit)
+	case err != nil:
+		return writeError(w, http.StatusBadRequest, "bad %s: %v", what, err)
+	}
+	return 0
 }
 
 // routeResponse is the GET /route/{src} success body.
@@ -281,8 +300,8 @@ type linksResponse struct {
 
 func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) int {
 	var req linksRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad links body: %v", err)
+	if code := decodeBody(w, r, &req, "links body"); code != 0 {
+		return code
 	}
 	var resp linksResponse
 	apply := func(what string, e [2]graph.NodeID, err error) {
@@ -327,8 +346,8 @@ type churnResult struct {
 
 func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) int {
 	var script []churnOp
-	if err := json.NewDecoder(r.Body).Decode(&script); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad churn script: %v", err)
+	if code := decodeBody(w, r, &script, "churn script"); code != 0 {
+		return code
 	}
 	results := make([]churnResult, 0, len(script))
 	failed := false

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func newTestServer(t *testing.T, n int) (*dist.DynamicNetwork, *httptest.Server)
 	if err := net.AwaitQuiescence(); err != nil {
 		t.Fatalf("AwaitQuiescence: %v", err)
 	}
-	srv := New(net, Config{Topology: "chain", Engine: "goroutine-per-node", Scenario: "reliable", Seed: 1})
+	srv := New(net, Config{Topology: "chain", Shards: 2, Scenario: "reliable", Seed: 1})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return net, ts
@@ -135,7 +136,7 @@ func TestStatusEndpoint(t *testing.T) {
 	if st.N != 5 || st.Dest != 0 || !st.Quiescent || st.Partitioned {
 		t.Errorf("status %+v", st)
 	}
-	if st.Config.Topology != "chain" || st.Config.Engine != "goroutine-per-node" {
+	if st.Config.Topology != "chain" || st.Config.Shards != 2 {
 		t.Errorf("config echo %+v", st.Config)
 	}
 	if st.UptimeSeconds <= 0 {
@@ -178,6 +179,35 @@ func TestLinksEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestOversizedBodiesRejected pins the write plane's body cap: a POST
+// /links or /churn body over maxBodyBytes is answered 413, and the valid
+// add-link at its head is not applied.
+func TestOversizedBodiesRejected(t *testing.T) {
+	net, err := dist.NewDynamicNetwork(workload.GoodChain(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Stop()
+	srv := New(net, Config{})
+	pad := strings.Repeat("x", maxBodyBytes)
+	for _, c := range []struct{ path, body string }{
+		{"/links", `{"add":[[5,0]],"pad":"` + pad + `"}`},
+		{"/churn", `[{"op":"add-link","u":5,"v":0},{"op":"await","pad":"` + pad + `"}]`},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body = %d, want 413", c.path, len(c.body), rec.Code)
+		}
+		if err := net.AwaitQuiescence(); err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(net.Snapshot().Links(5), 0) {
+			t.Errorf("POST %s: the oversized body's add-link 5-0 was applied", c.path)
+		}
 	}
 }
 

@@ -11,12 +11,12 @@
 //     scheduler, optionally checking the paper's invariants after every
 //     step, and report work and outcome.
 //   - RunDistributed / RunDistributedWith: execute the protocol
-//     asynchronously over a simulated message-passing network, with a
-//     goroutine per node or on a sharded worker pool that batches
-//     cross-shard traffic (see DistOptions), optionally under a seeded
-//     network adversary that drops, duplicates, delays and reorders
-//     messages while a sequence-numbered ack/retransmit protocol keeps the
-//     run live (see NetworkAdversary and the fault presets).
+//     asynchronously over a simulated message-passing network on a
+//     sharded worker pool that batches cross-shard traffic (one node per
+//     shard gives per-node asynchrony; see DistOptions), optionally under
+//     a seeded network adversary that drops, duplicates, delays and
+//     reorders messages while a sequence-numbered ack/retransmit protocol
+//     keeps the run live (see NetworkAdversary and the fault presets).
 //   - VerifySimulation: drive the paper's simulation relations
 //     PR → OneStepPR → NewPR (Theorems 5.2/5.4) to quiescence and report
 //     any violation.
@@ -76,14 +76,14 @@ type (
 	GrantRecord = mutex.GrantRecord
 	// DynamicNetwork runs the height-based protocol over a topology that
 	// changes at runtime: link and node churn, crash-stop and recovery,
-	// exact partition detection, selectable execution backends.
+	// exact partition detection, on a pool of shard goroutines.
 	DynamicNetwork = dist.DynamicNetwork
 	// NetworkSnapshot is the quiescent global state of a DynamicNetwork.
 	NetworkSnapshot = dist.Snapshot
-	// DynNetOptions tunes NewDynamicNetworkWith: execution backend (the
-	// goroutine-per-node reference or the sharded worker pool), shard
-	// count and partitioning, and the network adversary aimed at the
-	// height-announcement plane.
+	// DynNetOptions tunes NewDynamicNetworkWith: shard count (Shards = n
+	// gives every node its own shard goroutine) and partitioning, the
+	// network adversary aimed at the height-announcement plane, and the
+	// snapshot publication cadence.
 	DynNetOptions = dist.DynOptions
 	// PartitionError is AwaitQuiescence's exact partition report, naming
 	// every live node with no path to the destination. It wraps
@@ -162,14 +162,14 @@ func NewMutexManager(topo *Topology) (*MutexManager, error) {
 }
 
 // NewDynamicNetwork starts the dynamic-topology protocol with default
-// options (goroutine-per-node backend, reliable network). Call
+// options (GOMAXPROCS shards, reliable network). Call
 // AwaitQuiescence before reading a Snapshot, and Stop when done.
 func NewDynamicNetwork(topo *Topology) (*DynamicNetwork, error) {
 	return dist.NewDynamicNetwork(topo)
 }
 
 // NewDynamicNetworkWith starts the dynamic-topology protocol with explicit
-// backend and fault options (see DynNetOptions).
+// shard and fault options (see DynNetOptions).
 func NewDynamicNetworkWith(topo *Topology, opts DynNetOptions) (*DynamicNetwork, error) {
 	return dist.NewDynamicNetworkWith(topo, opts)
 }
@@ -185,9 +185,9 @@ type SnapshotReader interface {
 }
 
 // ServeConfig carries the deployment provenance the routing service echoes
-// from GET /status — topology name, engine, shard layout, fault scenario
-// and seed — so load drivers can stamp measurements with the exact
-// configuration they hit.
+// from GET /status — topology name, shard layout, fault scenario and seed —
+// so load drivers can stamp measurements with the exact configuration they
+// hit.
 type ServeConfig = serve.Config
 
 // RouteServer is the HTTP serving layer over a DynamicNetwork: lock-free
@@ -203,12 +203,22 @@ func NewRouteServer(network *DynamicNetwork, cfg ServeConfig) *RouteServer {
 	return serve.New(network, cfg)
 }
 
+// serveReadHeaderTimeout bounds how long Serve waits for a request's
+// headers, so a client that opens a connection and trickles its headers
+// cannot hold it forever. Bodies and responses are not timed: a POST /churn
+// with an await may legitimately run long.
+const serveReadHeaderTimeout = 10 * time.Second
+
 // Serve runs the routing service over network on l until ctx is cancelled
 // (returning nil after a graceful drain) or the server fails. The caller
 // keeps ownership of both the listener's address choice and the network's
-// lifecycle; Serve closes l.
+// lifecycle; Serve closes l. Request headers must arrive within 10 s, and
+// POST /links and /churn bodies over 1 MiB are answered 413.
 func Serve(ctx context.Context, l net.Listener, network *DynamicNetwork, cfg ServeConfig) error {
-	srv := &http.Server{Handler: NewRouteServer(network, cfg)}
+	srv := &http.Server{
+		Handler:           NewRouteServer(network, cfg),
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(l) }()
 	select {
@@ -313,13 +323,6 @@ var (
 	// DynamicNetwork.AwaitQuiescence returns when live nodes have no path
 	// to the destination.
 	ErrPartitioned = dist.ErrPartitioned
-	// ErrSuspectedPartition is the former name of ErrPartitioned, kept so
-	// existing errors.Is checks keep matching.
-	//
-	// Deprecated: partition detection is exact now, not a height-ceiling
-	// heuristic; AwaitQuiescence names the cut component in a
-	// *PartitionError. Use ErrPartitioned.
-	ErrSuspectedPartition = dist.ErrPartitioned
 	// ErrBadDistOptions is returned by RunDistributedWith for out-of-range
 	// DistOptions values (negative shard counts, mailbox capacities, …).
 	ErrBadDistOptions = dist.ErrBadOption
@@ -460,14 +463,17 @@ const (
 	DistNewPR = dist.StaticPartialReversal
 )
 
-// DistEngine selects the execution engine behind RunDistributedWith: the
-// goroutine-per-node reference engine or the sharded worker-pool engine.
+// DistEngine names an execution engine. The sharded runtime is the only
+// one; DistOptions.Shards ≥ n gives one node per shard, so every node runs
+// on its own goroutine with its own mailbox.
+//
+// Deprecated: leave DistOptions.Engine and DynNetOptions.Engine zero.
 type DistEngine = dist.Engine
 
-// DistPartition selects the sharded engine's node-to-shard assignment.
+// DistPartition selects the node-to-shard assignment.
 type DistPartition = dist.Partition
 
-// DistCoalescing selects whether the sharded engine's outboxes fold
+// DistCoalescing selects whether the shard outboxes fold
 // byte-identical transmissions of one flush window into a single shipped
 // message (DistCoalesceOn, the default) or ship every copy individually
 // (DistCoalesceOff). Orientations, traces and the fault ledger are
@@ -480,14 +486,13 @@ type DistCoalescing = dist.Coalescing
 // memory for it.
 type DistTrace = dist.Trace
 
-// Execution engines and partition schemes for DistOptions.
+// Engine, partition, coalescing and trace settings for DistOptions.
 const (
-	// DistGoroutinePerNode runs two goroutines and a mailbox per node — the
-	// reference engine, maximal per-node asynchrony, cost grows with n.
-	DistGoroutinePerNode = dist.GoroutinePerNode
-	// DistSharded partitions nodes across O(GOMAXPROCS) shard goroutines,
-	// delivers intra-shard messages without channels and batches cross-shard
-	// traffic — the engine for very large topologies.
+	// DistSharded names the sharded runtime: nodes partitioned across
+	// shard goroutines, intra-shard messages delivered without channels,
+	// cross-shard traffic batched.
+	//
+	// Deprecated: it is the only engine; leave DistOptions.Engine zero.
 	DistSharded = dist.Sharded
 	// DistPartitionBlock assigns contiguous ID ranges to shards (default).
 	DistPartitionBlock = dist.PartitionBlock
@@ -510,10 +515,10 @@ const (
 	DistTraceOff = dist.TraceOff
 )
 
-// DistOptions tunes RunDistributedWith: engine choice, shard count and
-// partition scheme, mailbox capacity, trace recording, the runaway-step
-// slack, and the network adversary (Adversary field; nil = reliable
-// network). The zero value reproduces RunDistributed's behaviour.
+// DistOptions tunes RunDistributedWith: shard count (Shards ≥ n gives one
+// node per shard) and partition scheme, mailbox capacity, trace recording,
+// and the network adversary (Adversary field; nil = reliable network). The
+// zero value reproduces RunDistributed's behaviour.
 type DistOptions = dist.Options
 
 // EngineObserver is the engine-deep observability hook for both execution
@@ -607,9 +612,9 @@ type DistReport struct {
 	Held        int
 	Retransmits int
 	Acks        int
-	// Remote counts sharded-engine cross-shard messages before
-	// coalescing; Coalesced counts the transmissions the outbox folded
-	// away (zero on the goroutine engine or with DistCoalesceOff).
+	// Remote counts cross-shard messages before coalescing; Coalesced
+	// counts the transmissions the outbox folded away (both zero with one
+	// shard; Coalesced also with DistCoalesceOff).
 	Remote              int
 	Coalesced           int
 	Acyclic             bool
@@ -621,18 +626,18 @@ type DistReport struct {
 	Shards []ShardStats
 }
 
-// RunDistributed executes the protocol with one goroutine per node over an
-// asynchronous message-passing network and returns once it quiesces.
+// RunDistributed executes the protocol over an asynchronous
+// message-passing network, with the nodes partitioned across GOMAXPROCS
+// shard goroutines, and returns once it quiesces.
 func RunDistributed(ctx context.Context, topo *Topology, alg DistAlgorithm) (*DistReport, error) {
 	return RunDistributedWith(ctx, topo, alg, DistOptions{})
 }
 
-// RunDistributedWith is RunDistributed with an explicit engine selection
-// and engine knobs; see DistOptions. Both engines realize legal
-// asynchronous executions of the same protocol and quiesce on identical
-// final orientations — including under a configured NetworkAdversary,
-// whose interference changes the schedule and the transport traffic but
-// never the outcome.
+// RunDistributedWith is RunDistributed with explicit options; see
+// DistOptions. Every shard layout realizes legal asynchronous executions
+// of the same protocol and quiesces on the same final orientation —
+// including under a configured NetworkAdversary, whose interference
+// changes the schedule and the transport traffic but never the outcome.
 func RunDistributedWith(ctx context.Context, topo *Topology, alg DistAlgorithm, opts DistOptions) (*DistReport, error) {
 	in, err := topo.Init()
 	if err != nil {
