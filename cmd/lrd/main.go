@@ -127,7 +127,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		topoName  = fs.String("topo", "grid", "topology: chain, bad-chain, star, grid, tree, ring, random")
 		n         = fs.Int("n", 10000, "total node budget")
 		engName   = fs.String("engine", "sharded", "execution engine; sharded is the only one (deprecated)")
-		shards    = fs.Int("shards", 0, "shard count (0 = GOMAXPROCS; the node count gives one node per shard)")
+		shards    = fs.Int("shards", 0, "shard count (0 = GOMAXPROCS; clamped to the node count, which gives one node per shard)")
 		partName  = fs.String("partition", "block", "sharded partition: block, hash, locality")
 		faultName = fs.String("faults", "none", "fault scenario: none, lossy, flaky, adversarial")
 		seed      = fs.Int64("seed", 1, "seed for random topologies and the fault adversary")

@@ -21,9 +21,9 @@
 //   - DynamicNetwork runs the height-based (Gafni–Bertsekas pair) protocol
 //     over a topology that changes at runtime: links are added and failed,
 //     and nodes added, removed, crashed and recovered, while the protocol
-//     keeps running. It runs on the same kind of shard pool
-//     (DynOptions.Shards), and internal/faults adversaries can be aimed at
-//     the height-announcement plane. Heights carry TORA-style reference
+//     keeps running. It runs on the same shard runtime (DynOptions.Shards),
+//     and internal/faults adversaries can be aimed at the
+//     height-announcement plane. Heights carry TORA-style reference
 //     levels (generate / propagate / reflect), so a component cut off from
 //     the destination detects the partition in O(component) steps;
 //     AwaitQuiescence validates every suspicion against the authoritative
@@ -42,8 +42,15 @@
 // edge incoming really is a sink, so each step it takes satisfies the
 // sequential automaton's precondition, and the real-time order of steps is
 // a legal sequential execution. Quiescence is detected by counting
-// in-flight messages: when no messages are pending, every view is exact,
-// so "no node believes it is a sink" implies global quiescence.
+// in-flight tokens in batches, one rule for both planes: each shard starts
+// with one token; each cross-shard batch carries one, added before the
+// batch is sent while the sender still holds its own; and a shard retires
+// the token it holds once the batch's local cascade has run dry and its
+// outboxes are flushed. The count reaches zero only when no message is
+// pending anywhere, so every view is exact and "no node believes it is a
+// sink" implies global quiescence. A DynamicNetwork control-plane
+// operation enters as a one-message batch whose token the control plane
+// counts before injecting it.
 //
 // # Safety and liveness under network faults
 //
@@ -58,11 +65,11 @@
 // unless an acknowledgement already confirmed delivery. The injector's
 // fair-loss bound caps how many times the same payload can be dropped
 // (Adversary.RetryBudget), so every reversal announcement is eventually
-// applied exactly once and liveness is preserved. Quiescence accounting is
-// extended to the fault traffic: every copy, acknowledgement, loss
-// notification and held-back message carries an in-flight token until
-// fully processed, so the counter cannot reach zero while the adversary
-// still holds traffic.
+// applied exactly once and liveness is preserved. The fault traffic —
+// duplicate copies, acknowledgements, loss notifications and held-back
+// messages — travels in the same batches and run-queues as the payloads,
+// so the batch tokens cover it and the count cannot reach zero while the
+// adversary still holds traffic.
 //
 // In DynamicNetwork the same one-sided-error argument holds for heights:
 // a node's stored copy of a neighbour's height is a lower bound within the
@@ -77,7 +84,11 @@
 // announcements are idempotent under the generation-aware merge, so a
 // fault adversary's duplicates and delays are absorbed structurally, and
 // loss is repaired by immediate sender-side retransmission under the
-// injector's fair-loss bound.
+// injector's fair-loss bound. The two planes thus run different
+// reliability layers on purpose: a reversal notice must apply exactly
+// once, which needs the static plane's seq/ack/nack protocol, while a
+// height announcement may apply any number of times, so the dynamic plane
+// needs no acknowledgements.
 package dist
 
 import (
@@ -198,17 +209,15 @@ type Stats struct {
 	// Acks is the number of acknowledgements sent by the reliable-delivery
 	// layer; 0 unless an adversary armed it.
 	Acks int
-	// Remote is the number of transmissions that crossed a shard boundary,
-	// counted before outbox coalescing — the partition-quality metric a
-	// topology-aware Options.Partition is meant to shrink. 0 with one
-	// shard, which has no shard boundary.
+	// Remote is the number of transmissions that crossed a shard boundary
+	// — the partition-quality metric a topology-aware Options.Partition is
+	// meant to shrink. 0 with one shard, which has no shard boundary.
 	Remote int
-	// Coalesced is the number of byte-identical transmissions the sharded
-	// outbox folded into an already-pending entry instead of shipping
-	// (Options.Coalesce); the receiver re-expands them, so every
-	// protocol-visible count (acks, dedups, retransmits) is unaffected. 0
-	// on a reliable network, where same-link repeats cannot occur within a
-	// flush window.
+	// Coalesced is always 0: the shard outboxes no longer fold duplicate
+	// transmissions.
+	//
+	// Deprecated: kept only because bench/ reads it; delete it with the
+	// next change to bench/.
 	Coalesced int
 }
 

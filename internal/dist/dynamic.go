@@ -93,7 +93,11 @@ type DynamicNetwork struct {
 	depth []int
 	queue []graph.NodeID
 
-	inflight int
+	// inflight is the batch-token count of the shard runtime (see tokens).
+	// The shards add and retire tokens lock-free; the control plane adds
+	// its injections' tokens under mu, so a zero read under mu means the
+	// network is quiescent and stays so until mu is released.
+	inflight tokens
 	stats    Stats
 	retrans  atomic.Int64
 	// tau is the global failure counter reference levels draw from.
@@ -153,6 +157,9 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 		return nil, err
 	}
 	n := topo.Graph.NumNodes()
+	// One node per shard is the finest layout; nodes added later join the
+	// existing shards (see partitioner.shardOf).
+	opts.Shards = min(opts.Shards, n)
 	d := &DynamicNetwork{
 		opts:       opts,
 		n:          n,
@@ -169,11 +176,15 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 		reach:      bitset.NewSet(n),
 		inR:        bitset.NewSet(n),
 		depth:      make([]int, n),
-		inflight:   n, // one start token per node
 		slack:      8*n + 64,
 		stop:       make(chan struct{}),
 	}
 	d.cond = sync.NewCond(&d.mu)
+	d.inflight.onZero = func() {
+		d.mu.Lock()
+		d.cond.Broadcast()
+		d.mu.Unlock()
+	}
 	for u := 0; u < n; u++ {
 		id := graph.NodeID(u)
 		d.heights[u] = DynHeight{H: core.Height{A: 0, B: -in.Embedding().Pos(id), ID: id}}
@@ -214,7 +225,7 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 		states[u] = st
 	}
 	d.be = newDynShardBackend(d, states)
-	d.be.start()
+	d.be.rt.start()
 	// Publish the initial state as epoch 1 so ReadSnapshot never returns
 	// nil, then start the cadence publisher if one was configured.
 	d.mu.Lock()
@@ -244,64 +255,6 @@ func (d *DynamicNetwork) rebuildAdjLocked() {
 	}
 	d.adjCache = adj
 	d.adjDirty = false
-}
-
-// retire returns n in-flight tokens and wakes AwaitQuiescence waiters when
-// the network drains.
-func (d *DynamicNetwork) retire(n int) {
-	if n == 0 {
-		return
-	}
-	d.mu.Lock()
-	d.inflight -= n
-	if d.inflight == 0 {
-		d.cond.Broadcast()
-	}
-	d.mu.Unlock()
-}
-
-// isStopped reports whether Stop was called, without taking mu.
-func (d *DynamicNetwork) isStopped() bool {
-	select {
-	case <-d.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// fanout delivers m on behalf of st, routing height announcements through
-// the fault injector: a dropped transmission is retransmitted immediately
-// (the fair-loss bound terminates the loop — this is the ack/retransmit
-// protocol with zero-latency loss notifications), duplicate copies take
-// extra in-flight tokens, and holdbacks ride in the message for the
-// receiver to requeue. Control traffic bypasses the adversary: the control
-// plane's view of the topology must stay authoritative.
-func (d *DynamicNetwork) fanout(st *dynState, m dynMsg, deliver func(dynMsg), sink *obs.Shard) {
-	if d.inj == nil || m.Kind != dynHeight {
-		deliver(m)
-		return
-	}
-	st.seq++
-	link := faults.Link{From: st.id, To: m.To}
-	for attempt := 0; ; attempt++ {
-		f := d.inj.Judge(link, faults.Msg{Seq: st.seq, Attempt: attempt})
-		if f.Drop {
-			d.retrans.Add(1)
-			sink.Retransmit(st.id, m.To, int64(st.seq))
-			continue
-		}
-		m.Hold = uint8(f.Hold)
-		if f.Extra > 0 {
-			d.mu.Lock()
-			d.inflight += f.Extra
-			d.mu.Unlock()
-		}
-		for c := 0; c <= f.Extra; c++ {
-			deliver(m)
-		}
-		return
-	}
 }
 
 // inject delivers a control message to m.To. The in-flight token was
@@ -390,7 +343,7 @@ func (d *DynamicNetwork) AddLink(u, v graph.NodeID) error {
 	d.topoVer++
 	d.raiseCeilingLocked()
 	var erase []dynMsg
-	if d.cutCount+d.detectedCount > 0 && d.inflight == 0 {
+	if d.cutCount+d.detectedCount > 0 && d.inflight.idle() {
 		// The network is quiescent and carries partition marks: erase the
 		// stranded heights before the new link's introductions flow, so the
 		// healed component rejoins at small zero-level heights and its
@@ -403,7 +356,7 @@ func (d *DynamicNetwork) AddLink(u, v graph.NodeID) error {
 			pokes = append(pokes, graph.NodeID(id))
 		}
 	}
-	d.inflight += len(erase) + 2 + len(pokes)
+	d.inflight.add(len(erase) + 2 + len(pokes))
 	d.mu.Unlock()
 	for _, m := range erase {
 		d.inject(m)
@@ -442,7 +395,7 @@ func (d *DynamicNetwork) FailLink(u, v graph.NodeID) error {
 	d.degDecLocked(e.V)
 	d.adjDirty = true
 	d.topoVer++
-	d.inflight += 2
+	d.inflight.add(2)
 	d.mu.Unlock()
 	d.inject(dynMsg{Kind: dynLinkDown, To: u, Peer: v})
 	d.inject(dynMsg{Kind: dynLinkDown, To: v, Peer: u})
@@ -529,7 +482,7 @@ func (d *DynamicNetwork) RemoveNode(u graph.NodeID) error {
 	}
 	d.adjDirty = true
 	d.topoVer++
-	d.inflight += 1 + len(links)
+	d.inflight.add(1 + len(links))
 	d.mu.Unlock()
 	d.inject(dynMsg{Kind: dynRemove, To: u})
 	for _, v := range links {
@@ -559,7 +512,7 @@ func (d *DynamicNetwork) Crash(u graph.NodeID) error {
 	}
 	d.crashedCtl[u] = true
 	d.everCrashed = true
-	d.inflight++
+	d.inflight.add(1)
 	d.mu.Unlock()
 	d.inject(dynMsg{Kind: dynCrash, To: u})
 	return nil
@@ -592,7 +545,7 @@ func (d *DynamicNetwork) Recover(u graph.NodeID) error {
 		views = append(views, nbrView{id: v, h: d.heights[v], gen: d.gens[v], known: true})
 	}
 	d.crashedCtl[u] = false
-	d.inflight++
+	d.inflight.add(1)
 	d.mu.Unlock()
 	d.inject(dynMsg{Kind: dynRecover, To: u, Views: views})
 	return nil
@@ -652,7 +605,7 @@ func (d *DynamicNetwork) cutLocked() []graph.NodeID {
 // the region's outside neighbours (so no stale view of a lowered node
 // survives anywhere) followed by the per-node resets; callers must account
 // their tokens and inject them in exactly this order. Callers must hold mu
-// and ensure the network is quiescent (inflight == 0).
+// and ensure the network is quiescent (no token in flight).
 func (d *DynamicNetwork) eraseLocked() []dynMsg {
 	d.computeReachLocked()
 	// The region is the union of the mark sets restricted to live, reachable
@@ -764,7 +717,7 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
-		for d.inflight > 0 && !d.stopped {
+		for !d.inflight.idle() && !d.stopped {
 			d.cond.Wait()
 		}
 		if d.stopped {
@@ -794,7 +747,7 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 			if len(msgs) == 0 {
 				continue
 			}
-			d.inflight += len(msgs)
+			d.inflight.add(len(msgs))
 			d.mu.Unlock()
 			for _, m := range msgs {
 				d.inject(m)
@@ -810,7 +763,7 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 			pokes := 0
 			for id := d.suspended.NextSet(0); id >= 0; id = d.suspended.NextSet(id + 1) {
 				pokes++
-				d.inflight++
+				d.inflight.add(1)
 				id := graph.NodeID(id)
 				d.mu.Unlock()
 				d.inject(dynMsg{Kind: dynPoke, To: id})
@@ -900,7 +853,7 @@ func (d *DynamicNetwork) Snapshot() *Snapshot {
 func (d *DynamicNetwork) snapshotLocked() *Snapshot {
 	d.rebuildAdjLocked()
 	s := &Snapshot{
-		Quiescent:      d.inflight == 0,
+		Quiescent:      d.inflight.idle(),
 		Steps:          d.stats.Steps,
 		Messages:       d.stats.Messages,
 		TotalReversals: d.stats.TotalReversals,
@@ -944,7 +897,7 @@ func (d *DynamicNetwork) publishLocked() *Snapshot {
 		// publication of the same fingerprint: topologies that stabilize
 		// without any step (a chain born oriented) would otherwise never
 		// publish a Quiescent snapshot.
-		if s := d.pub.Load(); s != nil && (s.Quiescent || d.inflight > 0) {
+		if s := d.pub.Load(); s != nil && (s.Quiescent || !d.inflight.idle()) {
 			return s
 		}
 	}
@@ -988,7 +941,7 @@ func (d *DynamicNetwork) PublishSnapshot() *Snapshot {
 func (d *DynamicNetwork) Quiescent() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.inflight == 0
+	return d.inflight.idle()
 }
 
 // publisher is the cadence loop behind DynOptions.PublishEvery: every
@@ -1007,7 +960,7 @@ func (d *DynamicNetwork) publisher(every time.Duration) {
 			return
 		case <-t.C:
 			d.mu.Lock()
-			if !d.stopped && d.inflight == 0 {
+			if !d.stopped && d.inflight.idle() {
 				d.publishLocked()
 			}
 			d.mu.Unlock()

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"linkreversal/internal/graph"
 	"linkreversal/internal/obs"
@@ -14,20 +16,8 @@ import (
 
 // dynConfig is one DynamicNetwork configuration of the test matrix.
 type dynConfig struct {
-	name    string
-	opts    DynOptions
-	perNode bool
-}
-
-// on returns the options for a network built on topo. The dynamic plane
-// does not clamp Shards to the node count (AddNode may grow the network),
-// so the per-node configuration is sized here: one shard per initial node.
-func (c dynConfig) on(topo *workload.Topology) DynOptions {
-	o := c.opts
-	if c.perNode {
-		o.Shards = topo.Graph.NumNodes()
-	}
-	return o
+	name string
+	opts DynOptions
 }
 
 // dynEngines returns the DynamicNetwork configurations exercised by this
@@ -38,8 +28,51 @@ func (c dynConfig) on(topo *workload.Topology) DynOptions {
 func dynEngines(t testing.TB) []dynConfig {
 	adv := testAdversary(t)
 	return []dynConfig{
-		{name: perNodeName, opts: DynOptions{Adversary: adv}, perNode: true},
+		{name: perNodeName, opts: DynOptions{Shards: perNodeShards, Adversary: adv}},
 		{name: "sharded", opts: DynOptions{Shards: 3, Partition: testPartition(t), Adversary: adv}},
+	}
+}
+
+// TestDynamicShardsClamped pins the shard-count rule the dynamic plane
+// shares with RunWith: Shards is clamped to the initial node count, so an
+// oversized request runs one node per shard, not thousands of empty shards
+// with a shard-sized outbox table each. Nodes added later join the last
+// shard, and Stop takes every goroutine down again.
+func TestDynamicShardsClamped(t *testing.T) {
+	const n = 4
+	baseline := runtime.NumGoroutine()
+	net, err := NewDynamicNetworkWith(workload.GoodChain(n), DynOptions{Shards: 4096, PublishEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := runtime.NumGoroutine()
+	if err := net.AwaitQuiescence(); err != nil {
+		t.Fatal(err)
+	}
+	id, err := net.AddNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AddLink(id, n-1); err != nil {
+		t.Fatal(err)
+	}
+	peak = max(peak, runtime.NumGoroutine())
+	if err := net.AwaitQuiescence(); err != nil {
+		t.Fatalf("await after AddNode = %v", err)
+	}
+	peak = max(peak, runtime.NumGoroutine())
+	// Two goroutines per shard, one cadence publisher, and slack for the
+	// runtime's own.
+	if limit := baseline + 2*n + 1 + 4; peak > limit {
+		t.Errorf("goroutine peak %d > %d (baseline %d + 2·%d shards + publisher + slack)", peak, limit, baseline, n)
+	}
+	net.Stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stop, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -72,7 +105,7 @@ func TestDynamicInitialConvergence(t *testing.T) {
 			c, topo := c, topo
 			t.Run(fmt.Sprintf("%s/%s", c.name, topo.Name), func(t *testing.T) {
 				t.Parallel()
-				net, err := NewDynamicNetworkWith(topo, c.on(topo))
+				net, err := NewDynamicNetworkWith(topo, c.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,7 +131,7 @@ func TestDynamicChurnHeals(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.RandomConnected(12, 0.3, 3)
-			net, err := NewDynamicNetworkWith(topo, c.on(topo))
+			net, err := NewDynamicNetworkWith(topo, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +193,7 @@ func TestDynamicAddsNewLink(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.GoodChain(6)
-			net, err := NewDynamicNetworkWith(topo, c.on(topo))
+			net, err := NewDynamicNetworkWith(topo, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +231,7 @@ func TestDynamicConcurrentControlPlane(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.Wheel(8)
-			net, err := NewDynamicNetworkWith(topo, c.on(topo))
+			net, err := NewDynamicNetworkWith(topo, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +330,7 @@ func TestDynamicStop(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			topo := workload.GoodChain(4)
-			net, err := NewDynamicNetworkWith(topo, c.on(topo))
+			net, err := NewDynamicNetworkWith(topo, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,7 +19,7 @@ func TestNodeChurnGrowAndShrink(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.Grid(3, 3)
-			net, err := NewDynamicNetworkWith(topo, c.on(topo))
+			net, err := NewDynamicNetworkWith(topo, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestRemoveNodeCanPartition(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.GoodChain(5)
-			net, err := NewDynamicNetworkWith(topo, c.on(topo))
+			net, err := NewDynamicNetworkWith(topo, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestCrashRecoveryResumesFromSnapshot(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.Grid(3, 3)
-			net, err := NewDynamicNetworkWith(topo, c.on(topo))
+			net, err := NewDynamicNetworkWith(topo, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func orientationString(s *Snapshot, n int) string {
 // component and heals it.
 func dynChurnScript(c dynConfig, seed int64) (string, error) {
 	topo := workload.RandomConnected(14, 0.3, seed)
-	net, err := NewDynamicNetworkWith(topo, c.on(topo))
+	net, err := NewDynamicNetworkWith(topo, c.opts)
 	if err != nil {
 		return "", err
 	}
@@ -284,7 +284,7 @@ func TestDynEnginesAgreeOnFinal(t *testing.T) {
 				one,
 				{name: "3 shards", opts: DynOptions{Shards: 3, Adversary: adv}},
 				{name: "5 shards, hash", opts: DynOptions{Shards: 5, Partition: PartitionHash, Adversary: adv}},
-				{name: "one node per shard", opts: DynOptions{Adversary: adv}, perNode: true},
+				{name: "one node per shard", opts: DynOptions{Shards: perNodeShards, Adversary: adv}},
 			} {
 				got, err := dynChurnScript(c, seed)
 				if err != nil {

@@ -1,55 +1,31 @@
 package dist
 
 import (
-	"sync"
 	"sync/atomic"
-	"time"
 
+	"linkreversal/internal/faults"
 	"linkreversal/internal/graph"
 	"linkreversal/internal/obs"
 )
 
-// dynShardBackend is the execution engine of a DynamicNetwork: it runs the
-// protocol of dynnode.go on a fixed worker pool. Nodes are partitioned
-// across shards, each shard owns its nodes' states outright and processes
-// its run-queue to exhaustion, and cross-shard messages travel in batches
-// through per-shard elastic pumps. Unlike the static engine's batch tokens,
-// every dynamic message carries its own in-flight token: control
-// injections and fault-plane duplicates make per-batch accounting the
-// wrong granularity here.
+// dynShardBackend is the execution engine of a DynamicNetwork: the
+// protocol of dynnode.go on a shardRuntime of dynMsg. It shares the static
+// plane's batch-token quiescence; a control-plane message enters as a
+// one-message batch whose token the control plane counted under mu.
 type dynShardBackend struct {
-	net    *DynamicNetwork
-	part   partitioner
-	shards []*dynShard
+	net *DynamicNetwork
+	rt  *shardRuntime[dynMsg]
 	// states is published copy-on-write so AddNode never blocks senders;
 	// shards reach new entries only via messages that causally follow the
 	// publication.
 	states atomic.Pointer[[]*dynState]
-	pool   sync.Pool
 }
 
+// dynShard is the dynamic plane's view of one runtime worker; it is the
+// dynEnv the states it runs transmit through.
 type dynShard struct {
+	*worker[dynMsg]
 	be *dynShardBackend
-	id int
-	// local queues same-shard messages; it is processed to exhaustion
-	// before the shard returns to its pump.
-	local []dynMsg
-	// out accumulates one outgoing batch per destination shard.
-	out []*dynBatch
-	// tx feeds the shard's elastic pump; rx is what the shard loop reads.
-	tx, rx chan *dynBatch
-	// retired counts handled tokens since the last retire flush.
-	retired int
-	// initial holds the construction-time states owned by this shard.
-	initial []*dynState
-	// obs is the shard's telemetry sink, nil unless DynOptions.Observer is
-	// armed. Per-message hooks are guarded at the call site so the armed
-	// check stays a single nil comparison on the hot path.
-	obs *obs.Shard
-}
-
-type dynBatch struct {
-	msgs []dynMsg
 }
 
 func newDynShardBackend(net *DynamicNetwork, states []*dynState) *dynShardBackend {
@@ -57,52 +33,28 @@ func newDynShardBackend(net *DynamicNetwork, states []*dynState) *dynShardBacken
 	// adjCache is rebuilt before backend construction, so the locality
 	// partitioner can grow shards over the initial topology. Links added
 	// later do not re-partition — assignments are fixed at construction.
+	part := newPartitioner(net.opts.Partition, len(states), nsh,
+		func(u graph.NodeID) []graph.NodeID { return net.adjCache[u] })
 	b := &dynShardBackend{
 		net: net,
-		part: newPartitioner(net.opts.Partition, len(states), nsh,
-			func(u graph.NodeID) []graph.NodeID { return net.adjCache[u] }),
+		rt:  newShardRuntime[dynMsg](part, defaultMailboxCap, &net.inflight, net.stop, &net.wg, net.opts.Observer),
 	}
-	b.pool.New = func() any { return &dynBatch{} }
 	b.states.Store(&states)
-	b.shards = make([]*dynShard, nsh)
-	for i := range b.shards {
-		b.shards[i] = &dynShard{
-			be:  b,
-			id:  i,
-			out: make([]*dynBatch, nsh),
-			tx:  make(chan *dynBatch, defaultMailboxCap),
-			rx:  make(chan *dynBatch),
-			obs: net.opts.Observer.Shard(i), // nil when no observer is armed
+	initial := make([][]*dynState, nsh)
+	for _, st := range states {
+		d := part.shardOf(st.id)
+		initial[d] = append(initial[d], st)
+	}
+	for i, w := range b.rt.workers {
+		s := &dynShard{worker: w, be: b}
+		w.handle = s.process
+		w.initial = func() {
+			for _, st := range initial[i] {
+				st.handle(s, dynMsg{Kind: dynStart, To: st.id})
+			}
 		}
 	}
-	for _, st := range states {
-		sh := b.shards[b.shardOf(st.id)]
-		sh.initial = append(sh.initial, st)
-	}
 	return b
-}
-
-// shardOf routes node IDs to shards. IDs added after construction overflow
-// a block partitioner's quota; they clamp onto the last shard.
-func (b *dynShardBackend) shardOf(u graph.NodeID) int {
-	s := b.part.shardOf(u)
-	if s >= len(b.shards) {
-		s = len(b.shards) - 1
-	}
-	return s
-}
-
-// start launches the shards for the construction-time nodes. Each node's
-// start token was accounted in the network constructor.
-func (b *dynShardBackend) start() {
-	for _, sh := range b.shards {
-		b.net.wg.Add(2)
-		go func(sh *dynShard) {
-			defer b.net.wg.Done()
-			mailbox(sh.tx, sh.rx, b.net.stop)
-		}(sh)
-		go sh.loop()
-	}
 }
 
 // addNode attaches a node added at runtime and accounts its start token.
@@ -113,144 +65,63 @@ func (b *dynShardBackend) addNode(st *dynState) {
 	states[st.id] = st
 	b.states.Store(&states)
 	b.net.mu.Lock()
-	b.net.inflight++ // the new node's start token
+	b.net.inflight.add(1) // the new node's start token
 	b.net.mu.Unlock()
 	b.inject(dynMsg{Kind: dynStart, To: st.id})
 }
 
-func (b *dynShardBackend) getBatch() *dynBatch {
-	nb := b.pool.Get().(*dynBatch)
-	nb.msgs = nb.msgs[:0]
-	return nb
-}
-
-// inject delivers one control-plane message whose token the caller
-// accounted.
+// inject delivers one control-plane message to the shard owning m.To as a
+// one-message batch, whose token the caller counted under mu.
 func (b *dynShardBackend) inject(m dynMsg) {
-	nb := b.getBatch()
+	nb := b.rt.getBatch()
 	nb.msgs = append(nb.msgs, m)
-	sh := b.shards[b.shardOf(m.To)]
 	select {
-	case sh.tx <- nb:
-	case <-b.net.stop:
+	case b.rt.workers[b.rt.part.shardOf(m.To)].tx <- nb:
+	case <-b.rt.stop:
 	}
 }
 
-func (s *dynShard) loop() {
-	b := s.be
-	defer b.net.wg.Done()
-	// mark anchors the busy/idle span accounting: one clock read per batch,
-	// never per message, so the armed observer stays off the hot path.
-	var mark time.Time
-	if s.obs != nil {
-		mark = time.Now()
-	}
-	for _, st := range s.initial {
-		if st.handle(s, dynMsg{Kind: dynStart, To: st.id}) {
-			s.retired++
-		}
-	}
-	if !s.drain() {
+// process is the dynamic plane's message handler: it runs m on its target
+// state. Appends to the run-queue during the handler (same-shard
+// transmissions, requeues) are fine: the runtime drains by index.
+func (s *dynShard) process(m dynMsg) {
+	(*s.be.states.Load())[m.To].handle(s, m)
+}
+
+// transmit sends m on behalf of st, routing height announcements through
+// the fault injector: a dropped transmission is retransmitted immediately
+// (the fair-loss bound terminates the loop, and announcements are
+// idempotent, so no acks are needed), duplicate copies are routed back to
+// back, and holdbacks ride in the message for the receiver to requeue.
+// Control traffic bypasses the adversary: the control plane's view of the
+// topology must stay authoritative.
+func (s *dynShard) transmit(st *dynState, m dynMsg) {
+	net := s.be.net
+	if net.inj == nil || m.Kind != dynHeight {
+		s.route(m.To, m)
 		return
 	}
-	for {
-		if s.obs != nil {
-			now := time.Now()
-			s.obs.Busy(now.Sub(mark))
-			mark = now
-		}
-		select {
-		case <-b.net.stop:
-			return
-		case nb := <-s.rx:
-			if s.obs != nil {
-				now := time.Now()
-				s.obs.Idle(now.Sub(mark))
-				mark = now
-				s.obs.Mailbox(len(s.tx) + 1)
-			}
-			for _, m := range nb.msgs {
-				s.process(m)
-			}
-			b.pool.Put(nb)
-			if !s.drain() {
-				return
-			}
-		}
-	}
-}
-
-// process runs one message on its target state. Appends to s.local during
-// the handler (same-shard transmissions, requeues) are fine: drain
-// iterates by index.
-func (s *dynShard) process(m dynMsg) {
-	sts := *s.be.states.Load()
-	st := sts[m.To]
-	if st.handle(s, m) {
-		s.retired++
-	}
-}
-
-// drain processes the local run-queue to exhaustion, flushes the outboxes
-// and retires the handled tokens. It returns false when the network
-// stopped mid-drain.
-func (s *dynShard) drain() bool {
-	for i := 0; i < len(s.local); i++ {
-		if i%drainStopCheck == drainStopCheck-1 && s.be.net.isStopped() {
-			return false
-		}
-		s.process(s.local[i])
-	}
-	s.local = s.local[:0]
-	for d, nb := range s.out {
-		if nb == nil {
+	st.seq++
+	link := faults.Link{From: st.id, To: m.To}
+	for attempt := 0; ; attempt++ {
+		f := net.inj.Judge(link, faults.Msg{Seq: st.seq, Attempt: attempt})
+		if f.Drop {
+			net.retrans.Add(1)
+			s.obs.Retransmit(st.id, m.To, int64(st.seq))
 			continue
 		}
-		s.out[d] = nil
-		if s.obs != nil {
-			s.obs.Batch(len(nb.msgs))
-			s.obs.Remote(int64(len(nb.msgs)))
+		m.Hold = uint8(f.Hold)
+		for c := 0; c <= f.Extra; c++ {
+			s.route(m.To, m)
 		}
-		select {
-		case s.be.shards[d].tx <- nb:
-		case <-s.be.net.stop:
-			return false
-		}
+		return
 	}
-	if s.retired > 0 {
-		s.be.net.retire(s.retired)
-		s.retired = 0
-	}
-	return true
 }
 
-// transmit and requeue implement dynEnv for the shard that is currently
-// running a node. Same-shard traffic goes straight onto the run-queue;
-// cross-shard traffic accumulates into the per-destination batch flushed
-// at the end of the drain.
-func (s *dynShard) transmit(st *dynState, m dynMsg) {
-	s.be.net.fanout(st, m, s.route, s.obs)
-}
-
+// requeue puts m at the back of the run-queue, where it rides on the
+// shard's current token.
 func (s *dynShard) requeue(st *dynState, m dynMsg) {
 	s.local = append(s.local, m)
 }
 
 func (s *dynShard) sink() *obs.Shard { return s.obs }
-
-func (s *dynShard) route(m dynMsg) {
-	d := s.be.shardOf(m.To)
-	if d == s.id {
-		s.local = append(s.local, m)
-		if s.obs != nil {
-			s.obs.RunQueue(len(s.local))
-		}
-		return
-	}
-	nb := s.out[d]
-	if nb == nil {
-		nb = s.be.getBatch()
-		s.out[d] = nb
-	}
-	nb.msgs = append(nb.msgs, m)
-}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"slices"
 	"testing"
+	"time"
 
 	"linkreversal/internal/graph"
 	"linkreversal/internal/workload"
@@ -58,7 +59,7 @@ func TestPartitionExactAndNoRatchet(t *testing.T) {
 			t.Parallel()
 			const n = 8
 			topo := workload.GoodChain(n)
-			net, err := NewDynamicNetworkWith(topo, c.on(topo))
+			net, err := NewDynamicNetworkWith(topo, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +109,7 @@ func TestPartitionIsolatedNode(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.Star(5)
-			net, err := NewDynamicNetworkWith(topo, c.on(topo))
+			net, err := NewDynamicNetworkWith(topo, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +149,7 @@ func TestPartitionSplitsAreExact(t *testing.T) {
 			// 2×3 grid, dest 0: cutting {1,4} and {3,4} and {0,3} … cut the
 			// column seam instead: edges (1,2) and (4,5) isolate {2,5}.
 			topo := workload.Grid(2, 3)
-			net, err := NewDynamicNetworkWith(topo, c.on(topo))
+			net, err := NewDynamicNetworkWith(topo, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +185,7 @@ func TestPartitionCrashStall(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			topo := workload.GoodChain(6)
-			net, err := NewDynamicNetworkWith(topo, c.on(topo))
+			net, err := NewDynamicNetworkWith(topo, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,6 +210,68 @@ func TestPartitionCrashStall(t *testing.T) {
 				t.Fatalf("await after heal+recover: %v", err)
 			}
 			requireRoutes(t, net.Snapshot(), 6, topo.Dest)
+		})
+	}
+}
+
+// awaitWithin runs AwaitQuiescence and fails the test if it has not
+// returned within d. A hung await holds the network's lock, so the caller
+// must not Stop the network after a failure here.
+func awaitWithin(t *testing.T, net *DynamicNetwork, d time.Duration) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- net.AwaitQuiescence() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("AwaitQuiescence did not return within %v", d)
+		return nil
+	}
+}
+
+// TestRemoveDuringDetection removes a node while its own partition
+// detection runs. RemoveNode clears the node's marks, but the node keeps
+// running until its removal message arrives; a detected or suspended mark
+// it set in that window would outlive it, since erasure skips dead nodes,
+// and the await after the heal would loop forever on it. The script is
+// repeated because the window is a race; one shard reproduced it on the
+// first try.
+func TestRemoveDuringDetection(t *testing.T) {
+	configs := append(dynEngines(t), dynConfig{name: "1 shard", opts: DynOptions{Shards: 1, Adversary: testAdversary(t)}})
+	for _, c := range configs {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			for i := 0; i < 20; i++ {
+				net, err := NewDynamicNetworkWith(workload.GoodChain(3), c.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := awaitWithin(t, net, 10*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				if err := net.FailLink(0, 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := net.RemoveNode(1); err != nil {
+					t.Fatal(err)
+				}
+				requireCut(t, awaitWithin(t, net, 10*time.Second), []graph.NodeID{2})
+				net.mu.Lock()
+				marked := net.detected.Test(1) || net.suspended.Test(1) || net.cut.Test(1)
+				net.mu.Unlock()
+				if marked {
+					t.Fatalf("iteration %d: removed node 1 still carries a partition mark", i)
+				}
+				if err := net.AddLink(0, 2); err != nil {
+					t.Fatal(err)
+				}
+				if err := awaitWithin(t, net, 10*time.Second); err != nil {
+					t.Fatalf("iteration %d: await after heal = %v", i, err)
+				}
+				net.Stop()
+			}
 		})
 	}
 }

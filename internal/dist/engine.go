@@ -12,25 +12,18 @@ import (
 )
 
 // runCore is the accounting shared by the shards of one RunWith
-// invocation. The hot-path counters — statistics and the in-flight token
-// count that detects quiescence — are plain atomics, so steps on different
-// shards never serialize through a lock. Only the optional trace
-// (and the failure slot) sit behind mu: when Options.RecordTrace is off,
-// the mutex is never taken after construction.
+// invocation. The hot-path counters — statistics and the in-flight tokens
+// that detect quiescence — are plain atomics, so steps on different shards
+// never serialize through a lock. Only the optional trace (and the failure
+// slot) sit behind mu: when Options.RecordTrace is off, the mutex is never
+// taken after construction.
 type runCore struct {
-	inflight    atomic.Int64
+	inflight    tokens
 	steps       atomic.Int64
 	reversals   atomic.Int64
 	messages    atomic.Int64
-	batches     atomic.Int64
 	acks        atomic.Int64
 	retransmits atomic.Int64
-	// remote and coalesced are the transport counters: cross-shard
-	// transmissions (counted before coalescing) and squashed duplicate
-	// copies. Shards accumulate them locally and fold them in at flush
-	// time, so neither costs a per-message atomic.
-	remote    atomic.Int64
-	coalesced atomic.Int64
 
 	stepLimit   int64
 	recordTrace bool
@@ -54,27 +47,25 @@ type runCore struct {
 	wg        sync.WaitGroup
 }
 
-func newRunCore(stepLimit int64, startTokens int, recordTrace bool) *runCore {
+func newRunCore(stepLimit int64, recordTrace bool) *runCore {
 	c := &runCore{
 		stepLimit:   stepLimit,
 		recordTrace: recordTrace,
 		quiet:       make(chan struct{}),
 		stop:        make(chan struct{}),
 	}
-	c.inflight.Store(int64(startTokens))
+	c.inflight.onZero = c.unblock
 	return c
 }
 
 // record marks the beginning of a step by node u that reverses the edges to
 // targets neighbours: it appends the step to the global linearization (when
 // trace recording is on) and updates the statistics. No in-flight token is
-// taken per message: intra-shard deliveries finish before the shard retires
-// the token it currently holds, and cross-shard batches take their own
-// token at flush time. The caller must hand the step's messages to the
-// transport only after record returns: recording before sending is what
-// makes the trace a legal sequential execution — any later step enabled by
-// one of these reversals happens after its message is delivered, hence
-// after this append.
+// taken per message (see tokens). The caller must hand the step's messages
+// to the transport only after record returns: recording before sending is
+// what makes the trace a legal sequential execution — any later step
+// enabled by one of these reversals happens after its message is delivered,
+// hence after this append.
 func (c *runCore) record(u graph.NodeID, targets int) {
 	if c.recordTrace {
 		c.mu.Lock()
@@ -100,29 +91,14 @@ func (c *runCore) fail(err error) {
 		c.failure = err
 	}
 	c.mu.Unlock()
-	c.quietOnce.Do(func() { close(c.quiet) })
+	c.unblock()
 }
 
-// addBatches accounts n message batches about to enter the transport: one
-// in-flight token per batch, added before the batch is sent — and while the
-// sending shard still holds its own unretired token — so the counter can
-// never reach zero while a batch exists.
-func (c *runCore) addBatches(n int) {
-	c.inflight.Add(int64(n))
-	c.batches.Add(int64(n))
-}
-
-// done retires n in-flight tokens and closes quiet when none remain. A
-// token is retired only after its holder has fully processed the message or
-// batch it stands for (including any steps it triggered), so the count
-// hitting zero implies every view is exact and no node is a sink: global
-// quiescence. The atomic decrement observes zero in exactly one goroutine,
-// which closes quiet.
-func (c *runCore) done(n int) {
-	if c.inflight.Add(int64(-n)) == 0 {
-		c.quietOnce.Do(func() { close(c.quiet) })
-	}
-}
+// unblock closes quiet, once. It is the in-flight tokens' zero hook: the
+// count hitting zero implies every view is exact and no node is a sink —
+// global quiescence — and no token can appear afterwards, so the static
+// plane crosses zero at most once.
+func (c *runCore) unblock() { c.quietOnce.Do(func() { close(c.quiet) }) }
 
 // countSend records the reliability-layer cost of one transmission before
 // it is judged by the injector: retransmitted payloads and acknowledgements
@@ -155,35 +131,24 @@ func (c *runCore) judgeSend(from, to graph.NodeID, seq uint32, attempt int32, ki
 	return f, false, false
 }
 
-// snapshot assembles the Stats from the atomic counters. Callers must
-// ensure the run has quiesced (or all goroutines exited).
-func (c *runCore) snapshot() Stats {
+// snapshot assembles the Stats from the atomic counters and the
+// transport counters of rt. Callers must ensure the run has quiesced (or
+// all goroutines exited).
+func (c *runCore) snapshot(rt *shardRuntime[shardMsg]) Stats {
 	s := Stats{
 		Messages:       int(c.messages.Load()),
-		Batches:        int(c.batches.Load()),
+		Batches:        int(rt.batches.Load()),
 		Steps:          int(c.steps.Load()),
 		TotalReversals: int(c.reversals.Load()),
 		Acks:           int(c.acks.Load()),
 		Retransmits:    int(c.retransmits.Load()),
-		Remote:         int(c.remote.Load()),
-		Coalesced:      int(c.coalesced.Load()),
+		Remote:         int(rt.remote.Load()),
 	}
 	if c.inj != nil {
 		fs := c.inj.Snapshot()
 		s.Drops, s.Dups, s.Held = fs.Drops, fs.Dups, fs.Held
 	}
 	return s
-}
-
-// stopped reports whether the run has been told to shut down, without
-// blocking. Long local cascades poll it so cancellation stays prompt.
-func (c *runCore) stopped() bool {
-	select {
-	case <-c.stop:
-		return true
-	default:
-		return false
-	}
 }
 
 // RunWith executes alg on in's topology on the sharded runtime until global
@@ -212,7 +177,7 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 	// factor so hitting the limit can only mean an engine bug.
 	limit := 200*int64(n)*int64(n) + stepLimitSlack
 	shards := min(opts.Shards, n)
-	c := newRunCore(limit, shards, opts.RecordTrace == TraceRecorded) // one start token per shard
+	c := newRunCore(limit, opts.RecordTrace == TraceRecorded)
 	if opts.Adversary != nil {
 		c.inj = faults.NewInjector(opts.Adversary)
 	}
@@ -223,7 +188,7 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 	// One sink per shard; the shards pick theirs up from opts.
 	opts.Observer.Attach(shards)
 	eng := newShardEngine(c, in, alg, opts, shards)
-	eng.start()
+	eng.rt.start()
 
 	var ctxErr error
 	select {
@@ -258,7 +223,7 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 	}
 	res := &Result{
 		Final:         final,
-		Stats:         c.snapshot(),
+		Stats:         c.snapshot(eng.rt),
 		Trace:         c.trace,
 		NodeSteps:     c.nodeSteps,
 		NodeReversals: c.nodeWork,
@@ -267,4 +232,137 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 		res.Shards = opts.Observer.ShardStats()
 	}
 	return res, nil
+}
+
+// shardMsg is one transmission in transit between nodes, normally a
+// reversal announcement: some neighbour of To reversed the shared edge,
+// which now points toward To. Slot is the *receiver-side* neighbour slot of
+// the sender — the index i with To's nbrs[i] == sender — precomputed once
+// at construction, so applying the message is a pair of slice writes with
+// no lookup of any kind. For the height-based variants it plays the role
+// of the height announcement, and for list-based PR it additionally means
+// "add the neighbour at Slot to your list".
+//
+// Seq, Kind and Hold belong to the reliable-delivery layer and stay zero on
+// a reliable network: Seq is the per-directed-link sequence number of the
+// payload (or the payload being acked/nacked), Kind the transmission class,
+// and Hold the remaining number of delivery opportunities that may overtake
+// this message (the fault adversary's logical-time holdback; the shard
+// re-enqueues the message and decrements Hold until it reaches zero). For
+// msgNack, To is the original sender and Slot its *sender-side* slot of
+// the lossy link.
+type shardMsg struct {
+	To   graph.NodeID
+	Slot int32
+	Seq  uint32
+	Kind msgKind
+	Hold uint8
+}
+
+// shardEngine is the execution engine of RunWith: the run's nodes on a
+// shardRuntime of shardMsg.
+type shardEngine struct {
+	c     *runCore
+	rt    *shardRuntime[shardMsg]
+	nodes []runNode
+}
+
+func newShardEngine(c *runCore, in *core.Init, alg Algorithm, opts Options, shards int) *shardEngine {
+	g := in.Graph()
+	// The partitioner is built before the node table: newRunNodes packs the
+	// bit views densely within one shard's nodes and word-aligns the
+	// boundaries between shards, so it needs the ownership map up front.
+	part := newPartitioner(opts.Partition, g.NumNodes(), shards, g.Neighbors)
+	e := &shardEngine{
+		c:     c,
+		rt:    newShardRuntime[shardMsg](part, opts.MailboxCap, &c.inflight, c.stop, &c.wg, opts.Observer),
+		nodes: newRunNodes(in, alg, c.inj != nil, part.shardOf),
+	}
+	owned := make([][]*runNode, shards)
+	for u := range e.nodes {
+		d := part.shardOf(graph.NodeID(u))
+		owned[d] = append(owned[d], &e.nodes[u])
+	}
+	for i, w := range e.rt.workers {
+		s := &shard{worker: w, eng: e}
+		w.handle = s.process
+		w.initial = func() {
+			for _, nd := range owned[i] {
+				nd.act(s)
+			}
+		}
+	}
+	return e
+}
+
+// shard is the static plane's view of one runtime worker: the protocol
+// rules of run.go hand it their steps and messages. nodes' views are read
+// by RunWith only after the WaitGroup drained.
+type shard struct {
+	*worker[shardMsg]
+	eng *shardEngine
+}
+
+// announce records one step by a node of this shard. When trace recording
+// is on, steps are appended to the shared trace under the core mutex before
+// any of their messages moves (the run-queue and outboxes are drained only
+// after announce returns), which is what makes the trace a legal
+// sequential execution.
+func (s *shard) announce(u graph.NodeID, targets int) {
+	s.eng.c.record(u, targets)
+	if s.obs != nil {
+		s.obs.Step(u, targets)
+	}
+}
+
+// send routes one transmission through the fault injector (judgeSend):
+// dropped payloads become loss notifications back to the sender — which is
+// always a node this shard owns, so the nack lands in the local run-queue
+// — and surviving copies (plus duplicates) are routed with their holdback.
+// Batch-token quiescence already covers all of this traffic, so no extra
+// tokens are needed.
+func (s *shard) send(from graph.NodeID, fromSlot int32, to graph.NodeID, toSlot int32, seq uint32, attempt int32, kind msgKind) {
+	f, dropped, notify := s.eng.c.judgeSend(from, to, seq, attempt, kind)
+	if s.obs != nil {
+		switch {
+		case kind == msgAck:
+			s.obs.Ack(from, to, int64(seq))
+		case kind == msgData && attempt > 0:
+			s.obs.Retransmit(from, to, int64(seq))
+		}
+	}
+	if dropped {
+		if notify {
+			s.local = append(s.local, shardMsg{To: from, Slot: fromSlot, Seq: seq, Kind: msgNack})
+			if s.obs != nil {
+				s.obs.Nack(from, to, int64(seq))
+			}
+		}
+		return
+	}
+	m := shardMsg{To: to, Slot: toSlot, Seq: seq, Kind: kind, Hold: uint8(f.Hold)}
+	for c := 0; c <= f.Extra; c++ {
+		s.route(to, m)
+	}
+}
+
+// process is the static plane's message handler. A pending holdback sends
+// the message to the back of the local run-queue (everything currently
+// queued overtakes it — the logical-time delay); everything else reaches
+// the owning node.
+func (s *shard) process(m shardMsg) {
+	if m.Hold > 0 {
+		m.Hold--
+		s.local = append(s.local, m)
+		return
+	}
+	if s.obs != nil && m.Kind == msgData {
+		s.obs.Deliver(m.To, -1, int64(m.Seq))
+	}
+	nd := &s.eng.nodes[m.To]
+	if nd.rel != nil {
+		nd.handle(s, m)
+	} else {
+		nd.receive(s, m.Slot)
+	}
 }

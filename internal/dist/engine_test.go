@@ -16,9 +16,9 @@ import (
 )
 
 // perNodeShards is the Shards value of the per-node test configuration.
-// RunWith clamps Shards to the node count, so every topology of up to
-// perNodeShards nodes runs one node per shard — each node on its own
-// goroutine with its own mailbox — and larger ones run perNodeShards
+// Both planes clamp Shards to the (initial) node count, so every topology
+// of up to perNodeShards nodes runs one node per shard — each node on its
+// own goroutine with its own mailbox — and larger ones run perNodeShards
 // shards, which keeps the dense per-shard outbox tables (n² pointers at
 // one node per shard) affordable.
 const perNodeShards = 2048
@@ -100,7 +100,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Engine: Engine(42)},
 		{Engine: 1}, // no engine has value 1
 		{Partition: Partition(42)},
-		{Coalesce: Coalescing(42)},
 		{Shards: -1},
 		{MailboxCap: -3},
 		{RecordTrace: Trace(42)},
@@ -115,8 +114,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Engine: Sharded},
 		{Shards: 64, Partition: PartitionHash}, // shards > nodes: clamped
 		{Shards: 2, Partition: PartitionLocality},
-		{Coalesce: CoalesceOff},
-		{Coalesce: CoalesceOn},
 		{MailboxCap: 1},
 		{Shards: 2, MailboxCap: 1},
 		{RecordTrace: TraceOff},
@@ -150,8 +147,9 @@ func chainNbrs(n int) func(graph.NodeID) []graph.NodeID {
 }
 
 // TestPartitioner checks all three schemes: assignments are deterministic,
-// land in [0, shards), cover every node exactly once (trivially, being a
-// function), and respect each scheme's balance guarantee.
+// land in [0, shards) — also for IDs past the node count — cover every
+// node exactly once (trivially, being a function), and respect each
+// scheme's balance guarantee.
 func TestPartitioner(t *testing.T) {
 	for _, scheme := range []Partition{PartitionBlock, PartitionHash, PartitionLocality} {
 		for _, n := range []int{1, 5, 64, 1000} {
@@ -182,6 +180,14 @@ func TestPartitioner(t *testing.T) {
 				}
 				if total != n {
 					t.Errorf("%s: %d assignments for %d nodes", name, total, n)
+				}
+				// IDs a dynamic network adds after construction overflow
+				// every scheme's construction-time assignment; they must
+				// still land on a shard.
+				for u := n; u < 3*n+shards; u++ {
+					if s := p.shardOf(graph.NodeID(u)); s < 0 || s >= shards {
+						t.Fatalf("%s: added node %d assigned to shard %d out of range", name, u, s)
+					}
 				}
 				if scheme == PartitionBlock {
 					// Block assignments are monotone in the node ID.
@@ -387,12 +393,6 @@ func TestEngineStrings(t *testing.T) {
 	}
 	if Partition(42).String() != "Partition(42)" {
 		t.Errorf("unknown partition string = %q", Partition(42).String())
-	}
-	if CoalesceOn.String() != "coalesce-on" || CoalesceOff.String() != "coalesce-off" {
-		t.Error("coalescing strings wrong")
-	}
-	if Coalescing(42).String() != "Coalescing(42)" {
-		t.Errorf("unknown coalescing string = %q", Coalescing(42).String())
 	}
 	if TraceRecorded.String() != "trace-recorded" || TraceOff.String() != "trace-off" {
 		t.Error("trace strings wrong")

@@ -80,8 +80,8 @@ func (q *mailboxQueue[M]) compact() {
 
 // mailbox pumps messages from a bounded ingress channel into an unbounded
 // in-memory queue and hands them to the receiver in FIFO order. One mailbox
-// goroutine runs per shard on both planes (carrying *batch on the static
-// plane and *dynBatch on the dynamic one); it exits when stop is closed.
+// goroutine runs per shard of a shardRuntime, carrying the plane's
+// *batch[M]; it exits when stop is closed.
 //
 // The pump decouples senders from receivers: a shard busy processing a
 // batch never blocks its peers' flushes, which is what rules out the

@@ -85,8 +85,7 @@ func TestObserverShardSums(t *testing.T) {
 				sum.Steps += s.Steps
 				sum.Reversals += s.Reversals
 				sum.Delivered += s.Delivered
-				sum.Remote += s.Remote
-				sum.Coalesced += s.Coalesced
+				sum.BatchMsgs += s.BatchMsgs
 				sum.Acks += s.Acks
 				sum.Retransmits += s.Retransmits
 				sum.Events += s.Events
@@ -108,11 +107,8 @@ func TestObserverShardSums(t *testing.T) {
 			if sum.Delivered <= 0 {
 				t.Errorf("shard delivered sum = %d, want > 0", sum.Delivered)
 			}
-			if sum.Remote != int64(st.Remote) {
-				t.Errorf("shard remote sum %d != Stats.Remote %d", sum.Remote, st.Remote)
-			}
-			if sum.Coalesced != int64(st.Coalesced) {
-				t.Errorf("shard coalesced sum %d != Stats.Coalesced %d", sum.Coalesced, st.Coalesced)
+			if sum.BatchMsgs != int64(st.Remote) {
+				t.Errorf("shard batch-message sum %d != Stats.Remote %d", sum.BatchMsgs, st.Remote)
 			}
 			if sum.Acks != int64(st.Acks) {
 				t.Errorf("shard acks sum %d != Stats.Acks %d", sum.Acks, st.Acks)
@@ -192,7 +188,7 @@ func TestDynamicObserver(t *testing.T) {
 				dumpReason, dumpEvents = reason, events
 			}
 			topo := workload.GoodChain(8)
-			opts := c.on(topo)
+			opts := c.opts
 			opts.Observer = o
 			net, err := NewDynamicNetworkWith(topo, opts)
 			if err != nil {

@@ -76,39 +76,6 @@ func (p Partition) String() string {
 	}
 }
 
-// Coalescing selects whether shard outboxes fold byte-identical
-// same-link transmissions pending in one outbox flush window into a single
-// shipped message.
-type Coalescing int
-
-const (
-	// CoalesceOn (the default) ships one message per distinct transmission
-	// per flush window, carrying a copy count the receiving shard expands
-	// before delivery — so the fault adversary's duplicate copies cost one
-	// transport slot instead of many, while the seq/ack ledger (every
-	// dedup, re-ack and retransmission decision) stays byte-identical to
-	// unconsolidated shipping. On a reliable network repeats cannot occur
-	// within a window, so coalescing is armed only under an adversary and
-	// the fault-free hot path is untouched.
-	CoalesceOn Coalescing = iota + 1
-	// CoalesceOff ships every transmission individually. The final
-	// orientation, trace and fault ledger are identical to CoalesceOn (the
-	// confluence the test suite pins); only transport volume differs.
-	CoalesceOff
-)
-
-// String implements fmt.Stringer.
-func (c Coalescing) String() string {
-	switch c {
-	case CoalesceOn:
-		return "coalesce-on"
-	case CoalesceOff:
-		return "coalesce-off"
-	default:
-		return fmt.Sprintf("Coalescing(%d)", int(c))
-	}
-}
-
 // Trace selects whether RunWith records the global step linearization.
 type Trace int
 
@@ -205,12 +172,6 @@ type Options struct {
 	// Partition selects the node-to-shard assignment; 0 means
 	// PartitionBlock.
 	Partition Partition
-	// Coalesce selects whether the shard outboxes fold byte-identical
-	// transmissions of one flush window into a single shipped message;
-	// 0 means CoalesceOn. Only observable through Stats.Coalesced and
-	// transport volume — orientations, traces and the fault ledger are
-	// identical either way.
-	Coalesce Coalescing
 	// MailboxCap is the buffer size of each shard's mailbox ingress
 	// channel; 0 means 64.
 	MailboxCap int
@@ -249,16 +210,18 @@ type DynOptions struct {
 	//
 	// Deprecated: the sharded runtime is the only engine. Leave Engine zero.
 	Engine Engine
-	// Shards is the number of shard goroutines; 0 means GOMAXPROCS. Unlike
-	// the static engine it is not clamped to the node count, because the
-	// network can grow via AddNode. Shards = n gives one node per shard:
+	// Shards is the number of shard goroutines, clamped to the initial
+	// node count; 0 means GOMAXPROCS. Shards ≥ n gives one node per shard:
 	// every initial node runs on its own goroutine with its own mailbox.
+	// Nodes added later by AddNode join the existing shards (see
+	// Partition).
 	Shards int
 	// Partition selects the node-to-shard assignment; 0 means
 	// PartitionBlock. PartitionLocality grows its regions over the
 	// construction-time topology only — later link churn does not
-	// re-partition. Nodes added at runtime overflow any scheme's
-	// construction-time assignment and clamp onto the last shard.
+	// re-partition. Nodes added at runtime overflow the construction-time
+	// assignment: PartitionHash hashes them like any node, the other
+	// schemes put them on the last shard.
 	Partition Partition
 	// Adversary injects seeded faults into the height-announcement plane
 	// (the only message kind whose loss, duplication or delay a real
@@ -325,13 +288,6 @@ func (o Options) withDefaults() (Options, error) {
 	case PartitionBlock, PartitionHash, PartitionLocality:
 	default:
 		return o, fmt.Errorf("%w: partition %d", ErrBadOption, int(o.Partition))
-	}
-	switch o.Coalesce {
-	case 0:
-		o.Coalesce = CoalesceOn
-	case CoalesceOn, CoalesceOff:
-	default:
-		return o, fmt.Errorf("%w: coalescing mode %d", ErrBadOption, int(o.Coalesce))
 	}
 	if o.Shards < 0 {
 		return o, fmt.Errorf("%w: %d shards", ErrBadOption, o.Shards)

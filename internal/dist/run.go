@@ -312,7 +312,7 @@ func (nd *runNode) receive(s *shard, slot int32) {
 // routes the payload through the fault injector via s.send.
 func (nd *runNode) sendReverse(s *shard, i int32) {
 	if nd.rel == nil {
-		s.route(shardMsg{To: nd.nbrs[i], Slot: nd.peerSlot[i]})
+		s.route(nd.nbrs[i], shardMsg{To: nd.nbrs[i], Slot: nd.peerSlot[i]})
 		return
 	}
 	r := nd.rel
@@ -323,8 +323,8 @@ func (nd *runNode) sendReverse(s *shard, i int32) {
 }
 
 // handle dispatches one delivered transmission under the reliable-delivery
-// layer (the shard calls it instead of receive when an adversary is armed,
-// once per coalesced copy; holdbacks are resolved before this point).
+// layer (the shard calls it instead of receive when an adversary is armed;
+// holdbacks are resolved before this point).
 //
 //   - Fresh payloads are acknowledged and applied; stale ones (duplicates,
 //     late retransmissions) are re-acknowledged only — a late copy must not

@@ -55,7 +55,7 @@ func requireSnapEqual(t *testing.T, want, got *Snapshot, label string) {
 func TestReadSnapshotNeverNil(t *testing.T) {
 	for _, c := range dynEngines(t) {
 		topo := workload.GoodChain(5)
-		net, err := NewDynamicNetworkWith(topo, c.on(topo))
+		net, err := NewDynamicNetworkWith(topo, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestPublishedAgreesWithSnapshotAtQuiescence(t *testing.T) {
 	var ref *Snapshot
 	for _, c := range dynEngines(t) {
 		topo := workload.Grid(4, 5)
-		net, err := NewDynamicNetworkWith(topo, c.on(topo))
+		net, err := NewDynamicNetworkWith(topo, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestPublishedAgreesWithSnapshotAtQuiescence(t *testing.T) {
 func TestSnapshotEpochConsistencyAcrossHeal(t *testing.T) {
 	for _, c := range dynEngines(t) {
 		topo := workload.GoodChain(8)
-		net, err := NewDynamicNetworkWith(topo, c.on(topo))
+		net, err := NewDynamicNetworkWith(topo, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestReadPathAllocationFree(t *testing.T) {
 func TestReadersVsChurnStress(t *testing.T) {
 	for _, c := range dynEngines(t) {
 		topo := workload.Grid(6, 6)
-		opts := c.on(topo)
+		opts := c.opts
 		opts.PublishEvery = 200 * time.Microsecond
 		net, err := NewDynamicNetworkWith(topo, opts)
 		if err != nil {

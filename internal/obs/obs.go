@@ -114,28 +114,17 @@ type ShardStats struct {
 	Steps        int64 `json:"steps"`     // reversal steps committed by nodes on this shard
 	Reversals    int64 `json:"reversals"` // individual link reversals within those steps
 	Delivered    int64 `json:"delivered"` // protocol messages delivered to this shard's nodes
-	Remote       int64 `json:"remote"`    // messages shipped cross-shard from this shard
-	Coalesced    int64 `json:"coalesced"` // duplicate transmissions absorbed at this shard's outbox
 	Acks         int64 `json:"acks"`
 	Nacks        int64 `json:"nacks"`
 	Retransmits  int64 `json:"retransmits"`
 	Batches      int64 `json:"batches"`      // cross-shard batches flushed
-	BatchMsgs    int64 `json:"batch_msgs"`   // messages inside those batches (fill = BatchMsgs/Batches)
+	BatchMsgs    int64 `json:"batch_msgs"`   // cross-shard messages inside those batches (fill = BatchMsgs/Batches)
 	RunQueuePeak int64 `json:"runq_peak"`    // intra-shard run-queue depth high-water
 	MailboxPeak  int64 `json:"mailbox_peak"` // ingress mailbox occupancy high-water
 	BusyNS       int64 `json:"busy_ns"`      // worker nanos spent processing
 	IdleNS       int64 `json:"idle_ns"`      // worker nanos spent waiting for input
 	Events       int64 `json:"events"`       // protocol events offered to the recorder
 	Sampled      int64 `json:"sampled"`      // events actually recorded after sampling
-}
-
-// CoalesceRate is the fraction of would-be cross-shard transmissions
-// absorbed by outbox coalescing: Coalesced / (Remote + Coalesced).
-func (s ShardStats) CoalesceRate() float64 {
-	if tot := s.Remote + s.Coalesced; tot > 0 {
-		return float64(s.Coalesced) / float64(tot)
-	}
-	return 0
 }
 
 // BatchFill is the mean messages per flushed cross-shard batch.
@@ -247,8 +236,6 @@ func (o *Observer) ShardStats() []ShardStats {
 			Steps:        s.steps.Load(),
 			Reversals:    s.reversals.Load(),
 			Delivered:    s.delivered.Load(),
-			Remote:       s.remote.Load(),
-			Coalesced:    s.coalesced.Load(),
 			Acks:         s.acks.Load(),
 			Nacks:        s.nacks.Load(),
 			Retransmits:  s.retrans.Load(),
@@ -369,7 +356,6 @@ type Shard struct {
 	ring   *ring
 
 	steps, reversals, delivered atomic.Int64
-	remote, coalesced           atomic.Int64
 	acks, nacks, retrans        atomic.Int64
 	batches, batchMsgs          atomic.Int64
 	runqPeak, mailboxPeak       atomic.Int64
@@ -445,23 +431,6 @@ func (s *Shard) Retransmit(node, peer graph.NodeID, seq int64) {
 	}
 	s.retrans.Add(1)
 	s.note(EvRetransmit, node, peer, seq)
-}
-
-// Remote adds n cross-shard messages shipped from this shard (folded in at
-// flush, mirroring the engine's own pending-counter idiom).
-func (s *Shard) Remote(n int64) {
-	if s == nil || n == 0 {
-		return
-	}
-	s.remote.Add(n)
-}
-
-// Coalesced adds n duplicate transmissions absorbed at the outbox.
-func (s *Shard) Coalesced(n int64) {
-	if s == nil || n == 0 {
-		return
-	}
-	s.coalesced.Add(n)
 }
 
 // Batch records one flushed cross-shard batch carrying n messages.

@@ -36,8 +36,6 @@ func TestNilSafety(t *testing.T) {
 	s.Ack(1, 2, 3)
 	s.Nack(1, 2, 3)
 	s.Retransmit(1, 2, 3)
-	s.Remote(7)
-	s.Coalesced(7)
 	s.Batch(7)
 	s.RunQueue(7)
 	s.Mailbox(7)
@@ -71,8 +69,6 @@ func TestCountersAndEvents(t *testing.T) {
 	s.Ack(5, 4, 1)
 	s.Nack(5, 4, 2)
 	s.Retransmit(5, 4, 2)
-	s.Remote(10)
-	s.Coalesced(4)
 	s.Batch(7)
 	s.RunQueue(5)
 	s.RunQueue(3) // must not lower the peak
@@ -90,17 +86,14 @@ func TestCountersAndEvents(t *testing.T) {
 	}
 	st := stats[1]
 	want := ShardStats{
-		Shard: 1, Steps: 1, Reversals: 3, Delivered: 1, Remote: 10,
-		Coalesced: 4, Acks: 1, Nacks: 1, Retransmits: 1, Batches: 1,
+		Shard: 1, Steps: 1, Reversals: 3, Delivered: 1,
+		Acks: 1, Nacks: 1, Retransmits: 1, Batches: 1,
 		BatchMsgs: 7, RunQueuePeak: 5, MailboxPeak: 2,
 		BusyNS: int64(3 * time.Millisecond), IdleNS: int64(5 * time.Millisecond),
 		Events: 5, Sampled: 5,
 	}
 	if st != want {
 		t.Errorf("shard 1 stats\n got %+v\nwant %+v", st, want)
-	}
-	if got := st.CoalesceRate(); got != 4.0/14.0 {
-		t.Errorf("CoalesceRate = %v", got)
 	}
 	if got := st.BatchFill(); got != 7 {
 		t.Errorf("BatchFill = %v", got)

@@ -148,9 +148,7 @@ func renderShardMetrics(w io.Writer, o *obs.Observer) {
 	counter("lrd_shard_delivered_total", "Protocol messages delivered to the shard's nodes.",
 		func(s obs.ShardStats) int64 { return s.Delivered })
 	counter("lrd_shard_remote_total", "Cross-shard transmissions originated by the shard.",
-		func(s obs.ShardStats) int64 { return s.Remote })
-	counter("lrd_shard_coalesced_total", "Transmissions folded away by the shard's outbox.",
-		func(s obs.ShardStats) int64 { return s.Coalesced })
+		func(s obs.ShardStats) int64 { return s.BatchMsgs })
 	counter("lrd_shard_acks_total", "Acknowledgements sent by the shard's nodes.",
 		func(s obs.ShardStats) int64 { return s.Acks })
 	counter("lrd_shard_nacks_total", "Loss notifications surfaced to the shard's nodes.",
@@ -169,8 +167,6 @@ func renderShardMetrics(w io.Writer, o *obs.Observer) {
 		func(s obs.ShardStats) float64 { return float64(s.MailboxPeak) })
 	gauge("lrd_shard_batch_fill_ratio", "Mean messages per shipped cross-shard batch.",
 		func(s obs.ShardStats) float64 { return s.BatchFill() })
-	gauge("lrd_shard_coalesce_hit_ratio", "Fraction of cross-shard transmissions folded by the outbox.",
-		func(s obs.ShardStats) float64 { return s.CoalesceRate() })
 	fcounter := func(name, help string, v func(obs.ShardStats) float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
 		for _, s := range stats {

@@ -473,20 +473,13 @@ type DistEngine = dist.Engine
 // DistPartition selects the node-to-shard assignment.
 type DistPartition = dist.Partition
 
-// DistCoalescing selects whether the shard outboxes fold
-// byte-identical transmissions of one flush window into a single shipped
-// message (DistCoalesceOn, the default) or ship every copy individually
-// (DistCoalesceOff). Orientations, traces and the fault ledger are
-// identical either way.
-type DistCoalescing = dist.Coalescing
-
 // DistTrace selects whether a distributed run records the global step
 // linearization (DistTraceRecorded, the default) or skips it
 // (DistTraceOff) so production-scale runs pay no lock and no O(steps)
 // memory for it.
 type DistTrace = dist.Trace
 
-// Engine, partition, coalescing and trace settings for DistOptions.
+// Engine, partition and trace settings for DistOptions.
 const (
 	// DistSharded names the sharded runtime: nodes partitioned across
 	// shard goroutines, intra-shard messages delivered without channels,
@@ -502,11 +495,6 @@ const (
 	// topology, keeping neighbourhoods shard-local even when node IDs carry
 	// no locality.
 	DistPartitionLocality = dist.PartitionLocality
-	// DistCoalesceOn folds duplicate transmissions at the shard outbox
-	// (default under a fault adversary; free on reliable networks).
-	DistCoalesceOn = dist.CoalesceOn
-	// DistCoalesceOff ships every transmission copy individually.
-	DistCoalesceOff = dist.CoalesceOff
 	// DistTraceRecorded records the linearized step trace (default); the
 	// trace is what the sequential replay cross-checks consume.
 	DistTraceRecorded = dist.TraceRecorded
@@ -612,11 +600,8 @@ type DistReport struct {
 	Held        int
 	Retransmits int
 	Acks        int
-	// Remote counts cross-shard messages before coalescing; Coalesced
-	// counts the transmissions the outbox folded away (both zero with one
-	// shard; Coalesced also with DistCoalesceOff).
+	// Remote counts cross-shard messages (zero with one shard).
 	Remote              int
-	Coalesced           int
 	Acyclic             bool
 	DestinationOriented bool
 	Final               *Orientation
@@ -659,7 +644,6 @@ func RunDistributedWith(ctx context.Context, topo *Topology, alg DistAlgorithm, 
 		Retransmits:         res.Stats.Retransmits,
 		Acks:                res.Stats.Acks,
 		Remote:              res.Stats.Remote,
-		Coalesced:           res.Stats.Coalesced,
 		Acyclic:             graph.IsAcyclic(res.Final),
 		DestinationOriented: graph.IsDestinationOriented(res.Final, topo.Dest),
 		Final:               res.Final,
