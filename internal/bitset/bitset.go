@@ -144,6 +144,12 @@ func NewSet(n int) *Set { return &Set{w: make([]uint64, Words(n)), n: n} }
 // Len returns the current length in bits.
 func (s *Set) Len() int { return s.n }
 
+// Clone returns an independent copy of s: later writes to either set do not
+// show in the other.
+func (s *Set) Clone() *Set {
+	return &Set{w: append([]uint64(nil), s.w...), n: s.n}
+}
+
 // Grow extends the set to n bits (no-op if already at least that long).
 // New bits are clear.
 func (s *Set) Grow(n int) {

@@ -180,6 +180,39 @@ func TestSetAgainstReference(t *testing.T) {
 	}
 }
 
+// TestSetClone pins that a clone holds the same bits as its source and
+// that writes and growth on either side stay invisible to the other.
+func TestSetClone(t *testing.T) {
+	for _, n := range sizes {
+		s := NewSet(n)
+		for i := 0; i < n; i += 3 {
+			s.Set(i)
+		}
+		c := s.Clone()
+		if c.Len() != n || c.Count() != s.Count() {
+			t.Fatalf("n=%d: clone has %d bits, %d set; source %d, %d", n, c.Len(), c.Count(), n, s.Count())
+		}
+		for i := 0; i < n; i++ {
+			if c.Test(i) != s.Test(i) {
+				t.Fatalf("n=%d: clone bit %d = %v, source %v", n, i, c.Test(i), s.Test(i))
+			}
+		}
+		want := c.Count()
+		for i := 0; i < n; i++ {
+			s.Set(i)
+		}
+		s.Grow(n + 65)
+		s.Set(n + 64)
+		if c.Count() != want || c.Len() != n {
+			t.Fatalf("n=%d: writes to the source changed the clone: %d bits, %d set, want %d, %d", n, c.Len(), c.Count(), n, want)
+		}
+		c.ClearAll()
+		if s.Count() != n+1 {
+			t.Fatalf("n=%d: clearing the clone changed the source: %d set, want %d", n, s.Count(), n+1)
+		}
+	}
+}
+
 // FuzzViewOps drives a View and a Set through an arbitrary operation
 // sequence against the []bool reference model. The size byte maps onto the
 // word-boundary sizes, so the fuzzer exercises every carry/mask edge case.

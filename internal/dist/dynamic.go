@@ -49,24 +49,23 @@ type DynamicNetwork struct {
 	opts DynOptions
 	n    int
 	dest graph.NodeID
-	// adj is the control plane's authoritative current link set.
-	adj map[graph.Edge]bool
-	// adjCache is the sorted adjacency derived from adj, rebuilt lazily
-	// after churn (adjDirty) and aliased read-only by Snapshots, so
-	// snapshots between churn events don't pay O(E log E) under mu.
-	adjCache [][]graph.NodeID
-	adjDirty bool
-	// degree is maintained incrementally by the link operations; zeroDeg
-	// counts live non-destination nodes with no links at all (trivially cut
-	// off), so the quiescence check needs no per-call scan.
-	degree  []int
+	// adj is the control plane's authoritative adjacency: one ascending
+	// neighbour row per node, which each link change edits and snapshots
+	// share page by page (see adjTable).
+	adj adjTable
+	// zeroDeg counts live non-destination nodes with an empty row (trivially
+	// cut off), kept by the row edits so the quiescence check needs no
+	// per-call scan.
 	zeroDeg int
 	// heights and gens mirror every node's current height and generation
 	// (updated by the node under mu at step time, and by the control plane
 	// at erasure time), so snapshots, erasure and ceiling maintenance need
-	// no extra message round.
-	heights []DynHeight
-	gens    []uint32
+	// no extra message round. Snapshots share heights itself; while
+	// heightsShared is set, the next write clones it first (see
+	// ownHeightsLocked).
+	heights       []DynHeight
+	heightsShared bool
+	gens          []uint32
 	// suspended marks nodes parked at the runaway ceiling; detected marks
 	// nodes whose reference level came back reflected (the TORA partition
 	// signal); cut marks nodes named by the last PartitionError, pending
@@ -156,7 +155,8 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 	if err != nil {
 		return nil, err
 	}
-	n := topo.Graph.NumNodes()
+	g := topo.Graph
+	n := g.NumNodes()
 	// One node per shard is the finest layout; nodes added later join the
 	// existing shards (see partitioner.shardOf).
 	opts.Shards = min(opts.Shards, n)
@@ -164,8 +164,7 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 		opts:       opts,
 		n:          n,
 		dest:       topo.Dest,
-		adj:        make(map[graph.Edge]bool, topo.Graph.NumEdges()),
-		degree:     make([]int, n),
+		adj:        newAdjTable(g),
 		heights:    make([]DynHeight, n),
 		gens:       make([]uint32, n),
 		suspended:  bitset.NewSet(n),
@@ -194,18 +193,11 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 	}
 	d.ceiling = d.slack
 	d.ceilingB = -d.minB + d.slack
-	for _, e := range topo.Graph.Edges() {
-		d.adj[e] = true
-		d.degree[e.U]++
-		d.degree[e.V]++
-	}
-	for u, deg := range d.degree {
-		if deg == 0 && graph.NodeID(u) != d.dest {
+	for u := 0; u < n; u++ {
+		if len(g.Neighbors(graph.NodeID(u))) == 0 && graph.NodeID(u) != d.dest {
 			d.zeroDeg++
 		}
 	}
-	d.adjDirty = true
-	d.rebuildAdjLocked()
 	if opts.Adversary != nil {
 		d.inj = faults.NewInjector(opts.Adversary)
 	}
@@ -218,8 +210,8 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 		// The initial topology and heights are common knowledge at startup:
 		// every node knows its neighbours' initial heights, exactly as the
 		// sequential engines assume a globally known initial orientation.
-		// adjCache is ascending, so appending keeps the view list sorted.
-		for _, v := range d.adjCache[u] {
+		// Rows are ascending, so appending keeps the view list sorted.
+		for _, v := range d.adj.row(graph.NodeID(u)) {
 			st.nbrs = append(st.nbrs, nbrView{id: v, h: d.heights[v], known: true})
 		}
 		states[u] = st
@@ -238,23 +230,108 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 	return d, nil
 }
 
-// rebuildAdjLocked refreshes the sorted adjacency cache after churn. It
-// always builds fresh slices, so snapshots that alias the previous cache
-// stay valid. Callers must hold mu.
-func (d *DynamicNetwork) rebuildAdjLocked() {
-	if !d.adjDirty {
-		return
+// adjPageRows is the number of neighbour rows in one copy-on-write page of
+// the adjacency table. A snapshot copies one page pointer per adjPageRows
+// nodes (98 at 100k nodes); the first row write to a page a snapshot
+// shares copies adjPageRows slice headers (24 KB).
+const adjPageRows = 1024
+
+// adjPage is one page of neighbour rows.
+type adjPage [adjPageRows][]graph.NodeID
+
+// adjRows is a paged table of ascending neighbour rows indexed by node ID.
+// A row is never edited in place: a link change replaces it with a fresh
+// slice, so whoever holds an old row keeps seeing it.
+type adjRows []*adjPage
+
+// row returns u's neighbours in ascending order.
+func (a adjRows) row(u graph.NodeID) []graph.NodeID {
+	return a[uint(u)/adjPageRows][uint(u)%adjPageRows]
+}
+
+// adjTable is the control plane's adjacency: the paged rows plus which
+// pages it owns outright. A snapshot takes a copy of the page pointers and
+// every page becomes shared; the first row write to a shared page copies
+// that page alone, so later link changes never show in a snapshot taken
+// before them. Rows past the node count are nil. Guarded by mu.
+type adjTable struct {
+	adjRows
+	owned []bool
+}
+
+// newAdjTable builds the table of g's nodes. The initial rows alias g's
+// sorted adjacency instead of copying it: the graph never changes, and
+// rows are only ever replaced, never edited.
+func newAdjTable(g *graph.Graph) adjTable {
+	var t adjTable
+	t.grow(g.NumNodes())
+	for u := 0; u < g.NumNodes(); u++ {
+		t.adjRows[u/adjPageRows][u%adjPageRows] = g.Neighbors(graph.NodeID(u))
 	}
-	adj := make([][]graph.NodeID, d.n)
-	for e := range d.adj {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
+	return t
+}
+
+// grow makes room for node IDs below n with new empty, owned pages.
+func (t *adjTable) grow(n int) {
+	for len(t.adjRows)*adjPageRows < n {
+		t.adjRows = append(t.adjRows, new(adjPage))
+		t.owned = append(t.owned, true)
 	}
-	for _, nbrs := range adj {
-		slices.Sort(nbrs)
+}
+
+// share returns the page pointers for a snapshot and marks every page
+// shared.
+func (t *adjTable) share() adjRows {
+	clear(t.owned)
+	return slices.Clone(t.adjRows)
+}
+
+// set replaces u's row, first copying u's page if a snapshot shares it.
+func (t *adjTable) set(u graph.NodeID, row []graph.NodeID) {
+	p := uint(u) / adjPageRows
+	if !t.owned[p] {
+		cp := *t.adjRows[p]
+		t.adjRows[p] = &cp
+		t.owned[p] = true
 	}
-	d.adjCache = adj
-	d.adjDirty = false
+	t.adjRows[p][uint(u)%adjPageRows] = row
+}
+
+// insertNbrLocked adds v to u's row and removeNbrLocked takes it out, each
+// replacing the row with a fresh slice. Both keep the zero-degree tally
+// behind the allocation-free quiescence check. Callers must hold mu.
+func (d *DynamicNetwork) insertNbrLocked(u, v graph.NodeID) {
+	row := d.adj.row(u)
+	i, _ := slices.BinarySearch(row, v)
+	d.adj.set(u, slices.Concat(row[:i], []graph.NodeID{v}, row[i:]))
+	if len(row) == 0 && u != d.dest && !d.dead.Test(int(u)) {
+		d.zeroDeg--
+	}
+}
+
+func (d *DynamicNetwork) removeNbrLocked(u, v graph.NodeID) {
+	row := d.adj.row(u)
+	i, _ := slices.BinarySearch(row, v)
+	d.adj.set(u, slices.Concat(row[:i], row[i+1:]))
+	if len(row) == 1 && u != d.dest && !d.dead.Test(int(u)) {
+		d.zeroDeg++
+	}
+}
+
+// linkedLocked reports whether the link {u,v} exists. Callers must hold mu.
+func (d *DynamicNetwork) linkedLocked(u, v graph.NodeID) bool {
+	_, ok := slices.BinarySearch(d.adj.row(u), v)
+	return ok
+}
+
+// ownHeightsLocked makes the height mirror private before a write: a
+// snapshot shares the mirror, so the first write after one clones it.
+// Callers must hold mu.
+func (d *DynamicNetwork) ownHeightsLocked() {
+	if d.heightsShared {
+		d.heights = slices.Clone(d.heights)
+		d.heightsShared = false
+	}
 }
 
 // inject delivers a control message to m.To. The in-flight token was
@@ -283,22 +360,6 @@ func (d *DynamicNetwork) validLinkLocked(u, v graph.NodeID) error {
 		return fmt.Errorf("%w: %d", ErrSelfLink, u)
 	}
 	return nil
-}
-
-// degIncLocked and degDecLocked maintain the incremental degree counts and
-// the zero-degree tally behind the allocation-free quiescence check.
-func (d *DynamicNetwork) degIncLocked(u graph.NodeID) {
-	if d.degree[u] == 0 && u != d.dest && !d.dead.Test(int(u)) {
-		d.zeroDeg--
-	}
-	d.degree[u]++
-}
-
-func (d *DynamicNetwork) degDecLocked(u graph.NodeID) {
-	d.degree[u]--
-	if d.degree[u] == 0 && u != d.dest && !d.dead.Test(int(u)) {
-		d.zeroDeg++
-	}
 }
 
 // raiseCeilingLocked gives the runaway backstops fresh headroom above the
@@ -332,14 +393,12 @@ func (d *DynamicNetwork) AddLink(u, v graph.NodeID) error {
 		d.mu.Unlock()
 		return err
 	}
-	if d.adj[e] {
+	if d.linkedLocked(u, v) {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: {%d,%d}", ErrLinkExists, e.U, e.V)
 	}
-	d.adj[e] = true
-	d.degIncLocked(e.U)
-	d.degIncLocked(e.V)
-	d.adjDirty = true
+	d.insertNbrLocked(u, v)
+	d.insertNbrLocked(v, u)
 	d.topoVer++
 	d.raiseCeilingLocked()
 	var erase []dynMsg
@@ -386,14 +445,12 @@ func (d *DynamicNetwork) FailLink(u, v graph.NodeID) error {
 		d.mu.Unlock()
 		return err
 	}
-	if !d.adj[e] {
+	if !d.linkedLocked(u, v) {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: {%d,%d}", ErrNoSuchLink, e.U, e.V)
 	}
-	delete(d.adj, e)
-	d.degDecLocked(e.U)
-	d.degDecLocked(e.V)
-	d.adjDirty = true
+	d.removeNbrLocked(u, v)
+	d.removeNbrLocked(v, u)
 	d.topoVer++
 	d.inflight.add(2)
 	d.mu.Unlock()
@@ -416,9 +473,10 @@ func (d *DynamicNetwork) AddNode() (graph.NodeID, error) {
 	id := graph.NodeID(d.n)
 	d.n++
 	d.slack = 8*d.n + 64
+	d.ownHeightsLocked()
 	d.heights = append(d.heights, DynHeight{H: core.Height{ID: id}})
 	d.gens = append(d.gens, 0)
-	d.degree = append(d.degree, 0)
+	d.adj.grow(d.n)
 	d.zeroDeg++
 	d.suspended.Grow(d.n)
 	d.detected.Grow(d.n)
@@ -428,7 +486,6 @@ func (d *DynamicNetwork) AddNode() (graph.NodeID, error) {
 	d.reach.Grow(d.n)
 	d.inR.Grow(d.n)
 	d.depth = append(d.depth, 0)
-	d.adjCache = append(d.adjCache, nil)
 	d.topoVer++
 	st := &dynState{net: d, id: id, h: d.heights[id]}
 	d.mu.Unlock()
@@ -455,16 +512,15 @@ func (d *DynamicNetwork) RemoveNode(u graph.NodeID) error {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: cannot remove the destination %d", ErrSelfLink, u)
 	}
-	d.rebuildAdjLocked()
-	links := d.adjCache[u]
+	links := d.adj.row(u)
 	for _, v := range links {
-		delete(d.adj, graph.NormalizedEdge(u, v))
-		d.degDecLocked(u)
-		d.degDecLocked(v)
+		d.removeNbrLocked(v, u)
 	}
 	// u is dead now: retract its zero-degree tally and partition marks.
-	if d.degree[u] == 0 {
+	if len(links) == 0 {
 		d.zeroDeg--
+	} else {
+		d.adj.set(u, nil)
 	}
 	d.dead.Set(int(u))
 	d.crashedCtl[u] = false
@@ -480,7 +536,6 @@ func (d *DynamicNetwork) RemoveNode(u graph.NodeID) error {
 		d.suspended.Clear(int(u))
 		d.suspendedCount--
 	}
-	d.adjDirty = true
 	d.topoVer++
 	d.inflight.add(1 + len(links))
 	d.mu.Unlock()
@@ -539,9 +594,9 @@ func (d *DynamicNetwork) Recover(u graph.NodeID) error {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrNotCrashed, u)
 	}
-	d.rebuildAdjLocked()
-	views := make([]nbrView, 0, len(d.adjCache[u]))
-	for _, v := range d.adjCache[u] {
+	links := d.adj.row(u)
+	views := make([]nbrView, 0, len(links))
+	for _, v := range links {
 		views = append(views, nbrView{id: v, h: d.heights[v], gen: d.gens[v], known: true})
 	}
 	d.crashedCtl[u] = false
@@ -555,13 +610,12 @@ func (d *DynamicNetwork) Recover(u graph.NodeID) error {
 // authoritative adjacency into the reach scratch. Dead nodes have no links
 // and are never visited; crashed nodes count as connectors.
 func (d *DynamicNetwork) computeReachLocked() {
-	d.rebuildAdjLocked()
 	d.reach.ClearAll()
 	q := d.queue[:0]
 	d.reach.Set(int(d.dest))
 	q = append(q, d.dest)
 	for h := 0; h < len(q); h++ {
-		for _, v := range d.adjCache[q[h]] {
+		for _, v := range d.adj.row(q[h]) {
 			if !d.reach.Test(int(v)) {
 				d.reach.Set(int(v))
 				q = append(q, v)
@@ -629,7 +683,7 @@ func (d *DynamicNetwork) eraseLocked() []dynMsg {
 	// Layer assignment: multi-source BFS from the region's frontier.
 	q := d.queue[:0]
 	for u := d.inR.NextSet(0); u >= 0; u = d.inR.NextSet(u + 1) {
-		for _, v := range d.adjCache[u] {
+		for _, v := range d.adj.row(graph.NodeID(u)) {
 			if !d.inR.Test(int(v)) && !d.dead.Test(int(v)) {
 				d.depth[u] = 0
 				q = append(q, graph.NodeID(u))
@@ -639,7 +693,7 @@ func (d *DynamicNetwork) eraseLocked() []dynMsg {
 	}
 	for h := 0; h < len(q); h++ {
 		u := q[h]
-		for _, v := range d.adjCache[u] {
+		for _, v := range d.adj.row(u) {
 			if d.inR.Test(int(v)) && d.depth[v] == -1 {
 				d.depth[v] = d.depth[u] + 1
 				q = append(q, v)
@@ -648,6 +702,7 @@ func (d *DynamicNetwork) eraseLocked() []dynMsg {
 	}
 	d.queue = q[:0]
 	// Adopt the erased heights in the mirrors and clear the marks.
+	d.ownHeightsLocked()
 	for u := d.inR.NextSet(0); u >= 0; u = d.inR.NextSet(u + 1) {
 		layer := d.depth[u]
 		if layer < 0 {
@@ -676,7 +731,7 @@ func (d *DynamicNetwork) eraseLocked() []dynMsg {
 	// (per-receiver FIFO delivers the earlier-enqueued correction first).
 	var msgs []dynMsg
 	for u := d.inR.NextSet(0); u >= 0; u = d.inR.NextSet(u + 1) {
-		for _, v := range d.adjCache[u] {
+		for _, v := range d.adj.row(graph.NodeID(u)) {
 			if !d.inR.Test(int(v)) && !d.dead.Test(int(v)) {
 				msgs = append(msgs, dynMsg{
 					Kind: dynHeight, To: v, Peer: graph.NodeID(u),
@@ -686,8 +741,9 @@ func (d *DynamicNetwork) eraseLocked() []dynMsg {
 		}
 	}
 	for u := d.inR.NextSet(0); u >= 0; u = d.inR.NextSet(u + 1) {
-		views := make([]nbrView, 0, len(d.adjCache[u]))
-		for _, v := range d.adjCache[u] {
+		links := d.adj.row(graph.NodeID(u))
+		views := make([]nbrView, 0, len(links))
+		for _, v := range links {
 			views = append(views, nbrView{id: v, h: d.heights[v], gen: d.gens[v], known: true})
 		}
 		msgs = append(msgs, dynMsg{
@@ -804,6 +860,9 @@ type Snapshot struct {
 	// ReadSnapshot/PublishSnapshot. Two reads returning the same epoch saw
 	// the very same immutable state.
 	Epoch uint64
+	// Published is when the snapshot was published as an epoch; it is zero
+	// for a snapshot returned by Snapshot().
+	Published time.Time
 	// Quiescent records whether no message was in flight at capture time.
 	// A quiescent snapshot of a connected component is destination-oriented
 	// within it, so RouteFrom succeeds from every connected node.
@@ -828,19 +887,23 @@ type Snapshot struct {
 	// Dest is the destination node.
 	Dest graph.NodeID
 	// Heights holds every node's height; edge {u,v} points from the
-	// lexicographically larger to the smaller endpoint.
+	// lexicographically larger to the smaller endpoint. The slice is shared
+	// with the network and with other snapshots (the network clones its
+	// mirror before its next height write), so it must not be modified.
 	Heights []DynHeight
-	adj     [][]graph.NodeID
-	dead    []bool
+	adj     adjRows
+	dead    *bitset.Set
 }
 
 // NumNodes returns the number of node slots in the snapshot (including
 // removed nodes, which Removed reports).
 func (s *Snapshot) NumNodes() int { return len(s.Heights) }
 
-// Snapshot captures the network's current global state. Between churn
-// events the sorted adjacency is served from a cache, so repeated
-// snapshots cost O(n) copies, not O(E log E) sorts under mu.
+// Snapshot captures the network's current global state. It shares the
+// network's adjacency pages and height mirror instead of copying them, so
+// it copies only one page pointer per 1,024 nodes and one bit per node
+// (the removed marks); the network copies a page or the mirror when it
+// next writes it.
 func (d *DynamicNetwork) Snapshot() *Snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -848,10 +911,10 @@ func (d *DynamicNetwork) Snapshot() *Snapshot {
 }
 
 // snapshotLocked builds an immutable snapshot of the current state.
-// Callers must hold mu. The snapshot aliases adjCache (rebuilt fresh after
-// churn, so earlier snapshots stay valid) and copies everything else.
+// Callers must hold mu. The snapshot shares the adjacency pages and the
+// height mirror, both copy-on-write from here on, and clones the removed
+// marks.
 func (d *DynamicNetwork) snapshotLocked() *Snapshot {
-	d.rebuildAdjLocked()
 	s := &Snapshot{
 		Quiescent:      d.inflight.idle(),
 		Steps:          d.stats.Steps,
@@ -859,14 +922,11 @@ func (d *DynamicNetwork) snapshotLocked() *Snapshot {
 		TotalReversals: d.stats.TotalReversals,
 		Retransmits:    int(d.retrans.Load()),
 		Dest:           d.dest,
-		Heights:        make([]DynHeight, d.n),
-		adj:            d.adjCache,
-		dead:           make([]bool, d.n),
+		Heights:        slices.Clip(d.heights),
+		adj:            d.adj.share(),
+		dead:           d.dead.Clone(),
 	}
-	copy(s.Heights, d.heights)
-	for u := d.dead.NextSet(0); u >= 0; u = d.dead.NextSet(u + 1) {
-		s.dead[u] = true
-	}
+	d.heightsShared = true
 	if d.suspendedCount+d.detectedCount+d.cutCount+d.zeroDeg > 0 || d.everCrashed {
 		// Same gate as AwaitQuiescence's clean path: only a partition
 		// signal justifies the O(n+E) reachability scan. Unlike cutLocked
@@ -904,6 +964,7 @@ func (d *DynamicNetwork) publishLocked() *Snapshot {
 	s := d.snapshotLocked()
 	d.epoch++
 	s.Epoch = d.epoch
+	s.Published = time.Now()
 	d.pubSteps = s.Steps
 	d.pubMessages = s.Messages
 	d.pubTopoVer = d.topoVer
@@ -969,17 +1030,19 @@ func (d *DynamicNetwork) publisher(every time.Duration) {
 }
 
 // Links returns the snapshot's live neighbours of u in ascending order.
+// The slice is shared with the network and with other snapshots, so it
+// must not be modified.
 func (s *Snapshot) Links(u graph.NodeID) []graph.NodeID {
-	if int(u) < 0 || int(u) >= len(s.adj) {
+	if int(u) < 0 || int(u) >= len(s.Heights) {
 		return nil
 	}
-	return s.adj[u]
+	return s.adj.row(u)
 }
 
 // Removed reports whether u had been removed from the network when the
 // snapshot was taken.
 func (s *Snapshot) Removed(u graph.NodeID) bool {
-	return int(u) >= 0 && int(u) < len(s.dead) && s.dead[u]
+	return int(u) >= 0 && int(u) < s.dead.Len() && s.dead.Test(int(u))
 }
 
 // RouteFrom follows strictly decreasing heights from src toward dst and
@@ -996,7 +1059,7 @@ func (s *Snapshot) RouteFrom(src, dst graph.NodeID, maxHops int) ([]graph.NodeID
 // testing.AllocsPerRun regression test. The returned slice aliases buf's
 // backing array when it fits.
 func (s *Snapshot) RouteInto(src, dst graph.NodeID, maxHops int, buf []graph.NodeID) ([]graph.NodeID, bool) {
-	if int(src) < 0 || int(src) >= len(s.adj) || int(dst) < 0 || int(dst) >= len(s.adj) {
+	if int(src) < 0 || int(src) >= len(s.Heights) || int(dst) < 0 || int(dst) >= len(s.Heights) {
 		return nil, false
 	}
 	path := append(buf[:0], src)
@@ -1010,7 +1073,7 @@ func (s *Snapshot) RouteInto(src, dst graph.NodeID, maxHops int, buf []graph.Nod
 		}
 		// Forward to the lowest-height lower neighbour.
 		best := cur
-		for _, v := range s.adj[cur] {
+		for _, v := range s.adj.row(cur) {
 			if s.Heights[v].Less(s.Heights[cur]) && (best == cur || s.Heights[v].Less(s.Heights[best])) {
 				best = v
 			}

@@ -380,11 +380,14 @@ func TestSnapshotRouteFromEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSnapshotAdjacencyCached checks that snapshots between churn events
-// share the cached sorted adjacency (no O(E log E) rebuild under mu) and
-// that a snapshot taken before churn is not mutated by it.
+// TestSnapshotAdjacencyCached checks that snapshots with no churn between
+// them share every adjacency page (a snapshot copies page pointers, not
+// rows), that churn copies only the page it writes, that a node added past
+// the last page gets a page of its own, and that snapshots taken before
+// churn still show the old links.
 func TestSnapshotAdjacencyCached(t *testing.T) {
-	net, err := NewDynamicNetwork(workload.Grid(3, 3))
+	// Three pages, so the test can tell the written page from the others.
+	net, err := NewDynamicNetwork(workload.Grid(3, adjPageRows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +397,13 @@ func TestSnapshotAdjacencyCached(t *testing.T) {
 	}
 	s1 := net.Snapshot()
 	s2 := net.Snapshot()
-	if &s1.adj[0] != &s2.adj[0] {
-		t.Error("consecutive quiescent snapshots rebuilt the adjacency")
+	if len(s1.adj) != 3 || len(s2.adj) != 3 {
+		t.Fatalf("snapshots hold %d and %d pages, want 3", len(s1.adj), len(s2.adj))
+	}
+	for p := range s1.adj {
+		if s1.adj[p] != s2.adj[p] {
+			t.Errorf("consecutive snapshots with no churn do not share page %d", p)
+		}
 	}
 	before := append([]graph.NodeID(nil), s1.Links(0)...)
 	if err := net.FailLink(0, 1); err != nil {
@@ -405,11 +413,43 @@ func TestSnapshotAdjacencyCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	s3 := net.Snapshot()
-	if got := s1.Links(0); len(got) != len(before) {
+	if got := s1.Links(0); fmt.Sprint(got) != fmt.Sprint(before) {
 		t.Errorf("old snapshot mutated by churn: %v, want %v", got, before)
 	}
 	if len(s3.Links(0)) != len(before)-1 {
 		t.Errorf("new snapshot missed the failure: %v", s3.Links(0))
+	}
+	if s3.adj[0] == s1.adj[0] {
+		t.Error("churn wrote a page the earlier snapshots share")
+	}
+	for p := 1; p < len(s1.adj); p++ {
+		if s3.adj[p] != s1.adj[p] {
+			t.Errorf("churn on page 0 copied page %d", p)
+		}
+	}
+
+	// A node added past the last page gets a page of its own; the held
+	// snapshot keeps its three pages and the old last row.
+	last := graph.NodeID(3*adjPageRows - 1)
+	lastBefore := append([]graph.NodeID(nil), s3.Links(last)...)
+	id, err := net.AddNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AddLink(id, last); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AwaitQuiescence(); err != nil {
+		t.Fatal(err)
+	}
+	s4 := net.Snapshot()
+	if len(s4.adj) != 4 || fmt.Sprint(s4.Links(id)) != fmt.Sprint([]graph.NodeID{last}) {
+		t.Errorf("after AddNode: %d pages, links of %d = %v; want 4 pages and [%d]", len(s4.adj), id, s4.Links(id), last)
+	}
+	if len(s3.adj) != 3 || s3.NumNodes() != 3*adjPageRows || s3.Links(id) != nil ||
+		fmt.Sprint(s3.Links(last)) != fmt.Sprint(lastBefore) {
+		t.Errorf("AddNode changed an earlier snapshot: %d pages, %d nodes, links of %d = %v (want %v)",
+			len(s3.adj), s3.NumNodes(), last, s3.Links(last), lastBefore)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"linkreversal/internal/faults"
-	"linkreversal/internal/graph"
 	"linkreversal/internal/obs"
 )
 
@@ -30,11 +29,10 @@ type dynShard struct {
 
 func newDynShardBackend(net *DynamicNetwork, states []*dynState) *dynShardBackend {
 	nsh := net.opts.Shards
-	// adjCache is rebuilt before backend construction, so the locality
-	// partitioner can grow shards over the initial topology. Links added
-	// later do not re-partition — assignments are fixed at construction.
-	part := newPartitioner(net.opts.Partition, len(states), nsh,
-		func(u graph.NodeID) []graph.NodeID { return net.adjCache[u] })
+	// The locality partitioner grows shards over the initial rows. Links
+	// added later do not re-partition — assignments are fixed at
+	// construction.
+	part := newPartitioner(net.opts.Partition, len(states), nsh, net.adj.row)
 	b := &dynShardBackend{
 		net: net,
 		rt:  newShardRuntime[dynMsg](part, defaultMailboxCap, &net.inflight, net.stop, &net.wg, net.opts.Observer),

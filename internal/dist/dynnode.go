@@ -136,6 +136,7 @@ func (st *dynState) commit(env dynEnv, newH DynHeight) bool {
 		return false
 	}
 	st.h = newH
+	net.ownHeightsLocked()
 	net.heights[st.id] = newH
 	if newH.H.A > net.maxA {
 		net.maxA = newH.H.A

@@ -1,8 +1,13 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,16 +16,20 @@ import (
 	"linkreversal/internal/workload"
 )
 
-// snapClone deep-copies the observable content of a snapshot so a later
-// comparison can prove the original never mutated.
+// snapClone deep-copies a snapshot — heights, cut, removed marks and every
+// adjacency row — so a later comparison can prove the original never
+// mutated.
 func snapClone(s *Snapshot) *Snapshot {
 	c := *s
 	c.Heights = append([]DynHeight(nil), s.Heights...)
 	c.Cut = append([]graph.NodeID(nil), s.Cut...)
-	c.dead = append([]bool(nil), s.dead...)
-	c.adj = make([][]graph.NodeID, len(s.adj))
-	for i, nbrs := range s.adj {
-		c.adj[i] = append([]graph.NodeID(nil), nbrs...)
+	c.dead = s.dead.Clone()
+	c.adj = make(adjRows, len(s.adj))
+	for i, page := range s.adj {
+		c.adj[i] = new(adjPage)
+		for j, row := range page {
+			c.adj[i][j] = append([]graph.NodeID(nil), row...)
+		}
 	}
 	return &c
 }
@@ -37,7 +46,7 @@ func requireSnapEqual(t *testing.T, want, got *Snapshot, label string) {
 		if want.Heights[u] != got.Heights[u] {
 			t.Errorf("%s: height of %d: %v != %v", label, u, got.Heights[u], want.Heights[u])
 		}
-		if want.dead[u] != got.dead[u] {
+		if want.Removed(graph.NodeID(u)) != got.Removed(graph.NodeID(u)) {
 			t.Errorf("%s: dead mark of %d differs", label, u)
 		}
 		wl, gl := want.Links(graph.NodeID(u)), got.Links(graph.NodeID(u))
@@ -172,6 +181,144 @@ func TestSnapshotEpochConsistencyAcrossHeal(t *testing.T) {
 			t.Errorf("%s: held epoch's route changed: %v -> %v (ok=%v)", c.name, wantPathCopy, gotPath, ok)
 		}
 		net.Stop()
+	}
+}
+
+// TestHeldSnapshotsNeverChange holds every snapshot a churn script
+// produces — the published epoch and a direct Snapshot() after each op —
+// and requires each to end the script exactly as it was captured, with the
+// links the network had when it was captured. The script reaches every
+// write to a table that snapshots share: flaps that make nodes step
+// (commit writes heights), a cut and heal (eraseLocked rewrites heights),
+// AddNode then AddLink (the height append), RemoveNode, Crash then
+// Recover, and a publication taken mid-flight, with row edits on every
+// link change. A write that skips its copy-on-write changes a held
+// snapshot.
+func TestHeldSnapshotsNeverChange(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		t.Run(c.name, func(t *testing.T) {
+			// 4×5 grid, node i*5+j at row i, column j; the destination is 0.
+			topo := workload.Grid(4, 5)
+			net, err := NewDynamicNetworkWith(topo, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer net.Stop()
+			edges := map[graph.Edge]bool{}
+			for _, e := range topo.Graph.Edges() {
+				edges[e] = true
+			}
+			add := func(u, v graph.NodeID) func() error {
+				return func() error {
+					edges[graph.NormalizedEdge(u, v)] = true
+					return net.AddLink(u, v)
+				}
+			}
+			fail := func(u, v graph.NodeID) func() error {
+				return func() error {
+					delete(edges, graph.NormalizedEdge(u, v))
+					return net.FailLink(u, v)
+				}
+			}
+			await := func() error { return net.AwaitQuiescence() }
+			var added graph.NodeID
+			script := []struct {
+				label string
+				op    func() error
+			}{
+				{"stabilize", await},
+				// Node 1's and node 5's only lower neighbour is the
+				// destination, so failing those links makes them step.
+				{"fail 0-1", fail(0, 1)}, {"await", await},
+				{"add 0-1", add(0, 1)}, {"await", await},
+				{"fail 0-5", fail(0, 5)}, {"await", await},
+				{"add 0-5", add(0, 5)}, {"await", await},
+				{"fail 12-13", fail(12, 13)},
+				{"publish mid-flight", func() error { net.PublishSnapshot(); return nil }},
+				{"add 12-13", add(12, 13)}, {"await", await},
+				// Isolate the corner 19, report the cut, heal it.
+				{"fail 14-19", fail(14, 19)}, {"fail 18-19", fail(18, 19)},
+				{"await cut", func() error {
+					var pe *PartitionError
+					if err := net.AwaitQuiescence(); !errors.As(err, &pe) || fmt.Sprint(pe.Cut) != "[19]" {
+						return fmt.Errorf("await after isolating 19 = %v, want the cut [19]", err)
+					}
+					return nil
+				}},
+				{"heal 14-19", add(14, 19)}, {"await", await},
+				{"add node", func() error {
+					var err error
+					added, err = net.AddNode()
+					return err
+				}},
+				{"link the new node", func() error { return add(added, 19)() }}, {"await", await},
+				{"remove 12", func() error {
+					for e := range edges {
+						if e.U == 12 || e.V == 12 {
+							delete(edges, e)
+						}
+					}
+					return net.RemoveNode(12)
+				}},
+				{"await", await},
+				{"crash 7", func() error { return net.Crash(7) }},
+				{"fail 7-8", fail(7, 8)},
+				{"recover 7", func() error { return net.Recover(7) }}, {"await", await},
+			}
+
+			type held struct {
+				label    string
+				s, clone *Snapshot
+				edges    map[graph.Edge]bool
+			}
+			var all []held
+			// pubEdges remembers the links at each publication: a new epoch
+			// is first seen right after the op that published it, and no
+			// publishing op changes links.
+			pubEdges := map[uint64]map[graph.Edge]bool{}
+			capture := func(label string) {
+				pub := net.ReadSnapshot()
+				if _, ok := pubEdges[pub.Epoch]; !ok {
+					pubEdges[pub.Epoch] = maps.Clone(edges)
+				}
+				direct := net.Snapshot()
+				all = append(all,
+					held{label + " (published)", pub, snapClone(pub), pubEdges[pub.Epoch]},
+					held{label + " (direct)", direct, snapClone(direct), maps.Clone(edges)})
+			}
+			capture("start")
+			startSteps := net.Snapshot().Steps
+			for i, step := range script {
+				if err := step.op(); err != nil {
+					t.Fatalf("op %d (%s): %v", i, step.label, err)
+				}
+				capture(fmt.Sprintf("op %d (%s)", i, step.label))
+				if step.label == "add 0-5" && net.Snapshot().Steps == startSteps {
+					t.Fatal("the flaps made no node step; the commit path is not exercised")
+				}
+			}
+
+			for _, h := range all {
+				if !reflect.DeepEqual(h.s, h.clone) {
+					t.Errorf("%s: epoch %d changed after capture", h.label, h.s.Epoch)
+					requireSnapEqual(t, h.clone, h.s, h.label)
+				}
+				for u := 0; u < h.s.NumNodes(); u++ {
+					var want []graph.NodeID
+					for e := range h.edges {
+						if int(e.U) == u {
+							want = append(want, e.V)
+						} else if int(e.V) == u {
+							want = append(want, e.U)
+						}
+					}
+					slices.Sort(want)
+					if got := h.s.Links(graph.NodeID(u)); !slices.Equal(got, want) {
+						t.Errorf("%s: links of %d = %v, want %v", h.label, u, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -353,5 +500,121 @@ func TestReadersVsChurnStress(t *testing.T) {
 			t.Errorf("%s: reader: %v", c.name, err)
 		}
 		net.Stop()
+	}
+}
+
+// newFlapGrid starts a quiesced r×c grid on two block shards over a
+// reliable network and returns it with an interior link whose failure
+// leaves both endpoints a route, so a flap of it takes no step.
+func newFlapGrid(tb testing.TB, r, c int) (*DynamicNetwork, graph.NodeID, graph.NodeID) {
+	tb.Helper()
+	net, err := NewDynamicNetworkWith(workload.Grid(r, c), DynOptions{Shards: 2, Partition: PartitionBlock})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := net.AwaitQuiescence(); err != nil {
+		tb.Fatal(err)
+	}
+	u := graph.NodeID((r/2)*c + c/2)
+	return net, u, u + 1
+}
+
+// flapLink fails the link {u,v} and adds it back, awaiting quiescence —
+// and so publishing an epoch — after each.
+func flapLink(tb testing.TB, net *DynamicNetwork, u, v graph.NodeID) {
+	if err := net.FailLink(u, v); err != nil {
+		tb.Fatal(err)
+	}
+	if err := net.AwaitQuiescence(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := net.AddLink(u, v); err != nil {
+		tb.Fatal(err)
+	}
+	if err := net.AwaitQuiescence(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestChurnPublishAllocs pins that a publication costs O(what changed),
+// not O(n): one flap of an interior link, through both publications it
+// causes, allocates the same on a 64×64 grid as on a 32×32 one. A
+// publication that copied the heights, rebuilt the adjacency or built a
+// per-node slice would allocate in proportion to the node count.
+func TestChurnPublishAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	const runs = 20
+	var allocs []float64
+	for _, k := range []int{32, 64} {
+		net, u, v := newFlapGrid(t, k, k)
+		flapLink(t, net, u, v) // warm-up
+		before := net.ReadSnapshot()
+		allocs = append(allocs, testing.AllocsPerRun(runs, func() { flapLink(t, net, u, v) }))
+		after := net.ReadSnapshot()
+		net.Stop()
+		// AllocsPerRun adds a warm-up call of its own.
+		if want := before.Epoch + 2*(runs+1); after.Epoch != want {
+			t.Fatalf("%d×%d: epoch %d after the flaps, want %d (one publication per await)", k, k, after.Epoch, want)
+		}
+		if after.Steps != before.Steps {
+			t.Fatalf("%d×%d: the flaps took %d steps, want none", k, k, after.Steps-before.Steps)
+		}
+	}
+	t.Logf("allocs per flap: 32×32 %.1f, 64×64 %.1f", allocs[0], allocs[1])
+	if d := math.Abs(allocs[1] - allocs[0]); d > 3 {
+		t.Errorf("allocs per flap grow with the network: 32×32 %.1f, 64×64 %.1f", allocs[0], allocs[1])
+	}
+	if allocs[1] > 40 {
+		t.Errorf("allocs per flap = %.1f, want ≤ 40", allocs[1])
+	}
+}
+
+// BenchmarkChurnPublish measures one link flap through publication: fail,
+// await (publishing an epoch), add, await. It is the per-layer row behind
+// a churn op's time to a published epoch.
+func BenchmarkChurnPublish(b *testing.B) {
+	for _, g := range []struct{ r, c int }{{100, 100}, {316, 317}} {
+		b.Run(fmt.Sprintf("grid-%dx%d", g.r, g.c), func(b *testing.B) {
+			net, u, v := newFlapGrid(b, g.r, g.c)
+			defer net.Stop()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				flapLink(b, net, u, v)
+			}
+		})
+	}
+}
+
+// BenchmarkRouteInto measures the serving read path on a published
+// snapshot: one RouteInto from a uniformly drawn source to the
+// destination, into a reused buffer.
+func BenchmarkRouteInto(b *testing.B) {
+	for _, g := range []struct{ r, c int }{{100, 100}, {316, 317}} {
+		b.Run(fmt.Sprintf("grid-%dx%d", g.r, g.c), func(b *testing.B) {
+			net, _, _ := newFlapGrid(b, g.r, g.c)
+			defer net.Stop()
+			s := net.ReadSnapshot()
+			n := s.NumNodes()
+			rng := rand.New(rand.NewSource(1))
+			srcs := make([]graph.NodeID, 4096)
+			for i := range srcs {
+				srcs[i] = graph.NodeID(rng.Intn(n))
+			}
+			buf := make([]graph.NodeID, 0, n)
+			hops := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				path, ok := s.RouteInto(srcs[i%len(srcs)], s.Dest, n, buf)
+				if !ok {
+					b.Fatalf("no route from %d", srcs[i%len(srcs)])
+				}
+				hops += len(path) - 1
+			}
+			b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
+		})
 	}
 }

@@ -434,6 +434,17 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 
+	// The served epoch's age: one series, at most as old as the server.
+	var ages []float64
+	for _, s := range samples {
+		if s.name == "lrd_epoch_age_seconds" {
+			ages = append(ages, s.value)
+		}
+	}
+	if len(ages) != 1 || ages[0] < 0 || ages[0] > 60 {
+		t.Errorf("lrd_epoch_age_seconds series = %v, want one value in [0, 60]", ages)
+	}
+
 	// Engine families: every lrd_shard_* family present, one series per
 	// shard label {0, 1, ctl}.
 	shardLabels := map[string]map[string]bool{}

@@ -135,6 +135,7 @@ func (m *metrics) render(w io.Writer, snap *dist.Snapshot) {
 		return 0
 	}
 	gauge("lrd_epoch", "Epoch of the currently published snapshot.", float64(snap.Epoch))
+	gauge("lrd_epoch_age_seconds", "Seconds since the served snapshot was published.", time.Since(snap.Published).Seconds())
 	gauge("lrd_nodes", "Node slots in the published snapshot (including removed).", float64(snap.NumNodes()))
 	gauge("lrd_quiescent", "1 when the published snapshot was captured with no message in flight.", b2f(snap.Quiescent))
 	gauge("lrd_cut_nodes", "Live nodes with no path to the destination in the published snapshot.", float64(len(snap.Cut)))

@@ -322,6 +322,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lrd_request_duration_seconds_bucket{endpoint="route",le="+Inf"} 2`,
 		"# TYPE lrd_request_duration_seconds histogram",
 		"lrd_epoch ",
+		"lrd_epoch_age_seconds ",
 		"lrd_nodes 5",
 		"lrd_quiescent 1",
 		"lrd_steps_total",
