@@ -93,7 +93,9 @@ func parseFaults(s string, seed int64) (*lr.NetworkAdversary, error) {
 // parseTopology maps -topo/-n onto a workload generator. Unlike the batch
 // tools, -n is always the total node budget: grid picks the most balanced
 // r×c factorization with r·c ≥ n, so "-topo grid -n 10000" is a 100×100
-// grid.
+// grid. That is why lrd keeps this table instead of the batch tools'
+// workload.ByName, whose grid is n×n: the benchmark's serve workloads start
+// lrd with "-topo grid -n N" and rely on the budget reading.
 func parseTopology(name string, n int, seed int64) (*lr.Topology, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("need at least 2 nodes, got %d", n)

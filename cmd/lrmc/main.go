@@ -31,7 +31,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("lrmc", flag.ContinueOnError)
 	var (
-		topoName = fs.String("topo", "alt-chain", "topology: bad-chain, alt-chain, star, ladder, ring, random")
+		topoName = fs.String("topo", "alt-chain", "topology: "+workload.Names)
 		n        = fs.Int("n", 6, "topology size parameter")
 		p        = fs.Float64("p", 0.4, "edge density for random topology")
 		seed     = fs.Int64("seed", 1, "random seed")
@@ -52,22 +52,9 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown reduction %q (want none, sleep or ample)", *reduce)
 	}
-	var topo *workload.Topology
-	switch strings.ToLower(*topoName) {
-	case "bad-chain":
-		topo = workload.BadChain(*n)
-	case "alt-chain":
-		topo = workload.AlternatingChain(*n)
-	case "star":
-		topo = workload.Star(*n)
-	case "ladder":
-		topo = workload.Ladder(*n)
-	case "ring":
-		topo = workload.Ring(*n, *seed)
-	case "random":
-		topo = workload.RandomConnected(*n, *p, *seed)
-	default:
-		return fmt.Errorf("unknown topology %q", *topoName)
+	topo, err := workload.ByName(*topoName, *n, *p, *seed)
+	if err != nil {
+		return err
 	}
 	in, err := topo.Init()
 	if err != nil {

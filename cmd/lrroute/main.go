@@ -19,14 +19,15 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
-	"flag"
-
 	lr "linkreversal"
+	"linkreversal/internal/workload"
 )
 
 func main() {
@@ -39,7 +40,7 @@ func main() {
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("lrroute", flag.ContinueOnError)
 	var (
-		topoName = fs.String("topo", "grid", "topology: grid, ladder, good-chain, random")
+		topoName = fs.String("topo", "grid", "topology: "+workload.Names)
 		n        = fs.Int("n", 4, "topology size parameter")
 		p        = fs.Float64("p", 0.3, "edge density for random topology")
 		seed     = fs.Int64("seed", 1, "random seed")
@@ -48,18 +49,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var topo *lr.Topology
-	switch strings.ToLower(*topoName) {
-	case "grid":
-		topo = lr.Grid(*n, *n)
-	case "ladder":
-		topo = lr.Ladder(*n)
-	case "good-chain":
-		topo = lr.GoodChain(*n)
-	case "random":
-		topo = lr.RandomConnected(*n, *p, *seed)
-	default:
-		return fmt.Errorf("unknown topology %q", *topoName)
+	topo, err := workload.ByName(*topoName, *n, *p, *seed)
+	if err != nil {
+		return err
 	}
 	r, err := lr.NewRouter(topo)
 	if err != nil {
@@ -179,8 +171,8 @@ func parsePair(fields []string) (lr.NodeID, lr.NodeID, error) {
 }
 
 func parseNode(s string) (lr.NodeID, error) {
-	var u int
-	if _, err := fmt.Sscanf(s, "%d", &u); err != nil {
+	u, err := strconv.Atoi(s)
+	if err != nil {
 		return 0, fmt.Errorf("bad node %q", s)
 	}
 	return lr.NodeID(u), nil

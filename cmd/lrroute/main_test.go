@@ -49,6 +49,8 @@ func TestExecScriptErrors(t *testing.T) {
 	}{
 		{name: "unknown command", script: "explode 1 2"},
 		{name: "bad node", script: "route x"},
+		{name: "trailing junk on node", script: "route 3x"},
+		{name: "trailing junk on pair", script: "fail 0 1junk"},
 		{name: "missing args", script: "fail 1"},
 		{name: "remove absent link", script: "fail 0 8"},
 	}

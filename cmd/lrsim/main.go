@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	lr "linkreversal"
+	"linkreversal/internal/workload"
 )
 
 func main() {
@@ -56,37 +57,10 @@ func parseScheduler(s string) (lr.Scheduler, error) {
 	}
 }
 
-func parseTopology(name string, n int, p float64, seed int64) (*lr.Topology, error) {
-	switch strings.ToLower(name) {
-	case "bad-chain":
-		return lr.BadChain(n), nil
-	case "alt-chain":
-		return lr.AlternatingChain(n), nil
-	case "good-chain":
-		return lr.GoodChain(n), nil
-	case "star":
-		return lr.Star(n), nil
-	case "ladder":
-		return lr.Ladder(n), nil
-	case "grid":
-		return lr.Grid(n, n), nil
-	case "tree":
-		return lr.Tree(n, seed), nil
-	case "ring":
-		return lr.Ring(n, seed), nil
-	case "layered":
-		return lr.LayeredDAG(4, (n+2)/4, p, seed), nil
-	case "random":
-		return lr.RandomConnected(n, p, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q (bad-chain, alt-chain, good-chain, star, ladder, grid, tree, ring, layered, random)", name)
-	}
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("lrsim", flag.ContinueOnError)
 	var (
-		topoName  = fs.String("topo", "bad-chain", "topology name")
+		topoName  = fs.String("topo", "bad-chain", "topology: "+workload.Names)
 		n         = fs.Int("n", 16, "topology size parameter")
 		p         = fs.Float64("p", 0.3, "edge density for random topologies")
 		algName   = fs.String("alg", "PR", "algorithm: PR, OneStepPR, NewPR, FR, GBPair")
@@ -108,7 +82,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	topo, err := parseTopology(*topoName, *n, *p, *seed)
+	topo, err := workload.ByName(*topoName, *n, *p, *seed)
 	if err != nil {
 		return err
 	}

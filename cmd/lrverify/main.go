@@ -36,6 +36,12 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *runs < 0 {
+		return fmt.Errorf("bad -runs %d: want >= 0", *runs)
+	}
+	if *maxN < 4 {
+		return fmt.Errorf("bad -maxn %d: want >= 4", *maxN)
+	}
 	rng := rand.New(rand.NewSource(*seed))
 	algs := []lr.Algorithm{lr.PR, lr.OneStepPR, lr.NewPR, lr.FR, lr.GBPair}
 	scheds := []lr.Scheduler{lr.Greedy, lr.RandomSingle, lr.RandomSubset, lr.RoundRobin, lr.LIFO}

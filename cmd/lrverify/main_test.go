@@ -2,10 +2,16 @@ package main
 
 import "testing"
 
-// TestRunFlagErrors pins the flag-validation path.
+// TestRunFlagErrors pins the flag-validation paths.
 func TestRunFlagErrors(t *testing.T) {
-	if err := run([]string{"-nope"}); err == nil {
-		t.Error("unknown flag accepted")
+	for _, args := range [][]string{
+		{"-nope"},
+		{"-maxn", "3"},
+		{"-runs", "-1"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
 	}
 }
 

@@ -84,10 +84,10 @@ func ExampleNewRouter() {
 	// Output: node 4 partitioned=true
 }
 
-// ExampleNetworkSnapshot_RouteFrom routes over a lock-free epoch snapshot
+// ExampleNetworkSnapshot_RouteInto routes over a lock-free epoch snapshot
 // of a live network: one atomic load, then an O(path) walk down strictly
-// decreasing heights.
-func ExampleNetworkSnapshot_RouteFrom() {
+// decreasing heights. A nil buffer allocates the path.
+func ExampleNetworkSnapshot_RouteInto() {
 	network, err := lr.NewDynamicNetwork(lr.GoodChain(6))
 	if err != nil {
 		panic(err)
@@ -97,7 +97,7 @@ func ExampleNetworkSnapshot_RouteFrom() {
 		panic(err)
 	}
 	snap := network.ReadSnapshot() // never nil; immutable under churn
-	path, ok := snap.RouteFrom(5, 0, snap.NumNodes())
+	path, ok := snap.RouteInto(5, 0, snap.NumNodes(), nil)
 	fmt.Printf("path=%v ok=%v quiescent=%v\n", path, ok, snap.Quiescent)
 	// Output: path=[5 4 3 2 1 0] ok=true quiescent=true
 }

@@ -35,7 +35,7 @@ func run() error {
 	s := net.Snapshot()
 	fmt.Printf("converged: %d reversal steps, %d messages across %d radios\n",
 		s.Steps, s.Messages, topo.Graph.NumNodes())
-	if path, ok := s.RouteFrom(23, 0, 25); ok {
+	if path, ok := s.RouteInto(23, 0, 25, nil); ok {
 		fmt.Printf("radio 23 → gateway: %v\n", path)
 	}
 
@@ -77,7 +77,7 @@ func run() error {
 			return err
 		}
 		s := net.Snapshot()
-		path, ok := s.RouteFrom(23, 0, 25)
+		path, ok := s.RouteInto(23, 0, 25, nil)
 		fmt.Printf(" → repaired (total steps %d); route 23→0: %v ok=%v\n", s.Steps, path, ok)
 	}
 	return nil

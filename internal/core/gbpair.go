@@ -36,15 +36,9 @@ func (h Height) String() string { return fmt.Sprintf("(%d,%d,%d)", h.A, h.B, h.I
 // (1981). Every node u holds a Height triple; the orientation is derived:
 // edge {u,v} points from the larger to the smaller height.
 //
-// When a sink u (other than the destination) takes a step it updates:
-//
-//	a[u] := 1 + min{ a[v] : v ∈ nbrs(u) }
-//	b[u] := min{ b[v] : v ∈ nbrs(u), a[v] = a[u] } − 1, if such v exists,
-//	        otherwise b[u] is unchanged.
-//
-// Initial heights are chosen so that the induced orientation equals G'_init:
-// a[u] = 0 for all u and b[u] = −pos(u) where pos is the left-to-right
-// embedding of G'_init (edges point right, toward smaller b).
+// When a sink u (other than the destination) takes a step it moves to the
+// height PairStep computes from its neighbours' heights. Initial heights are
+// PairHeight's, so the induced orientation equals G'_init.
 type GBPair struct {
 	init    *Init
 	orient  *graph.Orientation
@@ -62,8 +56,8 @@ var (
 func NewGBPair(in *Init) *GBPair {
 	n := in.g.NumNodes()
 	hs := make([]Height, n)
-	for u := 0; u < n; u++ {
-		hs[u] = Height{A: 0, B: -in.emb.Pos(graph.NodeID(u)), ID: graph.NodeID(u)}
+	for u := range n {
+		hs[u] = in.PairHeight(graph.NodeID(u))
 	}
 	return &GBPair{
 		init:    in,
@@ -126,27 +120,7 @@ func (g *GBPair) Step(a automaton.Action) error {
 		return fmt.Errorf("%w: node %d is not an enabled sink", automaton.ErrPreconditionFailed, u)
 	}
 	nbrs := g.init.g.Neighbors(u)
-	// a[u] := 1 + min over neighbours.
-	minA := g.heights[nbrs[0]].A
-	for _, v := range nbrs[1:] {
-		if g.heights[v].A < minA {
-			minA = g.heights[v].A
-		}
-	}
-	newA := minA + 1
-	// b[u] := min{b[v] : a[v] = newA} − 1, if any such neighbour exists.
-	newB := g.heights[u].B
-	found := false
-	for _, v := range nbrs {
-		if g.heights[v].A != newA {
-			continue
-		}
-		if cand := g.heights[v].B - 1; !found || cand < newB {
-			newB = cand
-			found = true
-		}
-	}
-	g.heights[u] = Height{A: newA, B: newB, ID: u}
+	g.heights[u] = PairStep(g.heights[u], len(nbrs), func(i int) Height { return g.heights[nbrs[i]] })
 	// Re-derive the orientation of u's incident edges from heights: the edge
 	// {u,v} points from the larger to the smaller height.
 	for _, v := range nbrs {

@@ -185,8 +185,7 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 		d.mu.Unlock()
 	}
 	for u := 0; u < n; u++ {
-		id := graph.NodeID(u)
-		d.heights[u] = DynHeight{H: core.Height{A: 0, B: -in.Embedding().Pos(id), ID: id}}
+		d.heights[u] = DynHeight{H: in.PairHeight(graph.NodeID(u))}
 		if d.heights[u].H.B < d.minB {
 			d.minB = d.heights[u].H.B
 		}
@@ -865,7 +864,7 @@ type Snapshot struct {
 	Published time.Time
 	// Quiescent records whether no message was in flight at capture time.
 	// A quiescent snapshot of a connected component is destination-oriented
-	// within it, so RouteFrom succeeds from every connected node.
+	// within it, so RouteInto succeeds from every connected node.
 	Quiescent bool
 	// Cut lists the live nodes that had no path to the destination at
 	// capture time, ascending. It is computed only when the network carried
@@ -1045,16 +1044,13 @@ func (s *Snapshot) Removed(u graph.NodeID) bool {
 	return int(u) >= 0 && int(u) < s.dead.Len() && s.dead.Test(int(u))
 }
 
-// RouteFrom follows strictly decreasing heights from src toward dst and
+// RouteInto follows strictly decreasing heights from src toward dst and
 // returns the path if dst is reached within maxHops links. Heights totally
 // order the nodes, so the walk is loop-free by construction; at quiescence
 // it reaches the destination from every node in its component.
-func (s *Snapshot) RouteFrom(src, dst graph.NodeID, maxHops int) ([]graph.NodeID, bool) {
-	return s.RouteInto(src, dst, maxHops, nil)
-}
-
-// RouteInto is RouteFrom writing the path into buf (reused from its start,
-// grown as needed). With a buffer of capacity ≥ path length the walk
+//
+// The path is written into buf (reused from its start, grown as needed; nil
+// allocates a fresh one). With a buffer of capacity ≥ path length the walk
 // allocates nothing — the contract of the serving read path, pinned by a
 // testing.AllocsPerRun regression test. The returned slice aliases buf's
 // backing array when it fits.

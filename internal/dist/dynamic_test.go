@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"linkreversal/internal/core"
 	"linkreversal/internal/graph"
 	"linkreversal/internal/obs"
+	"linkreversal/internal/sched"
 	"linkreversal/internal/workload"
 )
 
@@ -85,7 +87,7 @@ func requireRoutes(t *testing.T, s *Snapshot, n int, dst graph.NodeID) {
 		if s.Removed(id) || (len(s.Links(id)) == 0 && id != dst) {
 			continue // removed and isolated nodes have no route by definition
 		}
-		if _, ok := s.RouteFrom(id, dst, n+1); !ok {
+		if _, ok := s.RouteInto(id, dst, n+1, nil); !ok {
 			t.Errorf("no route %d → %d", u, dst)
 		}
 	}
@@ -117,6 +119,56 @@ func TestDynamicInitialConvergence(t *testing.T) {
 				requireRoutes(t, s, topo.Graph.NumNodes(), topo.Dest)
 				if s.Messages < s.TotalReversals {
 					t.Errorf("messages %d < reversals %d", s.Messages, s.TotalReversals)
+				}
+			})
+		}
+	}
+}
+
+// TestDynamicRepairIsGBPair checks the static part of the network's repair
+// against the paper's automaton: from the initial orientation the network
+// quiesces with every node still at the zero reference level, at exactly
+// the heights core.GBPair ends at, after as many steps and reversals, under
+// every configuration. A sink's view of its neighbours is exact — a
+// neighbour above a sink is no sink and cannot move — so every
+// asynchronous run is a schedule of the sequential automaton.
+func TestDynamicRepairIsGBPair(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		for _, topo := range []*workload.Topology{
+			workload.BadChain(8),
+			workload.AlternatingChain(7),
+			workload.Grid(4, 4),
+			workload.Tree(14, 3),
+			workload.RandomConnected(14, 0.3, 2),
+			workload.Ring(10, 4),
+			workload.Ladder(5),
+			workload.Star(8),
+			workload.Hypercube(4, 1),
+		} {
+			c, topo := c, topo
+			t.Run(fmt.Sprintf("%s/%s", c.name, topo.Name), func(t *testing.T) {
+				t.Parallel()
+				gb := core.NewGBPair(topo.MustInit())
+				if res, err := sched.Run(gb, sched.Greedy{}, sched.Options{}); err != nil || !res.Quiesced {
+					t.Fatalf("GBPair run: quiesced=%v err=%v", res.Quiesced, err)
+				}
+				net, err := NewDynamicNetworkWith(topo, c.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer net.Stop()
+				if err := net.AwaitQuiescence(); err != nil {
+					t.Fatal(err)
+				}
+				s := net.Snapshot()
+				for u, h := range s.Heights {
+					if want := gb.Height(graph.NodeID(u)); !h.Lvl.IsZero() || h.H != want {
+						t.Errorf("node %d: height %v, GBPair %v", u, h, want)
+					}
+				}
+				if s.Steps != gb.Steps() || s.TotalReversals != gb.TotalReversals() {
+					t.Errorf("steps %d, reversals %d; GBPair %d, %d",
+						s.Steps, s.TotalReversals, gb.Steps(), gb.TotalReversals())
 				}
 			})
 		}
@@ -208,7 +260,7 @@ func TestDynamicAddsNewLink(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := net.Snapshot()
-			path, ok := s.RouteFrom(5, 0, 10)
+			path, ok := s.RouteInto(5, 0, 10, nil)
 			if !ok {
 				t.Fatal("no route after chord insertion")
 			}
@@ -358,8 +410,8 @@ func TestDynamicStop(t *testing.T) {
 	}
 }
 
-// TestSnapshotRouteFromEdgeCases pins RouteFrom's boundary behaviour.
-func TestSnapshotRouteFromEdgeCases(t *testing.T) {
+// TestSnapshotRouteIntoEdgeCases pins RouteInto's boundary behaviour.
+func TestSnapshotRouteIntoEdgeCases(t *testing.T) {
 	net, err := NewDynamicNetwork(workload.GoodChain(4))
 	if err != nil {
 		t.Fatal(err)
@@ -369,13 +421,13 @@ func TestSnapshotRouteFromEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := net.Snapshot()
-	if path, ok := s.RouteFrom(2, 2, 0); !ok || len(path) != 1 {
+	if path, ok := s.RouteInto(2, 2, 0, nil); !ok || len(path) != 1 {
 		t.Errorf("self route = %v, %v", path, ok)
 	}
-	if _, ok := s.RouteFrom(3, 0, 1); ok {
+	if _, ok := s.RouteInto(3, 0, 1, nil); ok {
 		t.Error("route should not fit in one hop")
 	}
-	if _, ok := s.RouteFrom(-1, 0, 5); ok {
+	if _, ok := s.RouteInto(-1, 0, 5, nil); ok {
 		t.Error("invalid source accepted")
 	}
 }

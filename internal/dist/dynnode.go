@@ -190,29 +190,9 @@ func (st *dynState) act(env dynEnv) {
 		lvl, same := st.levelView()
 		switch {
 		case same && lvl.IsZero():
-			// GB pair rule: a := 1 + min a[v]; b := min{b[v] : a[v] = a} − 1
-			// when such a neighbour exists, else b is unchanged.
-			first := true
-			minA := 0
-			for _, view := range st.nbrs {
-				if first || view.h.H.A < minA {
-					minA = view.h.H.A
-					first = false
-				}
-			}
-			newA := minA + 1
-			newB := st.h.H.B
-			foundB := false
-			for _, view := range st.nbrs {
-				if view.h.H.A != newA {
-					continue
-				}
-				if cand := view.h.H.B - 1; !foundB || cand < newB {
-					newB = cand
-					foundB = true
-				}
-			}
-			if !st.commit(env, DynHeight{H: core.Height{A: newA, B: newB, ID: st.id}}) {
+			// Gafni–Bertsekas pair rule.
+			h := core.PairStep(st.h.H, len(st.nbrs), func(i int) core.Height { return st.nbrs[i].h.H })
+			if !st.commit(env, DynHeight{H: h}) {
 				return
 			}
 		case same && !lvl.R && lvl.Oid != st.id:

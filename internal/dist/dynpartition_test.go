@@ -122,10 +122,10 @@ func TestPartitionIsolatedNode(t *testing.T) {
 			}
 			requireCut(t, net.AwaitQuiescence(), []graph.NodeID{4})
 			s := net.Snapshot()
-			if _, ok := s.RouteFrom(4, 0, 10); ok {
+			if _, ok := s.RouteInto(4, 0, 10, nil); ok {
 				t.Error("isolated leaf should have no route")
 			}
-			if _, ok := s.RouteFrom(3, 0, 10); !ok {
+			if _, ok := s.RouteInto(3, 0, 10, nil); !ok {
 				t.Error("connected leaf lost its route")
 			}
 			if err := net.AddLink(0, 4); err != nil {

@@ -137,7 +137,7 @@ func TestSnapshotEpochConsistencyAcrossHeal(t *testing.T) {
 		}
 		old := net.ReadSnapshot()
 		want := snapClone(old)
-		wantPath, ok := old.RouteFrom(7, 0, 8)
+		wantPath, ok := old.RouteInto(7, 0, 8, nil)
 		if !ok {
 			t.Fatalf("%s: no route on the quiesced chain", c.name)
 		}
@@ -176,7 +176,7 @@ func TestSnapshotEpochConsistencyAcrossHeal(t *testing.T) {
 		// The reader's old epoch never moved: same heights, same links, and
 		// the route it computed before the cut still derives verbatim.
 		requireSnapEqual(t, want, old, fmt.Sprintf("%s held epoch", c.name))
-		gotPath, ok := old.RouteFrom(7, 0, 8)
+		gotPath, ok := old.RouteInto(7, 0, 8, nil)
 		if !ok || fmt.Sprint(gotPath) != fmt.Sprint(wantPathCopy) {
 			t.Errorf("%s: held epoch's route changed: %v -> %v (ok=%v)", c.name, wantPathCopy, gotPath, ok)
 		}

@@ -5,16 +5,17 @@
 // the lowest live node ID as its leader and repairs the orientation with
 // partial-reversal steps from the *current* state — no global restart.
 //
-// Directions are derived from Gafni–Bertsekas height triples, so the graph
-// is acyclic by construction throughout, links can fail or appear at any
-// time, and the per-component repair is exactly the height-based Partial
-// Reversal of internal/core with the component's leader as destination.
+// Links and Gafni–Bertsekas height triples live in a core.HeightDAG, which
+// derives every direction from the heights, so the graph is acyclic by
+// construction throughout, links can fail or appear at any time, and the
+// per-component repair is exactly the height-based Partial Reversal of
+// internal/core with the component's leader as destination.
 package election
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"linkreversal/internal/core"
 	"linkreversal/internal/graph"
@@ -36,13 +37,10 @@ var (
 // Service maintains per-component leaders over a mutable node/link set.
 // It is not safe for concurrent use.
 type Service struct {
-	n       int
 	base    *graph.Graph // original topology: Recover restores these links
 	alive   []bool
-	adj     []map[graph.NodeID]bool
-	heights []core.Height
+	dag     *core.HeightDAG
 	leaders []graph.NodeID // leader of each node's component; -1 if unknown
-	steps   int
 }
 
 // NewService builds a Service from a topology; all nodes start alive and
@@ -54,23 +52,10 @@ func NewService(topo *workload.Topology) (*Service, error) {
 	}
 	n := topo.Graph.NumNodes()
 	s := &Service{
-		n:       n,
 		base:    topo.Graph,
-		alive:   make([]bool, n),
-		adj:     make([]map[graph.NodeID]bool, n),
-		heights: make([]core.Height, n),
+		alive:   slices.Repeat([]bool{true}, n),
+		dag:     core.NewHeightDAG(in),
 		leaders: make([]graph.NodeID, n),
-	}
-	for u := 0; u < n; u++ {
-		s.alive[u] = true
-		s.adj[u] = make(map[graph.NodeID]bool)
-		id := graph.NodeID(u)
-		s.heights[u] = core.Height{A: 0, B: -in.Embedding().Pos(id), ID: id}
-		s.leaders[u] = -1
-	}
-	for _, e := range topo.Graph.Edges() {
-		s.adj[e.U][e.V] = true
-		s.adj[e.V][e.U] = true
 	}
 	if err := s.Stabilize(); err != nil {
 		return nil, err
@@ -78,7 +63,7 @@ func NewService(topo *workload.Topology) (*Service, error) {
 	return s, nil
 }
 
-func (s *Service) valid(u graph.NodeID) bool { return u >= 0 && int(u) < s.n }
+func (s *Service) valid(u graph.NodeID) bool { return u >= 0 && int(u) < len(s.alive) }
 
 // Alive reports whether u is currently up.
 func (s *Service) Alive(u graph.NodeID) (bool, error) {
@@ -89,7 +74,7 @@ func (s *Service) Alive(u graph.NodeID) (bool, error) {
 }
 
 // Steps returns the total number of reversal steps performed so far.
-func (s *Service) Steps() int { return s.steps }
+func (s *Service) Steps() int { return s.dag.Steps() }
 
 // Fail takes u down, removing its incident links. Leaders are recomputed on
 // the next Stabilize.
@@ -101,10 +86,10 @@ func (s *Service) Fail(u graph.NodeID) error {
 		return fmt.Errorf("%w: %d", ErrNodeDown, u)
 	}
 	s.alive[u] = false
-	for v := range s.adj[u] {
-		delete(s.adj[v], u)
+	// RemoveLink replaces u's row, so the row ranged over stays intact.
+	for _, v := range s.dag.Neighbors(u) {
+		s.dag.RemoveLink(u, v)
 	}
-	s.adj[u] = make(map[graph.NodeID]bool)
 	return nil
 }
 
@@ -121,84 +106,10 @@ func (s *Service) Recover(u graph.NodeID) error {
 	s.alive[u] = true
 	for _, v := range s.base.Neighbors(u) {
 		if s.alive[v] {
-			s.adj[u][v] = true
-			s.adj[v][u] = true
+			s.dag.AddLink(u, v)
 		}
 	}
 	return nil
-}
-
-// components returns the live components as sorted node lists.
-func (s *Service) components() [][]graph.NodeID {
-	seen := make([]bool, s.n)
-	var comps [][]graph.NodeID
-	for start := 0; start < s.n; start++ {
-		if seen[start] || !s.alive[start] {
-			continue
-		}
-		var comp []graph.NodeID
-		stack := []graph.NodeID{graph.NodeID(start)}
-		seen[start] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for v := range s.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// pointsTo reports whether the link {u,v} is directed u→v.
-func (s *Service) pointsTo(u, v graph.NodeID) bool {
-	return s.heights[v].Less(s.heights[u])
-}
-
-// isSink reports whether u (a non-leader live node with links) has no
-// outgoing link.
-func (s *Service) isSink(u graph.NodeID, leader graph.NodeID) bool {
-	if u == leader || len(s.adj[u]) == 0 {
-		return false
-	}
-	for v := range s.adj[u] {
-		if s.pointsTo(u, v) {
-			return false
-		}
-	}
-	return true
-}
-
-// step applies the partial-reversal height update at sink u.
-func (s *Service) step(u graph.NodeID) {
-	minA := 0
-	first := true
-	for v := range s.adj[u] {
-		if first || s.heights[v].A < minA {
-			minA = s.heights[v].A
-			first = false
-		}
-	}
-	newA := minA + 1
-	newB := s.heights[u].B
-	foundB := false
-	for v := range s.adj[u] {
-		if s.heights[v].A != newA {
-			continue
-		}
-		if cand := s.heights[v].B - 1; !foundB || cand < newB {
-			newB = cand
-			foundB = true
-		}
-	}
-	s.heights[u] = core.Height{A: newA, B: newB, ID: u}
-	s.steps++
 }
 
 // Stabilize elects the lowest live ID of every component as its leader and
@@ -207,26 +118,15 @@ func (s *Service) Stabilize() error {
 	for u := range s.leaders {
 		s.leaders[u] = -1
 	}
-	for _, comp := range s.components() {
-		leader := comp[0] // lowest live ID
-		maxSteps := 100*len(comp)*len(comp) + 100
-		steps := 0
-		for {
-			progressed := false
-			for _, u := range comp {
-				if !s.isSink(u, leader) {
-					continue
-				}
-				s.step(u)
-				steps++
-				progressed = true
-				if steps > maxSteps {
-					return fmt.Errorf("election: component of %d exceeded %d steps", leader, maxSteps)
-				}
-			}
-			if !progressed {
-				break
-			}
+	for start := range s.leaders {
+		if !s.alive[start] || s.leaders[start] >= 0 {
+			continue
+		}
+		// start is the lowest live ID of a component not yet seen.
+		comp := s.dag.Component(graph.NodeID(start))
+		leader := comp[0]
+		if _, err := s.dag.Stabilize(leader, comp); err != nil {
+			return fmt.Errorf("election: component of %d: %w", leader, err)
 		}
 		for _, u := range comp {
 			s.leaders[u] = leader
@@ -257,63 +157,14 @@ func (s *Service) PathToLeader(u graph.NodeID) ([]graph.NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := []graph.NodeID{u}
-	cur := u
-	for hops := 0; hops <= s.n; hops++ {
-		if cur == leader {
-			return path, nil
-		}
-		var best graph.NodeID = -1
-		for v := range s.adj[cur] {
-			if !s.pointsTo(cur, v) {
-				continue
-			}
-			if best < 0 || s.heights[v].Less(s.heights[best]) {
-				best = v
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("election: node %d is a sink; call Stabilize", cur)
-		}
-		path = append(path, best)
-		cur = best
+	path, ok := s.dag.Path(u, leader)
+	if !ok {
+		return nil, fmt.Errorf("election: node %d is a sink; call Stabilize", path[len(path)-1])
 	}
-	return nil, fmt.Errorf("election: path from %d exceeded %d hops", u, s.n)
+	return path, nil
 }
 
 // Acyclic verifies by DFS that the live directed graph has no cycle
 // (always true: heights are a total order). Exposed as an executable
 // invariant for the tests.
-func (s *Service) Acyclic() bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, s.n)
-	var dfs func(u graph.NodeID) bool
-	dfs = func(u graph.NodeID) bool {
-		color[u] = gray
-		for v := range s.adj[u] {
-			if !s.pointsTo(u, v) {
-				continue
-			}
-			switch color[v] {
-			case gray:
-				return false
-			case white:
-				if !dfs(v) {
-					return false
-				}
-			}
-		}
-		color[u] = black
-		return true
-	}
-	for u := 0; u < s.n; u++ {
-		if s.alive[u] && color[u] == white && !dfs(graph.NodeID(u)) {
-			return false
-		}
-	}
-	return true
-}
+func (s *Service) Acyclic() bool { return s.dag.Acyclic() }

@@ -27,7 +27,10 @@ type TopoSpec struct {
 // minTopoN is the smallest size parameter Build accepts — the shrink floor.
 const minTopoN = 2
 
-// Build constructs the topology the spec describes.
+// Build constructs the topology the spec describes. It keeps its own table
+// instead of the batch tools' workload.ByName because replay artifacts fix
+// what N means: a grid of size N has sides of √N, where ByName's has sides
+// of N.
 func (s TopoSpec) Build() (*workload.Topology, error) {
 	if s.N < minTopoN {
 		return nil, fmt.Errorf("hunt: topology size %d below minimum %d", s.N, minTopoN)

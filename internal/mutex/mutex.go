@@ -6,8 +6,9 @@
 // The token holder is the DAG's destination: every process always has a
 // directed path to the token, which is where requests travel. Granting the
 // token to the next requester re-orients the DAG with the requester as the
-// new destination using height-based partial reversal; the acyclicity
-// theorem is exactly what keeps request paths loop-free at every instant.
+// new destination using height-based partial reversal on a core.HeightDAG;
+// the acyclicity theorem is exactly what keeps request paths loop-free at
+// every instant.
 //
 // Safety (at most one holder) holds by construction — the token is a single
 // value. Liveness (every request eventually granted) follows from FIFO
@@ -46,14 +47,11 @@ type GrantRecord struct {
 // Manager coordinates the token over a fixed process graph. It is not safe
 // for concurrent use.
 type Manager struct {
-	n       int
-	adj     []map[graph.NodeID]bool
-	heights []core.Height
+	dag     *core.HeightDAG
 	holder  graph.NodeID
 	queue   []graph.NodeID
 	queued  map[graph.NodeID]bool
 	history []GrantRecord
-	steps   int
 }
 
 // NewManager builds a Manager; the topology's destination is the initial
@@ -63,22 +61,10 @@ func NewManager(topo *workload.Topology) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := topo.Graph.NumNodes()
 	m := &Manager{
-		n:       n,
-		adj:     make([]map[graph.NodeID]bool, n),
-		heights: make([]core.Height, n),
-		holder:  topo.Dest,
-		queued:  make(map[graph.NodeID]bool),
-	}
-	for u := 0; u < n; u++ {
-		m.adj[u] = make(map[graph.NodeID]bool)
-		id := graph.NodeID(u)
-		m.heights[u] = core.Height{A: 0, B: -in.Embedding().Pos(id), ID: id}
-	}
-	for _, e := range topo.Graph.Edges() {
-		m.adj[e.U][e.V] = true
-		m.adj[e.V][e.U] = true
+		dag:    core.NewHeightDAG(in),
+		holder: topo.Dest,
+		queued: make(map[graph.NodeID]bool),
 	}
 	// Orient toward the initial holder.
 	if _, err := m.stabilizeToward(m.holder); err != nil {
@@ -87,7 +73,7 @@ func NewManager(topo *workload.Topology) (*Manager, error) {
 	return m, nil
 }
 
-func (m *Manager) valid(u graph.NodeID) bool { return u >= 0 && int(u) < m.n }
+func (m *Manager) valid(u graph.NodeID) bool { return u >= 0 && int(u) < m.dag.NumNodes() }
 
 // Holder returns the current token holder.
 func (m *Manager) Holder() graph.NodeID { return m.holder }
@@ -96,7 +82,7 @@ func (m *Manager) Holder() graph.NodeID { return m.holder }
 func (m *Manager) QueueLen() int { return len(m.queue) }
 
 // Steps returns the total reversal steps performed since construction.
-func (m *Manager) Steps() int { return m.steps }
+func (m *Manager) Steps() int { return m.dag.Steps() }
 
 // History returns a copy of all completed handoffs.
 func (m *Manager) History() []GrantRecord {
@@ -105,99 +91,14 @@ func (m *Manager) History() []GrantRecord {
 	return out
 }
 
-func (m *Manager) pointsTo(u, v graph.NodeID) bool {
-	return m.heights[v].Less(m.heights[u])
-}
-
-// isSink reports whether u has no outgoing link, excluding the token
-// destination dest.
-func (m *Manager) isSink(u, dest graph.NodeID) bool {
-	if u == dest || len(m.adj[u]) == 0 {
-		return false
-	}
-	for v := range m.adj[u] {
-		if m.pointsTo(u, v) {
-			return false
-		}
-	}
-	return true
-}
-
-// stabilizeToward runs height-based partial reversal until every process
-// has a path to dest; returns the number of reversal steps.
+// stabilizeToward runs height-based partial reversal over every process
+// until each has a path to dest; returns the number of reversal steps.
 func (m *Manager) stabilizeToward(dest graph.NodeID) (int, error) {
-	maxSteps := 100*m.n*m.n + 100
-	steps := 0
-	for {
-		progressed := false
-		for u := 0; u < m.n; u++ {
-			id := graph.NodeID(u)
-			if !m.isSink(id, dest) {
-				continue
-			}
-			m.reverseStep(id)
-			steps++
-			m.steps++
-			progressed = true
-			if steps > maxSteps {
-				return steps, fmt.Errorf("mutex: stabilize exceeded %d steps", maxSteps)
-			}
-		}
-		if !progressed {
-			return steps, nil
-		}
+	steps, err := m.dag.Stabilize(dest, nil)
+	if err != nil {
+		return steps, fmt.Errorf("mutex: %w", err)
 	}
-}
-
-func (m *Manager) reverseStep(u graph.NodeID) {
-	minA := 0
-	first := true
-	for v := range m.adj[u] {
-		if first || m.heights[v].A < minA {
-			minA = m.heights[v].A
-			first = false
-		}
-	}
-	newA := minA + 1
-	newB := m.heights[u].B
-	foundB := false
-	for v := range m.adj[u] {
-		if m.heights[v].A != newA {
-			continue
-		}
-		if cand := m.heights[v].B - 1; !foundB || cand < newB {
-			newB = cand
-			foundB = true
-		}
-	}
-	m.heights[u] = core.Height{A: newA, B: newB, ID: u}
-}
-
-// requestPath returns the directed path a request from u travels to the
-// current holder (lowest-height next hop at each step).
-func (m *Manager) requestPath(u graph.NodeID) ([]graph.NodeID, error) {
-	path := []graph.NodeID{u}
-	cur := u
-	for hops := 0; hops <= m.n; hops++ {
-		if cur == m.holder {
-			return path, nil
-		}
-		var best graph.NodeID = -1
-		for v := range m.adj[cur] {
-			if !m.pointsTo(cur, v) {
-				continue
-			}
-			if best < 0 || m.heights[v].Less(m.heights[best]) {
-				best = v
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("mutex: process %d has no route to the holder", cur)
-		}
-		path = append(path, best)
-		cur = best
-	}
-	return nil, fmt.Errorf("mutex: request from %d exceeded %d hops", u, m.n)
+	return steps, nil
 }
 
 // Request enqueues u for the token. Requests are served FIFO.
@@ -214,8 +115,9 @@ func (m *Manager) Request(u graph.NodeID) error {
 }
 
 // Grant hands the token to the oldest pending requester: the request
-// travels along the DAG to the holder, then the DAG re-orients toward the
-// grantee. It returns the handoff record.
+// travels along the DAG to the holder (lowest-height next hop at each
+// step), then the DAG re-orients toward the grantee. It returns the
+// handoff record.
 func (m *Manager) Grant() (GrantRecord, error) {
 	if len(m.queue) == 0 {
 		return GrantRecord{}, ErrNoRequests
@@ -223,11 +125,11 @@ func (m *Manager) Grant() (GrantRecord, error) {
 	to := m.queue[0]
 	m.queue = m.queue[1:]
 	delete(m.queued, to)
-	path, err := m.requestPath(to)
-	if err != nil {
-		return GrantRecord{}, err
+	path, ok := m.dag.Path(to, m.holder)
+	if !ok {
+		return GrantRecord{}, fmt.Errorf("mutex: process %d has no route to the holder", path[len(path)-1])
 	}
-	rev, err := m.stabilizeTowardGrantee(to)
+	rev, err := m.stabilizeToward(to)
 	if err != nil {
 		return GrantRecord{}, err
 	}
@@ -235,10 +137,6 @@ func (m *Manager) Grant() (GrantRecord, error) {
 	m.holder = to
 	m.history = append(m.history, rec)
 	return rec, nil
-}
-
-func (m *Manager) stabilizeTowardGrantee(to graph.NodeID) (int, error) {
-	return m.stabilizeToward(to)
 }
 
 // DrainAll grants until the queue empties, returning the handoff records.
@@ -255,24 +153,15 @@ func (m *Manager) DrainAll() ([]GrantRecord, error) {
 }
 
 // Oriented reports whether every process currently has a directed path to
-// the token holder — the system invariant between grants.
+// the token holder — the system invariant between grants. Heights strictly
+// decrease along a directed path, so that holds exactly when every other
+// process has a lower neighbour to forward to.
 func (m *Manager) Oriented() bool {
-	reach := make([]bool, m.n)
-	reach[m.holder] = true
-	queue := []graph.NodeID{m.holder}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for v := range m.adj[u] {
-			if !reach[v] && m.pointsTo(v, u) {
-				reach[v] = true
-				queue = append(queue, v)
+	for u := range m.dag.NumNodes() {
+		if id := graph.NodeID(u); id != m.holder {
+			if _, ok := m.dag.NextHop(id); !ok {
+				return false
 			}
-		}
-	}
-	for u := 0; u < m.n; u++ {
-		if !reach[u] {
-			return false
 		}
 	}
 	return true
@@ -280,36 +169,4 @@ func (m *Manager) Oriented() bool {
 
 // Acyclic verifies by DFS that the directed graph has no cycle (always
 // true: heights are a total order). Exposed for the tests.
-func (m *Manager) Acyclic() bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, m.n)
-	var dfs func(u graph.NodeID) bool
-	dfs = func(u graph.NodeID) bool {
-		color[u] = gray
-		for v := range m.adj[u] {
-			if !m.pointsTo(u, v) {
-				continue
-			}
-			switch color[v] {
-			case gray:
-				return false
-			case white:
-				if !dfs(v) {
-					return false
-				}
-			}
-		}
-		color[u] = black
-		return true
-	}
-	for u := 0; u < m.n; u++ {
-		if color[u] == white && !dfs(graph.NodeID(u)) {
-			return false
-		}
-	}
-	return true
-}
+func (m *Manager) Acyclic() bool { return m.dag.Acyclic() }

@@ -3,13 +3,14 @@
 // whose topology changes, in the style of TORA and the original
 // Gafni–Bertsekas protocol.
 //
-// The router keeps a height triple per node (the GBPair formulation of
-// Partial Reversal) and derives every link's direction from the heights:
-// higher endpoint → lower endpoint. Because heights form a total order, the
-// routing graph is acyclic *by construction* at all times, links can be
-// added with a well-defined direction, and removing links preserves
-// acyclicity trivially. When a node loses its last outgoing link it becomes
-// a sink and the partial-reversal rule raises its height.
+// The router keeps its links and heights in a core.HeightDAG: a height
+// triple per node (the GBPair formulation of Partial Reversal) from which
+// every link's direction is derived, higher endpoint → lower endpoint.
+// Because heights form a total order, the routing graph is acyclic *by
+// construction* at all times, links can be added with a well-defined
+// direction, and removing links preserves acyclicity trivially. When a node
+// loses its last outgoing link it becomes a sink and the partial-reversal
+// rule raises its height.
 //
 // Nodes whose component no longer contains the destination can never become
 // destination-oriented; the router detects them by undirected reachability
@@ -20,7 +21,7 @@ package routing
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"linkreversal/internal/core"
 	"linkreversal/internal/graph"
@@ -48,12 +49,8 @@ var (
 // Router maintains loop-free routes to a single destination over a mutable
 // topology. It is not safe for concurrent use.
 type Router struct {
-	n       int
-	dest    graph.NodeID
-	adj     []map[graph.NodeID]bool
-	heights []core.Height
-	// reversals counts height updates (PR steps) since construction.
-	reversals int
+	dest graph.NodeID
+	dag  *core.HeightDAG
 	// events counts topology mutations.
 	events int
 }
@@ -66,33 +63,17 @@ func NewRouter(topo *workload.Topology) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := topo.Graph.NumNodes()
-	r := &Router{
-		n:       n,
-		dest:    topo.Dest,
-		adj:     make([]map[graph.NodeID]bool, n),
-		heights: make([]core.Height, n),
-	}
-	for u := 0; u < n; u++ {
-		r.adj[u] = make(map[graph.NodeID]bool)
-		id := graph.NodeID(u)
-		r.heights[u] = core.Height{A: 0, B: -in.Embedding().Pos(id), ID: id}
-	}
-	for _, e := range topo.Graph.Edges() {
-		r.adj[e.U][e.V] = true
-		r.adj[e.V][e.U] = true
-	}
-	return r, nil
+	return &Router{dest: topo.Dest, dag: core.NewHeightDAG(in)}, nil
 }
 
 // NumNodes returns the number of nodes.
-func (r *Router) NumNodes() int { return r.n }
+func (r *Router) NumNodes() int { return r.dag.NumNodes() }
 
 // Destination returns the destination node.
 func (r *Router) Destination() graph.NodeID { return r.dest }
 
 // Reversals returns the total number of height updates performed.
-func (r *Router) Reversals() int { return r.reversals }
+func (r *Router) Reversals() int { return r.dag.Steps() }
 
 // Events returns the number of topology mutations applied.
 func (r *Router) Events() int { return r.events }
@@ -102,36 +83,28 @@ func (r *Router) Height(u graph.NodeID) (core.Height, error) {
 	if !r.valid(u) {
 		return core.Height{}, fmt.Errorf("%w: %d", ErrUnknownNode, u)
 	}
-	return r.heights[u], nil
+	return r.dag.Height(u), nil
 }
 
-func (r *Router) valid(u graph.NodeID) bool { return u >= 0 && int(u) < r.n }
-
-// pointsTo reports whether link {u,v} is currently directed u→v, i.e. u has
-// the greater height.
-func (r *Router) pointsTo(u, v graph.NodeID) bool {
-	return r.heights[v].Less(r.heights[u])
-}
+func (r *Router) valid(u graph.NodeID) bool { return u >= 0 && int(u) < r.dag.NumNodes() }
 
 // Neighbors returns the current neighbours of u in ascending order.
 func (r *Router) Neighbors(u graph.NodeID) []graph.NodeID {
 	if !r.valid(u) {
 		return nil
 	}
-	out := make([]graph.NodeID, 0, len(r.adj[u]))
-	for v := range r.adj[u] {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(r.dag.Neighbors(u))
 }
 
 // NextHops returns u's current outgoing neighbours (candidate next hops),
 // in ascending order.
 func (r *Router) NextHops(u graph.NodeID) []graph.NodeID {
+	if !r.valid(u) {
+		return nil
+	}
 	var out []graph.NodeID
-	for _, v := range r.Neighbors(u) {
-		if r.pointsTo(u, v) {
+	for _, v := range r.dag.Neighbors(u) {
+		if r.dag.Height(v).Less(r.dag.Height(u)) {
 			out = append(out, v)
 		}
 	}
@@ -140,7 +113,7 @@ func (r *Router) NextHops(u graph.NodeID) []graph.NodeID {
 
 // HasLink reports whether the link {u,v} is currently present.
 func (r *Router) HasLink(u, v graph.NodeID) bool {
-	return r.valid(u) && r.valid(v) && r.adj[u][v]
+	return r.valid(u) && r.valid(v) && r.dag.HasLink(u, v)
 }
 
 // AddLink inserts the link {u,v}. Its direction is derived from the current
@@ -152,11 +125,9 @@ func (r *Router) AddLink(u, v graph.NodeID) error {
 	if u == v {
 		return fmt.Errorf("%w: %d", ErrSelfLink, u)
 	}
-	if r.adj[u][v] {
+	if !r.dag.AddLink(u, v) {
 		return fmt.Errorf("%w: {%d,%d}", ErrLinkExists, u, v)
 	}
-	r.adj[u][v] = true
-	r.adj[v][u] = true
 	r.events++
 	return nil
 }
@@ -166,99 +137,22 @@ func (r *Router) RemoveLink(u, v graph.NodeID) error {
 	if !r.valid(u) || !r.valid(v) {
 		return fmt.Errorf("%w: {%d,%d}", ErrUnknownNode, u, v)
 	}
-	if !r.adj[u][v] {
+	if !r.dag.RemoveLink(u, v) {
 		return fmt.Errorf("%w: {%d,%d}", ErrNoSuchLink, u, v)
 	}
-	delete(r.adj[u], v)
-	delete(r.adj[v], u)
 	r.events++
 	return nil
-}
-
-// isSink reports whether u is a non-destination node with at least one link
-// and no outgoing link.
-func (r *Router) isSink(u graph.NodeID) bool {
-	if u == r.dest || len(r.adj[u]) == 0 {
-		return false
-	}
-	for v := range r.adj[u] {
-		if r.pointsTo(u, v) {
-			return false
-		}
-	}
-	return true
-}
-
-// destComponent returns membership of the destination's undirected
-// component.
-func (r *Router) destComponent() []bool {
-	seen := make([]bool, r.n)
-	stack := []graph.NodeID{r.dest}
-	seen[r.dest] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for v := range r.adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
-}
-
-// step applies the GB partial-reversal height update at sink u.
-func (r *Router) step(u graph.NodeID) {
-	minA := 0
-	first := true
-	for v := range r.adj[u] {
-		if first || r.heights[v].A < minA {
-			minA = r.heights[v].A
-			first = false
-		}
-	}
-	newA := minA + 1
-	newB := r.heights[u].B
-	foundB := false
-	for v := range r.adj[u] {
-		if r.heights[v].A != newA {
-			continue
-		}
-		if cand := r.heights[v].B - 1; !foundB || cand < newB {
-			newB = cand
-			foundB = true
-		}
-	}
-	r.heights[u] = core.Height{A: newA, B: newB, ID: u}
-	r.reversals++
 }
 
 // Stabilize runs partial-reversal steps until no node in the destination's
 // component is a sink. Nodes outside that component are partitioned and
 // skipped. It returns the number of steps performed.
 func (r *Router) Stabilize() (int, error) {
-	inDest := r.destComponent()
-	steps := 0
-	maxSteps := 100*r.n*r.n + 100
-	for {
-		progressed := false
-		for u := 0; u < r.n; u++ {
-			id := graph.NodeID(u)
-			if !inDest[u] || !r.isSink(id) {
-				continue
-			}
-			r.step(id)
-			steps++
-			progressed = true
-			if steps > maxSteps {
-				return steps, fmt.Errorf("routing: stabilize exceeded %d steps", maxSteps)
-			}
-		}
-		if !progressed {
-			return steps, nil
-		}
+	steps, err := r.dag.Stabilize(r.dest, r.dag.Component(r.dest))
+	if err != nil {
+		return steps, fmt.Errorf("routing: %w", err)
 	}
+	return steps, nil
 }
 
 // Partitioned reports whether u is outside the destination's component.
@@ -266,78 +160,29 @@ func (r *Router) Partitioned(u graph.NodeID) (bool, error) {
 	if !r.valid(u) {
 		return false, fmt.Errorf("%w: %d", ErrUnknownNode, u)
 	}
-	return !r.destComponent()[u], nil
+	_, in := slices.BinarySearch(r.dag.Component(r.dest), u)
+	return !in, nil
 }
 
 // Route returns a loop-free path from src to the destination following
 // current link directions, always forwarding to the lowest-height next hop.
 // The network must be stabilized first.
 func (r *Router) Route(src graph.NodeID) ([]graph.NodeID, error) {
-	if !r.valid(src) {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, src)
+	part, err := r.Partitioned(src)
+	if err != nil {
+		return nil, err
 	}
-	inDest := r.destComponent()
-	if !inDest[src] {
+	if part {
 		return nil, fmt.Errorf("%w: node %d", ErrPartitioned, src)
 	}
-	path := []graph.NodeID{src}
-	cur := src
-	// Heights strictly decrease along the path, so n hops suffice.
-	for hops := 0; hops <= r.n; hops++ {
-		if cur == r.dest {
-			return path, nil
-		}
-		hopsOut := r.NextHops(cur)
-		if len(hopsOut) == 0 {
-			return nil, fmt.Errorf("%w: node %d is a sink", ErrNotStabilized, cur)
-		}
-		best := hopsOut[0]
-		for _, v := range hopsOut[1:] {
-			if r.heights[v].Less(r.heights[best]) {
-				best = v
-			}
-		}
-		path = append(path, best)
-		cur = best
+	path, ok := r.dag.Path(src, r.dest)
+	if !ok {
+		return nil, fmt.Errorf("%w: node %d is a sink", ErrNotStabilized, path[len(path)-1])
 	}
-	return nil, fmt.Errorf("routing: path from %d exceeded %d hops (loop?)", src, r.n)
+	return path, nil
 }
 
 // Acyclic reports whether the current directed routing graph is acyclic.
 // Heights are a total order, so this is true by construction; the method
 // exists as an executable invariant for the test suite.
-func (r *Router) Acyclic() bool {
-	// Follow out-edges: any cycle would need a height to be less than
-	// itself. Verify by explicit DFS to avoid trusting the construction.
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, r.n)
-	var dfs func(u graph.NodeID) bool
-	dfs = func(u graph.NodeID) bool {
-		color[u] = gray
-		for v := range r.adj[u] {
-			if !r.pointsTo(u, v) {
-				continue
-			}
-			switch color[v] {
-			case gray:
-				return false
-			case white:
-				if !dfs(v) {
-					return false
-				}
-			}
-		}
-		color[u] = black
-		return true
-	}
-	for u := 0; u < r.n; u++ {
-		if color[u] == white && !dfs(graph.NodeID(u)) {
-			return false
-		}
-	}
-	return true
-}
+func (r *Router) Acyclic() bool { return r.dag.Acyclic() }

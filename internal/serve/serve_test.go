@@ -433,7 +433,7 @@ func FuzzChurnScript(f *testing.F) {
 				if snap.Removed(id) || len(snap.Links(id)) == 0 || (pe != nil && slices.Contains(pe.Cut, id)) {
 					continue
 				}
-				if _, ok := snap.RouteFrom(id, snap.Dest, snap.NumNodes()+1); !ok {
+				if _, ok := snap.RouteInto(id, snap.Dest, snap.NumNodes()+1, nil); !ok {
 					t.Fatalf("shards=%d: no route %d → %d in epoch %d", shards, u, snap.Dest, snap.Epoch)
 				}
 			}

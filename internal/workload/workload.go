@@ -7,6 +7,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"linkreversal/internal/core"
 	"linkreversal/internal/graph"
@@ -400,5 +401,40 @@ func Ring(n int, seed int64) *Topology {
 		Graph:   g,
 		Initial: o,
 		Dest:    0,
+	}
+}
+
+// Names lists the topology names ByName accepts.
+const Names = "bad-chain, alt-chain, good-chain, star, ladder, grid, tree, ring, layered, random"
+
+// ByName builds a topology by name from a size parameter n, an edge
+// density p and a seed: the -topo table of the batch CLIs. n is passed to
+// the generator as its size parameter, grid builds the n×n square, and
+// layered spreads about n nodes over four layers; p is read by layered and
+// random, seed by tree, ring, layered and random.
+func ByName(name string, n int, p float64, seed int64) (*Topology, error) {
+	switch strings.ToLower(name) {
+	case "bad-chain":
+		return BadChain(n), nil
+	case "alt-chain":
+		return AlternatingChain(n), nil
+	case "good-chain":
+		return GoodChain(n), nil
+	case "star":
+		return Star(n), nil
+	case "ladder":
+		return Ladder(n), nil
+	case "grid":
+		return Grid(n, n), nil
+	case "tree":
+		return Tree(n, seed), nil
+	case "ring":
+		return Ring(n, seed), nil
+	case "layered":
+		return LayeredDAG(4, (n+2)/4, p, seed), nil
+	case "random":
+		return RandomConnected(n, p, seed), nil
+	default:
+		return nil, fmt.Errorf("unknown topology %q (%s)", name, Names)
 	}
 }

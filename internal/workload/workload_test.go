@@ -179,3 +179,23 @@ func TestDegenerateSizes(t *testing.T) {
 		}
 	}
 }
+
+// TestByName builds every listed name, case-insensitively, and rejects an
+// unknown one.
+func TestByName(t *testing.T) {
+	for _, name := range strings.Split(Names, ", ") {
+		topo, err := ByName(strings.ToUpper(name), 6, 0.3, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := topo.Init(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if topo, err := ByName("grid", 3, 0, 1); err != nil || topo.Name != "grid-3x3" {
+		t.Errorf("grid 3 = %v, %v; want grid-3x3", topo, err)
+	}
+	if _, err := ByName("nope", 6, 0.3, 1); err == nil {
+		t.Error("unknown topology accepted")
+	}
+}

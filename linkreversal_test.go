@@ -273,7 +273,7 @@ func TestDynamicNetworkAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := net.Snapshot()
-	if _, ok := s.RouteFrom(8, 0, 10); !ok {
+	if _, ok := s.RouteInto(8, 0, 10, nil); !ok {
 		t.Error("no route after repair")
 	}
 }
