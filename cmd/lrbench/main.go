@@ -1,4 +1,4 @@
-// Command lrbench runs the experiment suite E1–E8 and prints the tables
+// Command lrbench runs the experiment suite E1–E12 and prints the tables
 // recorded in EXPERIMENTS.md.
 //
 // Usage:
@@ -46,7 +46,7 @@ func run(args []string) error {
 		quick    = fs.Bool("quick", false, "use the small parameter set")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut  = fs.Bool("json", false, "emit one JSON array of table objects")
-		only     = fs.String("only", "", "run a single experiment (E1..E8)")
+		only     = fs.String("only", "", "run a single experiment (E1..E12)")
 		part     = fs.String("partition", "block", "sharded node-to-shard assignment for E8: block, hash or locality")
 		faultsIn = fs.String("faults", "off", "network adversary for the distributed experiments: off, lossy, flaky or adversarial")
 		seed     = fs.Int64("seed", 0, "seed of the fault adversary (every adversarial row replays from it)")
@@ -96,32 +96,22 @@ func run(args []string) error {
 		// JSON artifact alone reproduces its -partition invocation.
 		scenario += "/partition=" + *part
 	}
-	type exp struct {
-		id  string
-		run func(experiments.Suite) (*trace.Table, error)
+	var selected []experiments.Experiment
+	var ids []string
+	for _, e := range experiments.List {
+		ids = append(ids, e.ID)
+		if *only == "" || strings.EqualFold(*only, e.ID) {
+			selected = append(selected, e)
+		}
 	}
-	all := []exp{
-		{id: "E1", run: experiments.E1Acyclicity},
-		{id: "E2", run: experiments.E2Invariants},
-		{id: "E3", run: experiments.E3Simulation},
-		{id: "E4", run: experiments.E4WorstCase},
-		{id: "E5", run: experiments.E5PRvsFR},
-		{id: "E6", run: experiments.E6DummyOverhead},
-		{id: "E7", run: experiments.E7SocialCost},
-		{id: "E8", run: experiments.E8Distributed},
-		{id: "E9", run: experiments.E9Rounds},
-		{id: "E10", run: experiments.E10Churn},
-		{id: "E11", run: experiments.E11DistributedChurn},
-		{id: "E12", run: experiments.E12Exhaustive},
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown -only %q (want one of %s)", *only, strings.Join(ids, ", "))
 	}
 	var tables []*trace.Table
-	for _, e := range all {
-		if *only != "" && !strings.EqualFold(*only, e.id) {
-			continue
-		}
-		tb, err := e.run(suite)
+	for _, e := range selected {
+		tb, err := e.Run(suite)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.id, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		tb.SetProvenance(scenario, *seed)
 		switch {

@@ -40,6 +40,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-engine", "sharded"}, // no such flag
 		{"-partition", "psychic"},
 		{"-faults", "sunny"},
+		{"-quick", "-only", "E13"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)

@@ -15,7 +15,6 @@ import (
 	"os"
 	"strings"
 
-	"linkreversal/internal/automaton"
 	"linkreversal/internal/core"
 	"linkreversal/internal/mc"
 	"linkreversal/internal/workload"
@@ -64,28 +63,16 @@ func run(args []string) error {
 		topo.Name, topo.Graph.NumNodes(), topo.Graph.NumEdges(), topo.Dest)
 	fmt.Printf("%-10s  %10s  %12s  %6s  %10s  %s\n",
 		"variant", "states", "transitions", "depth", "quiescent", "verdict")
-	variants := []struct {
-		name string
-		a    automaton.Automaton
-		invs []automaton.Invariant
-	}{
-		{name: "PR", a: core.NewPRAutomaton(in), invs: core.ListInvariants()},
-		{name: "OneStepPR", a: core.NewOneStepPR(in), invs: core.ListInvariants()},
-		{name: "NewPR", a: core.NewNewPR(in), invs: core.NewPRInvariants()},
-		{name: "FR", a: core.NewFR(in), invs: core.BasicInvariants()},
-		{name: "GBPair", a: core.NewGBPair(in), invs: core.BasicInvariants()},
-		{name: "GBFull", a: core.NewGBFull(in), invs: core.BasicInvariants()},
-	}
-	for _, v := range variants {
-		res, err := mc.Explore(v.a, mc.Options{MaxStates: *maxSt, Invariants: v.invs, Reduction: reduction})
+	for _, v := range core.Variants {
+		res, err := mc.Explore(v.New(in), mc.Options{MaxStates: *maxSt, Invariants: v.Invariants, Reduction: reduction})
 		verdict := "all invariants hold"
 		if err != nil {
 			verdict = err.Error()
 		}
 		fmt.Printf("%-10s  %10d  %12d  %6d  %10d  %s\n",
-			v.name, res.States, res.Transitions, res.MaxDepth, res.Quiescent, verdict)
+			v.Name, res.States, res.Transitions, res.MaxDepth, res.Quiescent, verdict)
 		if err != nil {
-			return fmt.Errorf("%s: %w", v.name, err)
+			return fmt.Errorf("%s: %w", v.Name, err)
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nope"},
 		{"-topo", "nope"},
+		{"-n", "-1"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)

@@ -96,8 +96,13 @@ func TestRunWithScriptFlag(t *testing.T) {
 }
 
 func TestRunUnknownTopology(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-topo", "nope"}, strings.NewReader(""), &out); err == nil {
-		t.Error("unknown topology accepted")
+	for _, args := range [][]string{
+		{"-topo", "nope"},
+		{"-topo", "star", "-n", "-1"},
+	} {
+		var out strings.Builder
+		if err := run(args, strings.NewReader(""), &out); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
 	}
 }

@@ -13,6 +13,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-alg", "dijkstra"},
 		{"-sched", "psychic"},
 		{"-topo", "nope"},
+		{"-n", "-1"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)

@@ -111,6 +111,8 @@ type Automaton interface {
 	Step(a Action) error
 	// Steps returns the number of actions applied so far.
 	Steps() int
+	// TotalReversals returns the number of edge reversals performed so far.
+	TotalReversals() int
 	// Quiescent reports whether no action is enabled.
 	Quiescent() bool
 }

@@ -23,27 +23,15 @@ import (
 // but only those satisfying the global condition of Welch & Walter preserve
 // acyclicity — the ablation tests exercise both sides of that condition.
 type BLL struct {
-	init   *Init
-	orient *graph.Orientation
-	marked []nodeSet // marked[u] = neighbours whose edge is marked at u
-	steps  int
-	work   int
+	machine
+	marked lists // marked[u] = neighbours whose edge is marked at u
 }
-
-var (
-	_ automaton.Automaton = (*BLL)(nil)
-	_ automaton.Cloner    = (*BLL)(nil)
-)
 
 // NewBLL creates a BLL automaton. initialMarks[u] lists the neighbours whose
 // edge starts marked at u; a nil map means all labels start unmarked (the PR
 // special case). Marks naming non-neighbours are rejected.
 func NewBLL(in *Init, initialMarks map[graph.NodeID][]graph.NodeID) (*BLL, error) {
-	n := in.g.NumNodes()
-	marked := make([]nodeSet, n)
-	for i := range marked {
-		marked[i] = newNodeSet()
-	}
+	marked := newLists(in.g.NumNodes())
 	for u, vs := range initialMarks {
 		if !in.g.ValidNode(u) {
 			return nil, fmt.Errorf("core: BLL mark on unknown node %d", u)
@@ -55,79 +43,19 @@ func NewBLL(in *Init, initialMarks map[graph.NodeID][]graph.NodeID) (*BLL, error
 			marked[u].add(v)
 		}
 	}
-	return &BLL{
-		init:   in,
-		orient: in.InitialOrientation(),
-		marked: marked,
-	}, nil
+	return &BLL{machine: newMachine("BLL", in), marked: marked}, nil
 }
-
-// Name implements automaton.Automaton.
-func (b *BLL) Name() string { return "BLL" }
-
-// Graph implements automaton.Automaton.
-func (b *BLL) Graph() *graph.Graph { return b.init.g }
-
-// Orientation implements automaton.Automaton.
-func (b *BLL) Orientation() *graph.Orientation { return b.orient }
-
-// Destination implements automaton.Automaton.
-func (b *BLL) Destination() graph.NodeID { return b.init.dest }
-
-// Init returns the immutable initial data shared by all variants.
-func (b *BLL) Init() *Init { return b.init }
 
 // Marked returns the neighbours whose edge is currently marked at u.
 func (b *BLL) Marked(u graph.NodeID) []graph.NodeID { return b.marked[u].sorted() }
 
-// Steps implements automaton.Automaton.
-func (b *BLL) Steps() int { return b.steps }
-
-// TotalReversals returns the total number of edge reversals performed.
-func (b *BLL) TotalReversals() int { return b.work }
-
-// Quiescent implements automaton.Automaton.
-func (b *BLL) Quiescent() bool { return len(b.init.enabledSinks(b.orient)) == 0 }
-
-// Enabled implements automaton.Automaton.
-func (b *BLL) Enabled() []automaton.Action {
-	sinks := b.init.enabledSinks(b.orient)
-	acts := make([]automaton.Action, len(sinks))
-	for i, u := range sinks {
-		acts[i] = automaton.ReverseNode{U: u}
-	}
-	return acts
-}
-
 // Step implements automaton.Automaton; only ReverseNode actions are valid.
 func (b *BLL) Step(a automaton.Action) error {
-	act, ok := a.(automaton.ReverseNode)
-	if !ok {
-		return fmt.Errorf("%w: BLL accepts reverse(u), got %T", automaton.ErrInvalidAction, a)
+	u, err := b.checkNode(a)
+	if err != nil {
+		return err
 	}
-	u := act.U
-	if !b.init.g.ValidNode(u) {
-		return fmt.Errorf("%w: node %d out of range", automaton.ErrInvalidAction, u)
-	}
-	if u == b.init.dest {
-		return fmt.Errorf("%w: destination %d cannot step", automaton.ErrInvalidAction, u)
-	}
-	if !b.init.isEnabledSink(b.orient, u) {
-		return fmt.Errorf("%w: node %d is not an enabled sink", automaton.ErrPreconditionFailed, u)
-	}
-	nbrs := b.init.g.Neighbors(u)
-	full := b.marked[u].size() == len(nbrs)
-	for _, v := range nbrs {
-		if !full && b.marked[u].has(v) {
-			continue
-		}
-		if err := b.orient.Reverse(u, v); err != nil {
-			panic(fmt.Sprintf("core: reverse existing edge {%d,%d}: %v", u, v, err))
-		}
-		b.work++
-		b.marked[v].add(u)
-	}
-	b.marked[u].clear()
+	b.reverseListed(b.marked, u)
 	b.steps++
 	return nil
 }
@@ -136,20 +64,4 @@ func (b *BLL) Step(a automaton.Action) error {
 func (b *BLL) CloneAutomaton() automaton.Automaton { return b.Clone() }
 
 // Clone returns a deep copy sharing the immutable Init.
-func (b *BLL) Clone() *BLL {
-	marked := make([]nodeSet, len(b.marked))
-	for i, s := range b.marked {
-		cp := newNodeSet()
-		for u := range s {
-			cp.add(u)
-		}
-		marked[i] = cp
-	}
-	return &BLL{
-		init:   b.init,
-		orient: b.orient.Clone(),
-		marked: marked,
-		steps:  b.steps,
-		work:   b.work,
-	}
-}
+func (b *BLL) Clone() *BLL { return &BLL{machine: b.machine.clone(), marked: b.marked.clone()} }

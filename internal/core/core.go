@@ -11,8 +11,23 @@
 //     baseline in which a sink reverses all incident edges.
 //   - GBPair    — the original Gafni–Bertsekas height-based formulation of
 //     Partial Reversal with (a, b, id) triples.
+//   - GBFull    — the height-based formulation of Full Reversal with (a, id)
+//     pairs.
 //   - BLL       — Binary Link Labels (Welch & Walter), the generalization
 //     of which PR is the all-unmarked special case.
+//
+// Every automaton embeds one unexported machine (machine.go), which holds
+// what the paper's automata share: the immutable Init, the orientation G′,
+// the step and reversal counts, the accessors, and the checks of a
+// reverse(u) or reverse(S) action against the one precondition "u is a
+// sink other than D". Each automaton declares only its own state and
+// effect. PR's list rule is written once, as reverseListed over per-node
+// neighbour sets: PR and OneStepPR apply it to list[u], and BLL to its
+// marks.
+//
+// Variants is the one table of the sequential automata with their
+// invariant suites (PR, OneStepPR, NewPR, FR, GBPair, GBFull); the public
+// API, lrmc, the experiments and the hunter all read it.
 //
 // The package also provides executable checkers for every invariant and
 // simulation relation in the paper (see invariants.go and simulation.go).
@@ -157,22 +172,3 @@ func (in *Init) InNbrs(u graph.NodeID) []graph.NodeID { return in.inNbrs[u] }
 
 // OutNbrs returns out-nbrs(u) in G'_init. Callers must not modify the slice.
 func (in *Init) OutNbrs(u graph.NodeID) []graph.NodeID { return in.outNbrs[u] }
-
-// isEnabledSink reports whether u may take a reverse step: u is a sink in o,
-// u is not the destination, and u has at least one neighbour (the paper
-// assumes a connected graph; isolated nodes would otherwise step forever).
-func (in *Init) isEnabledSink(o *graph.Orientation, u graph.NodeID) bool {
-	return u != in.dest && in.g.Degree(u) > 0 && o.IsSink(u)
-}
-
-// enabledSinks returns the single-node reverse actions for all enabled sinks.
-func (in *Init) enabledSinks(o *graph.Orientation) []graph.NodeID {
-	var out []graph.NodeID
-	for u := 0; u < in.g.NumNodes(); u++ {
-		id := graph.NodeID(u)
-		if in.isEnabledSink(o, id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}

@@ -249,27 +249,60 @@ func mustStep(t *testing.T, a automaton.Automaton, act automaton.Action) {
 	}
 }
 
+// allAutomata returns a fresh instance of every Variants entry and of BLL
+// with every label unmarked.
+func allAutomata(t *testing.T, in *Init) []automaton.Automaton {
+	t.Helper()
+	var as []automaton.Automaton
+	for _, v := range Variants {
+		as = append(as, v.New(in))
+	}
+	bll, err := NewBLL(in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(as, bll)
+}
+
+// TestPRActionValidation checks that every automaton rejects a malformed or
+// disabled action with the right error class and leaves its state as it
+// was. The set cases apply to the reverse(S) automata (PR and FR), the
+// wrong-form case to the reverse(u) ones.
 func TestPRActionValidation(t *testing.T) {
 	in := badChainInit(t, 3)
+	const (
+		setOnly = iota + 1
+		nodeOnly
+	)
 	tests := []struct {
 		name    string
 		act     automaton.Action
+		only    int
 		wantErr error
 	}{
-		{name: "empty set", act: automaton.ReverseSet{}, wantErr: automaton.ErrInvalidAction},
+		{name: "empty set", act: automaton.ReverseSet{}, only: setOnly, wantErr: automaton.ErrInvalidAction},
+		{name: "duplicate", act: automaton.ReverseSet{S: []graph.NodeID{3, 3}}, only: setOnly, wantErr: automaton.ErrInvalidAction},
+		{name: "set to single-node variant", act: automaton.ReverseSet{S: []graph.NodeID{3}}, only: nodeOnly, wantErr: automaton.ErrInvalidAction},
 		{name: "destination", act: automaton.ReverseNode{U: 0}, wantErr: automaton.ErrInvalidAction},
 		{name: "out of range", act: automaton.ReverseNode{U: 99}, wantErr: automaton.ErrInvalidAction},
-		{name: "duplicate", act: automaton.ReverseSet{S: []graph.NodeID{3, 3}}, wantErr: automaton.ErrInvalidAction},
 		{name: "non-sink", act: automaton.ReverseNode{U: 1}, wantErr: automaton.ErrPreconditionFailed},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			pr := NewPRAutomaton(in)
-			if err := pr.Step(tt.act); !errors.Is(err, tt.wantErr) {
-				t.Errorf("Step(%v) error = %v, want %v", tt.act, err, tt.wantErr)
-			}
-			if pr.Steps() != 0 || pr.TotalReversals() != 0 {
-				t.Error("failed step mutated state")
+			for _, a := range allAutomata(t, in) {
+				_, sets := a.Enabled()[0].(automaton.ReverseSet)
+				if (tt.only == setOnly && !sets) || (tt.only == nodeOnly && sets) {
+					continue
+				}
+				t.Run(a.Name(), func(t *testing.T) {
+					key := a.(StateKeyer).StateKey()
+					if err := a.Step(tt.act); !errors.Is(err, tt.wantErr) {
+						t.Errorf("Step(%v) error = %v, want %v", tt.act, err, tt.wantErr)
+					}
+					if a.Steps() != 0 || a.TotalReversals() != 0 || a.(StateKeyer).StateKey() != key {
+						t.Error("failed step mutated state")
+					}
+				})
 			}
 		})
 	}
@@ -411,23 +444,23 @@ func TestBLLRejectsBadMarks(t *testing.T) {
 	}
 }
 
+// TestCloneIsolation steps a clone of every automaton and checks that the
+// original's steps, orientation and full state did not move.
 func TestCloneIsolation(t *testing.T) {
 	in := badChainInit(t, 4)
-	variants := []interface {
-		automaton.Automaton
-		automaton.Cloner
-	}{
-		NewPRAutomaton(in), NewOneStepPR(in), NewNewPR(in), NewFR(in), NewGBPair(in),
-	}
-	for _, v := range variants {
+	for _, v := range allAutomata(t, in) {
 		t.Run(v.Name(), func(t *testing.T) {
-			clone := v.CloneAutomaton()
+			key := v.(StateKeyer).StateKey()
+			clone := v.(automaton.Cloner).CloneAutomaton()
 			mustStep(t, clone, clone.Enabled()[0])
 			if v.Steps() != 0 {
 				t.Error("stepping the clone mutated the original")
 			}
 			if !v.Orientation().Equal(NewFR(in).Orientation()) {
 				t.Error("original orientation changed")
+			}
+			if got := v.(StateKeyer).StateKey(); got != key {
+				t.Errorf("original state changed: %s -> %s", key, got)
 			}
 		})
 	}

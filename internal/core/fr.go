@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"linkreversal/internal/automaton"
-	"linkreversal/internal/graph"
-)
+import "linkreversal/internal/automaton"
 
 // FR is the Full Reversal automaton (Gafni & Bertsekas 1981): whenever a
 // node is a sink it reverses *all* of its incident edges. Like PR, FR admits
@@ -16,97 +11,25 @@ import (
 // one-paragraph proof reproduced in Section 1, and both FR and PR share the
 // Θ(n_b²) worst-case total-reversal bound.
 type FR struct {
-	init   *Init
-	orient *graph.Orientation
-	steps  int
-	work   int
+	machine
 }
-
-var (
-	_ automaton.Automaton = (*FR)(nil)
-	_ automaton.Cloner    = (*FR)(nil)
-)
 
 // NewFR creates an FR automaton in its initial state.
-func NewFR(in *Init) *FR {
-	return &FR{
-		init:   in,
-		orient: in.InitialOrientation(),
-	}
-}
+func NewFR(in *Init) *FR { return &FR{newMachine("FR", in)} }
 
-// Name implements automaton.Automaton.
-func (f *FR) Name() string { return "FR" }
-
-// Graph implements automaton.Automaton.
-func (f *FR) Graph() *graph.Graph { return f.init.g }
-
-// Orientation implements automaton.Automaton.
-func (f *FR) Orientation() *graph.Orientation { return f.orient }
-
-// Destination implements automaton.Automaton.
-func (f *FR) Destination() graph.NodeID { return f.init.dest }
-
-// Init returns the immutable initial data shared by all variants.
-func (f *FR) Init() *Init { return f.init }
-
-// Steps implements automaton.Automaton.
-func (f *FR) Steps() int { return f.steps }
-
-// TotalReversals returns the total number of edge reversals performed.
-func (f *FR) TotalReversals() int { return f.work }
-
-// Quiescent implements automaton.Automaton.
-func (f *FR) Quiescent() bool { return len(f.init.enabledSinks(f.orient)) == 0 }
-
-// Enabled implements automaton.Automaton.
-func (f *FR) Enabled() []automaton.Action {
-	sinks := f.init.enabledSinks(f.orient)
-	acts := make([]automaton.Action, len(sinks))
-	for i, u := range sinks {
-		acts[i] = automaton.ReverseSet{S: []graph.NodeID{u}}
-	}
-	return acts
-}
+// Enabled implements automaton.Automaton. It returns one singleton
+// reverse(S) action per enabled sink.
+func (f *FR) Enabled() []automaton.Action { return f.enabledSets() }
 
 // Step implements automaton.Automaton.
 func (f *FR) Step(a automaton.Action) error {
-	var s []graph.NodeID
-	switch act := a.(type) {
-	case automaton.ReverseSet:
-		s = act.S
-	case automaton.ReverseNode:
-		s = []graph.NodeID{act.U}
-	default:
-		return fmt.Errorf("%w: FR accepts reverse(S), got %T", automaton.ErrInvalidAction, a)
-	}
-	if len(s) == 0 {
-		return fmt.Errorf("%w: empty set", automaton.ErrInvalidAction)
-	}
-	seen := make(map[graph.NodeID]struct{}, len(s))
-	for _, u := range s {
-		if !f.init.g.ValidNode(u) {
-			return fmt.Errorf("%w: node %d out of range", automaton.ErrInvalidAction, u)
-		}
-		if u == f.init.dest {
-			return fmt.Errorf("%w: destination %d in S", automaton.ErrInvalidAction, u)
-		}
-		if _, dup := seen[u]; dup {
-			return fmt.Errorf("%w: node %d repeated in S", automaton.ErrInvalidAction, u)
-		}
-		seen[u] = struct{}{}
-	}
-	for _, u := range s {
-		if !f.init.isEnabledSink(f.orient, u) {
-			return fmt.Errorf("%w: node %d is not an enabled sink", automaton.ErrPreconditionFailed, u)
-		}
+	s, err := f.checkSet(a)
+	if err != nil {
+		return err
 	}
 	for _, u := range s {
 		for _, v := range f.init.g.Neighbors(u) {
-			if err := f.orient.Reverse(u, v); err != nil {
-				panic(fmt.Sprintf("core: reverse existing edge {%d,%d}: %v", u, v, err))
-			}
-			f.work++
+			f.reverse(u, v)
 		}
 	}
 	f.steps++
@@ -117,11 +40,4 @@ func (f *FR) Step(a automaton.Action) error {
 func (f *FR) CloneAutomaton() automaton.Automaton { return f.Clone() }
 
 // Clone returns a deep copy sharing the immutable Init.
-func (f *FR) Clone() *FR {
-	return &FR{
-		init:   f.init,
-		orient: f.orient.Clone(),
-		steps:  f.steps,
-		work:   f.work,
-	}
-}
+func (f *FR) Clone() *FR { return &FR{f.machine.clone()} }

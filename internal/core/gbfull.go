@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"linkreversal/internal/automaton"
 	"linkreversal/internal/graph"
@@ -41,17 +42,9 @@ func (h FullHeight) String() string { return fmt.Sprintf("(%d,%d)", h.A, h.ID) }
 // embedding: a[u] = n − 1 − pos(u), which orients every initial edge
 // identically to G'_init.
 type GBFull struct {
-	init    *Init
-	orient  *graph.Orientation
+	machine
 	heights []FullHeight
-	steps   int
-	work    int
 }
-
-var (
-	_ automaton.Automaton = (*GBFull)(nil)
-	_ automaton.Cloner    = (*GBFull)(nil)
-)
 
 // NewGBFull creates a GBFull automaton with heights inducing G'_init.
 func NewGBFull(in *Init) *GBFull {
@@ -61,65 +54,17 @@ func NewGBFull(in *Init) *GBFull {
 		id := graph.NodeID(u)
 		hs[u] = FullHeight{A: n - 1 - in.emb.Pos(id), ID: id}
 	}
-	return &GBFull{
-		init:    in,
-		orient:  in.InitialOrientation(),
-		heights: hs,
-	}
+	return &GBFull{machine: newMachine("GBFull", in), heights: hs}
 }
-
-// Name implements automaton.Automaton.
-func (g *GBFull) Name() string { return "GBFull" }
-
-// Graph implements automaton.Automaton.
-func (g *GBFull) Graph() *graph.Graph { return g.init.g }
-
-// Orientation implements automaton.Automaton.
-func (g *GBFull) Orientation() *graph.Orientation { return g.orient }
-
-// Destination implements automaton.Automaton.
-func (g *GBFull) Destination() graph.NodeID { return g.init.dest }
-
-// Init returns the immutable initial data shared by all variants.
-func (g *GBFull) Init() *Init { return g.init }
 
 // Height returns the current height pair of u.
 func (g *GBFull) Height(u graph.NodeID) FullHeight { return g.heights[u] }
 
-// Steps implements automaton.Automaton.
-func (g *GBFull) Steps() int { return g.steps }
-
-// TotalReversals returns the total number of edge reversals performed.
-func (g *GBFull) TotalReversals() int { return g.work }
-
-// Quiescent implements automaton.Automaton.
-func (g *GBFull) Quiescent() bool { return len(g.init.enabledSinks(g.orient)) == 0 }
-
-// Enabled implements automaton.Automaton.
-func (g *GBFull) Enabled() []automaton.Action {
-	sinks := g.init.enabledSinks(g.orient)
-	acts := make([]automaton.Action, len(sinks))
-	for i, u := range sinks {
-		acts[i] = automaton.ReverseNode{U: u}
-	}
-	return acts
-}
-
 // Step implements automaton.Automaton; only ReverseNode actions are valid.
 func (g *GBFull) Step(a automaton.Action) error {
-	act, ok := a.(automaton.ReverseNode)
-	if !ok {
-		return fmt.Errorf("%w: GBFull accepts reverse(u), got %T", automaton.ErrInvalidAction, a)
-	}
-	u := act.U
-	if !g.init.g.ValidNode(u) {
-		return fmt.Errorf("%w: node %d out of range", automaton.ErrInvalidAction, u)
-	}
-	if u == g.init.dest {
-		return fmt.Errorf("%w: destination %d cannot step", automaton.ErrInvalidAction, u)
-	}
-	if !g.init.isEnabledSink(g.orient, u) {
-		return fmt.Errorf("%w: node %d is not an enabled sink", automaton.ErrPreconditionFailed, u)
+	u, err := g.checkNode(a)
+	if err != nil {
+		return err
 	}
 	nbrs := g.init.g.Neighbors(u)
 	maxA := g.heights[nbrs[0]].A
@@ -132,10 +77,7 @@ func (g *GBFull) Step(a automaton.Action) error {
 	for _, v := range nbrs {
 		// u is now the largest in its neighbourhood: every edge reverses.
 		if !g.orient.PointsTo(u, v) {
-			if err := g.orient.Reverse(u, v); err != nil {
-				panic(fmt.Sprintf("core: reverse existing edge {%d,%d}: %v", u, v, err))
-			}
-			g.work++
+			g.reverse(u, v)
 		}
 	}
 	g.steps++
@@ -147,13 +89,5 @@ func (g *GBFull) CloneAutomaton() automaton.Automaton { return g.Clone() }
 
 // Clone returns a deep copy sharing the immutable Init.
 func (g *GBFull) Clone() *GBFull {
-	hs := make([]FullHeight, len(g.heights))
-	copy(hs, g.heights)
-	return &GBFull{
-		init:    g.init,
-		orient:  g.orient.Clone(),
-		heights: hs,
-		steps:   g.steps,
-		work:    g.work,
-	}
+	return &GBFull{machine: g.machine.clone(), heights: slices.Clone(g.heights)}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"linkreversal/internal/automaton"
 	"linkreversal/internal/graph"
@@ -40,17 +41,9 @@ func (h Height) String() string { return fmt.Sprintf("(%d,%d,%d)", h.A, h.B, h.I
 // height PairStep computes from its neighbours' heights. Initial heights are
 // PairHeight's, so the induced orientation equals G'_init.
 type GBPair struct {
-	init    *Init
-	orient  *graph.Orientation
+	machine
 	heights []Height
-	steps   int
-	work    int
 }
-
-var (
-	_ automaton.Automaton = (*GBPair)(nil)
-	_ automaton.Cloner    = (*GBPair)(nil)
-)
 
 // NewGBPair creates a GBPair automaton with heights inducing G'_init.
 func NewGBPair(in *Init) *GBPair {
@@ -59,65 +52,17 @@ func NewGBPair(in *Init) *GBPair {
 	for u := range n {
 		hs[u] = in.PairHeight(graph.NodeID(u))
 	}
-	return &GBPair{
-		init:    in,
-		orient:  in.InitialOrientation(),
-		heights: hs,
-	}
+	return &GBPair{machine: newMachine("GBPair", in), heights: hs}
 }
-
-// Name implements automaton.Automaton.
-func (g *GBPair) Name() string { return "GBPair" }
-
-// Graph implements automaton.Automaton.
-func (g *GBPair) Graph() *graph.Graph { return g.init.g }
-
-// Orientation implements automaton.Automaton.
-func (g *GBPair) Orientation() *graph.Orientation { return g.orient }
-
-// Destination implements automaton.Automaton.
-func (g *GBPair) Destination() graph.NodeID { return g.init.dest }
-
-// Init returns the immutable initial data shared by all variants.
-func (g *GBPair) Init() *Init { return g.init }
 
 // Height returns the current height triple of u.
 func (g *GBPair) Height(u graph.NodeID) Height { return g.heights[u] }
 
-// Steps implements automaton.Automaton.
-func (g *GBPair) Steps() int { return g.steps }
-
-// TotalReversals returns the total number of edge reversals performed.
-func (g *GBPair) TotalReversals() int { return g.work }
-
-// Quiescent implements automaton.Automaton.
-func (g *GBPair) Quiescent() bool { return len(g.init.enabledSinks(g.orient)) == 0 }
-
-// Enabled implements automaton.Automaton.
-func (g *GBPair) Enabled() []automaton.Action {
-	sinks := g.init.enabledSinks(g.orient)
-	acts := make([]automaton.Action, len(sinks))
-	for i, u := range sinks {
-		acts[i] = automaton.ReverseNode{U: u}
-	}
-	return acts
-}
-
 // Step implements automaton.Automaton; only ReverseNode actions are valid.
 func (g *GBPair) Step(a automaton.Action) error {
-	act, ok := a.(automaton.ReverseNode)
-	if !ok {
-		return fmt.Errorf("%w: GBPair accepts reverse(u), got %T", automaton.ErrInvalidAction, a)
-	}
-	u := act.U
-	if !g.init.g.ValidNode(u) {
-		return fmt.Errorf("%w: node %d out of range", automaton.ErrInvalidAction, u)
-	}
-	if u == g.init.dest {
-		return fmt.Errorf("%w: destination %d cannot step", automaton.ErrInvalidAction, u)
-	}
-	if !g.init.isEnabledSink(g.orient, u) {
-		return fmt.Errorf("%w: node %d is not an enabled sink", automaton.ErrPreconditionFailed, u)
+	u, err := g.checkNode(a)
+	if err != nil {
+		return err
 	}
 	nbrs := g.init.g.Neighbors(u)
 	g.heights[u] = PairStep(g.heights[u], len(nbrs), func(i int) Height { return g.heights[nbrs[i]] })
@@ -126,10 +71,7 @@ func (g *GBPair) Step(a automaton.Action) error {
 	for _, v := range nbrs {
 		pointsToV := g.heights[v].Less(g.heights[u]) // u higher ⇒ u→v
 		if g.orient.PointsTo(u, v) != pointsToV {
-			if err := g.orient.Reverse(u, v); err != nil {
-				panic(fmt.Sprintf("core: reverse existing edge {%d,%d}: %v", u, v, err))
-			}
-			g.work++
+			g.reverse(u, v)
 		}
 	}
 	g.steps++
@@ -141,13 +83,5 @@ func (g *GBPair) CloneAutomaton() automaton.Automaton { return g.Clone() }
 
 // Clone returns a deep copy sharing the immutable Init.
 func (g *GBPair) Clone() *GBPair {
-	hs := make([]Height, len(g.heights))
-	copy(hs, g.heights)
-	return &GBPair{
-		init:    g.init,
-		orient:  g.orient.Clone(),
-		heights: hs,
-		steps:   g.steps,
-		work:    g.work,
-	}
+	return &GBPair{machine: g.machine.clone(), heights: slices.Clone(g.heights)}
 }

@@ -49,22 +49,12 @@ func schedulers() []sched.Scheduler {
 func TestInvariantsAllVariantsAllSchedulers(t *testing.T) {
 	for _, topo := range topologies() {
 		in := topo.MustInit()
-		for _, mk := range []struct {
-			name string
-			make func() automaton.Automaton
-			invs []automaton.Invariant
-		}{
-			{name: "PR", make: func() automaton.Automaton { return core.NewPRAutomaton(in) }, invs: core.ListInvariants()},
-			{name: "OneStepPR", make: func() automaton.Automaton { return core.NewOneStepPR(in) }, invs: core.ListInvariants()},
-			{name: "NewPR", make: func() automaton.Automaton { return core.NewNewPR(in) }, invs: core.NewPRInvariants()},
-			{name: "FR", make: func() automaton.Automaton { return core.NewFR(in) }, invs: core.BasicInvariants()},
-			{name: "GBPair", make: func() automaton.Automaton { return core.NewGBPair(in) }, invs: core.BasicInvariants()},
-		} {
+		for _, v := range core.Variants {
 			for _, s := range schedulers() {
-				name := fmt.Sprintf("%s/%s/%s", topo.Name, mk.name, s.Name())
+				name := fmt.Sprintf("%s/%s/%s", topo.Name, v.Name, s.Name())
 				t.Run(name, func(t *testing.T) {
-					a := mk.make()
-					res, err := sched.Run(a, s, sched.Options{Invariants: mk.invs})
+					a := v.New(in)
+					res, err := sched.Run(a, s, sched.Options{Invariants: v.Invariants})
 					if err != nil {
 						t.Fatalf("run: %v", err)
 					}

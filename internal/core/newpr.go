@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"linkreversal/internal/automaton"
 	"linkreversal/internal/graph"
@@ -41,42 +42,15 @@ func (p Parity) String() string {
 // as sinks or sources), the step reverses nothing — a "dummy" step that only
 // flips the parity.
 type NewPR struct {
-	init   *Init
-	orient *graph.Orientation
-	count  []int
-	steps  int
-	work   int
-	dummy  int
+	machine
+	count []int
+	dummy int
 }
-
-var (
-	_ automaton.Automaton = (*NewPR)(nil)
-	_ automaton.Cloner    = (*NewPR)(nil)
-)
 
 // NewNewPR creates a NewPR automaton in its initial state (all counts zero).
 func NewNewPR(in *Init) *NewPR {
-	return &NewPR{
-		init:   in,
-		orient: in.InitialOrientation(),
-		count:  make([]int, in.g.NumNodes()),
-	}
+	return &NewPR{machine: newMachine("NewPR", in), count: make([]int, in.g.NumNodes())}
 }
-
-// Name implements automaton.Automaton.
-func (p *NewPR) Name() string { return "NewPR" }
-
-// Graph implements automaton.Automaton.
-func (p *NewPR) Graph() *graph.Graph { return p.init.g }
-
-// Orientation implements automaton.Automaton.
-func (p *NewPR) Orientation() *graph.Orientation { return p.orient }
-
-// Destination implements automaton.Automaton.
-func (p *NewPR) Destination() graph.NodeID { return p.init.dest }
-
-// Init returns the immutable initial data shared by all variants.
-func (p *NewPR) Init() *Init { return p.init }
 
 // Count returns count[u], the number of steps u has taken.
 func (p *NewPR) Count(u graph.NodeID) int { return p.count[u] }
@@ -89,44 +63,15 @@ func (p *NewPR) Parity(u graph.NodeID) Parity {
 	return Odd
 }
 
-// Steps implements automaton.Automaton.
-func (p *NewPR) Steps() int { return p.steps }
-
-// TotalReversals returns the total number of edge reversals performed.
-func (p *NewPR) TotalReversals() int { return p.work }
-
 // DummySteps returns the number of steps that reversed no edges. These are
 // the extra cost NewPR pays relative to OneStepPR (Section 4.1 discussion).
 func (p *NewPR) DummySteps() int { return p.dummy }
 
-// Quiescent implements automaton.Automaton.
-func (p *NewPR) Quiescent() bool { return len(p.init.enabledSinks(p.orient)) == 0 }
-
-// Enabled implements automaton.Automaton.
-func (p *NewPR) Enabled() []automaton.Action {
-	sinks := p.init.enabledSinks(p.orient)
-	acts := make([]automaton.Action, len(sinks))
-	for i, u := range sinks {
-		acts[i] = automaton.ReverseNode{U: u}
-	}
-	return acts
-}
-
 // Step implements automaton.Automaton; only ReverseNode actions are valid.
 func (p *NewPR) Step(a automaton.Action) error {
-	act, ok := a.(automaton.ReverseNode)
-	if !ok {
-		return fmt.Errorf("%w: NewPR accepts reverse(u), got %T", automaton.ErrInvalidAction, a)
-	}
-	u := act.U
-	if !p.init.g.ValidNode(u) {
-		return fmt.Errorf("%w: node %d out of range", automaton.ErrInvalidAction, u)
-	}
-	if u == p.init.dest {
-		return fmt.Errorf("%w: destination %d cannot step", automaton.ErrInvalidAction, u)
-	}
-	if !p.init.isEnabledSink(p.orient, u) {
-		return fmt.Errorf("%w: node %d is not an enabled sink", automaton.ErrPreconditionFailed, u)
+	u, err := p.checkNode(a)
+	if err != nil {
+		return err
 	}
 	var toReverse []graph.NodeID
 	if p.Parity(u) == Even {
@@ -138,12 +83,8 @@ func (p *NewPR) Step(a automaton.Action) error {
 		p.dummy++
 	}
 	for _, v := range toReverse {
-		// dir[u,v] := out; dir[v,u] := in. u is a sink, so every incident
-		// edge currently points at u and the reversal cannot fail.
-		if err := p.orient.Reverse(u, v); err != nil {
-			panic(fmt.Sprintf("core: reverse existing edge {%d,%d}: %v", u, v, err))
-		}
-		p.work++
+		// dir[u,v] := out; dir[v,u] := in.
+		p.reverse(u, v)
 	}
 	p.count[u]++
 	p.steps++
@@ -155,14 +96,5 @@ func (p *NewPR) CloneAutomaton() automaton.Automaton { return p.Clone() }
 
 // Clone returns a deep copy sharing the immutable Init.
 func (p *NewPR) Clone() *NewPR {
-	counts := make([]int, len(p.count))
-	copy(counts, p.count)
-	return &NewPR{
-		init:   p.init,
-		orient: p.orient.Clone(),
-		count:  counts,
-		steps:  p.steps,
-		work:   p.work,
-		dummy:  p.dummy,
-	}
+	return &NewPR{machine: p.machine.clone(), count: slices.Clone(p.count), dummy: p.dummy}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"linkreversal/internal/automaton"
 	"linkreversal/internal/graph"
 )
@@ -11,98 +9,25 @@ import (
 // state and effect are identical to PR, but only a single node takes a step
 // per action (reverse(u) instead of reverse(S)).
 type OneStepPR struct {
-	init   *Init
-	orient *graph.Orientation
-	list   []nodeSet
-	steps  int
-	work   int
+	machine
+	list lists
 }
-
-var (
-	_ automaton.Automaton = (*OneStepPR)(nil)
-	_ automaton.Cloner    = (*OneStepPR)(nil)
-)
 
 // NewOneStepPR creates a OneStepPR automaton in its initial state.
 func NewOneStepPR(in *Init) *OneStepPR {
-	n := in.g.NumNodes()
-	lists := make([]nodeSet, n)
-	for i := range lists {
-		lists[i] = newNodeSet()
-	}
-	return &OneStepPR{
-		init:   in,
-		orient: in.InitialOrientation(),
-		list:   lists,
-	}
+	return &OneStepPR{machine: newMachine("OneStepPR", in), list: newLists(in.g.NumNodes())}
 }
-
-// Name implements automaton.Automaton.
-func (p *OneStepPR) Name() string { return "OneStepPR" }
-
-// Graph implements automaton.Automaton.
-func (p *OneStepPR) Graph() *graph.Graph { return p.init.g }
-
-// Orientation implements automaton.Automaton.
-func (p *OneStepPR) Orientation() *graph.Orientation { return p.orient }
-
-// Destination implements automaton.Automaton.
-func (p *OneStepPR) Destination() graph.NodeID { return p.init.dest }
-
-// Init returns the immutable initial data shared by all variants.
-func (p *OneStepPR) Init() *Init { return p.init }
 
 // List returns the current contents of list[u] in ascending order.
 func (p *OneStepPR) List(u graph.NodeID) []graph.NodeID { return p.list[u].sorted() }
 
-// Steps implements automaton.Automaton.
-func (p *OneStepPR) Steps() int { return p.steps }
-
-// TotalReversals returns the total number of edge reversals performed.
-func (p *OneStepPR) TotalReversals() int { return p.work }
-
-// Quiescent implements automaton.Automaton.
-func (p *OneStepPR) Quiescent() bool { return len(p.init.enabledSinks(p.orient)) == 0 }
-
-// Enabled implements automaton.Automaton.
-func (p *OneStepPR) Enabled() []automaton.Action {
-	sinks := p.init.enabledSinks(p.orient)
-	acts := make([]automaton.Action, len(sinks))
-	for i, u := range sinks {
-		acts[i] = automaton.ReverseNode{U: u}
-	}
-	return acts
-}
-
 // Step implements automaton.Automaton; only ReverseNode actions are valid.
 func (p *OneStepPR) Step(a automaton.Action) error {
-	act, ok := a.(automaton.ReverseNode)
-	if !ok {
-		return fmt.Errorf("%w: OneStepPR accepts reverse(u), got %T", automaton.ErrInvalidAction, a)
+	u, err := p.checkNode(a)
+	if err != nil {
+		return err
 	}
-	u := act.U
-	if !p.init.g.ValidNode(u) {
-		return fmt.Errorf("%w: node %d out of range", automaton.ErrInvalidAction, u)
-	}
-	if u == p.init.dest {
-		return fmt.Errorf("%w: destination %d cannot step", automaton.ErrInvalidAction, u)
-	}
-	if !p.init.isEnabledSink(p.orient, u) {
-		return fmt.Errorf("%w: node %d is not an enabled sink", automaton.ErrPreconditionFailed, u)
-	}
-	nbrs := p.init.g.Neighbors(u)
-	full := p.list[u].size() == len(nbrs)
-	for _, v := range nbrs {
-		if !full && p.list[u].has(v) {
-			continue
-		}
-		if err := p.orient.Reverse(u, v); err != nil {
-			panic(fmt.Sprintf("core: reverse existing edge {%d,%d}: %v", u, v, err))
-		}
-		p.work++
-		p.list[v].add(u)
-	}
-	p.list[u].clear()
+	p.reverseListed(p.list, u)
 	p.steps++
 	return nil
 }
@@ -112,19 +37,5 @@ func (p *OneStepPR) CloneAutomaton() automaton.Automaton { return p.Clone() }
 
 // Clone returns a deep copy sharing the immutable Init.
 func (p *OneStepPR) Clone() *OneStepPR {
-	lists := make([]nodeSet, len(p.list))
-	for i, s := range p.list {
-		cp := newNodeSet()
-		for u := range s {
-			cp.add(u)
-		}
-		lists[i] = cp
-	}
-	return &OneStepPR{
-		init:   p.init,
-		orient: p.orient.Clone(),
-		list:   lists,
-		steps:  p.steps,
-		work:   p.work,
-	}
+	return &OneStepPR{machine: p.machine.clone(), list: p.list.clone()}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"linkreversal/internal/automaton"
 	"linkreversal/internal/graph"
 )
@@ -19,153 +17,42 @@ import (
 // edges; every neighbour v whose edge was reversed adds u to list[v]; then
 // list[u] is emptied.
 type PR struct {
-	init   *Init
-	orient *graph.Orientation
-	list   []nodeSet
-	steps  int
-	work   int
+	machine
+	list lists
 }
-
-var (
-	_ automaton.Automaton = (*PR)(nil)
-	_ automaton.Cloner    = (*PR)(nil)
-)
 
 // NewPRAutomaton creates a PR automaton in its initial state (all lists
 // empty, orientation = G'_init).
 func NewPRAutomaton(in *Init) *PR {
-	n := in.g.NumNodes()
-	lists := make([]nodeSet, n)
-	for i := range lists {
-		lists[i] = newNodeSet()
-	}
-	return &PR{
-		init:   in,
-		orient: in.InitialOrientation(),
-		list:   lists,
-	}
+	return &PR{machine: newMachine("PR", in), list: newLists(in.g.NumNodes())}
 }
-
-// Name implements automaton.Automaton.
-func (p *PR) Name() string { return "PR" }
-
-// Graph implements automaton.Automaton.
-func (p *PR) Graph() *graph.Graph { return p.init.g }
-
-// Orientation implements automaton.Automaton.
-func (p *PR) Orientation() *graph.Orientation { return p.orient }
-
-// Destination implements automaton.Automaton.
-func (p *PR) Destination() graph.NodeID { return p.init.dest }
-
-// Init returns the immutable initial data shared by all variants.
-func (p *PR) Init() *Init { return p.init }
 
 // List returns the current contents of list[u] in ascending order.
 func (p *PR) List(u graph.NodeID) []graph.NodeID { return p.list[u].sorted() }
 
-// Steps implements automaton.Automaton.
-func (p *PR) Steps() int { return p.steps }
-
-// TotalReversals returns the total number of edge reversals performed.
-func (p *PR) TotalReversals() int { return p.work }
-
-// Quiescent implements automaton.Automaton.
-func (p *PR) Quiescent() bool { return len(p.init.enabledSinks(p.orient)) == 0 }
-
 // Enabled implements automaton.Automaton. It returns one singleton
 // reverse(S) action per enabled sink; any union of enabled singletons is
 // also enabled (no two sinks are ever adjacent).
-func (p *PR) Enabled() []automaton.Action {
-	sinks := p.init.enabledSinks(p.orient)
-	acts := make([]automaton.Action, len(sinks))
-	for i, u := range sinks {
-		acts[i] = automaton.ReverseSet{S: []graph.NodeID{u}}
-	}
-	return acts
-}
+func (p *PR) Enabled() []automaton.Action { return p.enabledSets() }
 
 // Step implements automaton.Automaton. It accepts ReverseSet actions and,
 // for convenience, ReverseNode actions (treated as singleton sets).
 func (p *PR) Step(a automaton.Action) error {
-	var s []graph.NodeID
-	switch act := a.(type) {
-	case automaton.ReverseSet:
-		s = act.S
-	case automaton.ReverseNode:
-		s = []graph.NodeID{act.U}
-	default:
-		return fmt.Errorf("%w: PR accepts reverse(S), got %T", automaton.ErrInvalidAction, a)
-	}
-	if len(s) == 0 {
-		return fmt.Errorf("%w: empty set", automaton.ErrInvalidAction)
-	}
-	seen := make(map[graph.NodeID]struct{}, len(s))
-	for _, u := range s {
-		if !p.init.g.ValidNode(u) {
-			return fmt.Errorf("%w: node %d out of range", automaton.ErrInvalidAction, u)
-		}
-		if u == p.init.dest {
-			return fmt.Errorf("%w: destination %d in S", automaton.ErrInvalidAction, u)
-		}
-		if _, dup := seen[u]; dup {
-			return fmt.Errorf("%w: node %d repeated in S", automaton.ErrInvalidAction, u)
-		}
-		seen[u] = struct{}{}
-	}
-	// Precondition: every node of S is a sink.
-	for _, u := range s {
-		if !p.init.isEnabledSink(p.orient, u) {
-			return fmt.Errorf("%w: node %d is not an enabled sink", automaton.ErrPreconditionFailed, u)
-		}
+	s, err := p.checkSet(a)
+	if err != nil {
+		return err
 	}
 	// Effect. Sinks are pairwise non-adjacent, so applying the per-node
 	// effects sequentially equals the simultaneous effect.
 	for _, u := range s {
-		p.reverseOne(u)
+		p.reverseListed(p.list, u)
 	}
 	p.steps++
 	return nil
-}
-
-// reverseOne applies the effect of u's reversal. The caller has checked the
-// precondition.
-func (p *PR) reverseOne(u graph.NodeID) {
-	nbrs := p.init.g.Neighbors(u)
-	full := p.list[u].size() == len(nbrs)
-	for _, v := range nbrs {
-		if !full && p.list[u].has(v) {
-			continue
-		}
-		// dir[u,v] := out; dir[v,u] := in; list[v] ∪= {u}.
-		// Reverse cannot fail: v is a neighbour of u by construction.
-		if err := p.orient.Reverse(u, v); err != nil {
-			panic(fmt.Sprintf("core: reverse existing edge {%d,%d}: %v", u, v, err))
-		}
-		p.work++
-		p.list[v].add(u)
-	}
-	p.list[u].clear()
 }
 
 // CloneAutomaton implements automaton.Cloner.
 func (p *PR) CloneAutomaton() automaton.Automaton { return p.Clone() }
 
 // Clone returns a deep copy sharing the immutable Init.
-func (p *PR) Clone() *PR {
-	lists := make([]nodeSet, len(p.list))
-	for i, s := range p.list {
-		cp := newNodeSet()
-		for u := range s {
-			cp.add(u)
-		}
-		lists[i] = cp
-	}
-	return &PR{
-		init:   p.init,
-		orient: p.orient.Clone(),
-		list:   lists,
-		steps:  p.steps,
-		work:   p.work,
-	}
-}
+func (p *PR) Clone() *PR { return &PR{machine: p.machine.clone(), list: p.list.clone()} }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 
 	"linkreversal/internal/automaton"
 	"linkreversal/internal/graph"
@@ -165,6 +166,30 @@ func (d *SimulationDriver) Step(s []graph.NodeID) error {
 	}
 	if d.checkEvery {
 		return d.CheckRelations()
+	}
+	return nil
+}
+
+// Run drives the three automata under a random set schedule until PR is
+// quiescent or has taken 100·n²+100 steps: each reverse(S) takes one enabled
+// sink drawn from rng and adds each other enabled sink with probability ½.
+// It returns the first step or relation error. Callers check Quiescent.
+func (d *SimulationDriver) Run(rng *rand.Rand) error {
+	n := d.pr.Graph().NumNodes()
+	for step := 0; step < 100*n*n+100 && !d.Quiescent(); step++ {
+		var sinks []graph.NodeID
+		for _, act := range d.pr.Enabled() {
+			sinks = append(sinks, act.Participants()...)
+		}
+		pick := []graph.NodeID{sinks[rng.Intn(len(sinks))]}
+		for _, u := range sinks {
+			if u != pick[0] && rng.Intn(2) == 0 {
+				pick = append(pick, u)
+			}
+		}
+		if err := d.Step(pick); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -17,10 +17,11 @@ type StateKeyer interface {
 	StateKey() string
 }
 
-// orientKey encodes the orientation as one bit per edge in edge-index
-// order.
-func orientKey(b *strings.Builder, o *graph.Orientation) {
-	for _, d := range o.DirectedEdges() {
+// key encodes the orientation as one bit per edge in edge-index order,
+// followed by whatever rest appends.
+func (m *machine) key(rest func(b *strings.Builder)) string {
+	var b strings.Builder
+	for _, d := range m.orient.DirectedEdges() {
 		e := graph.NormalizedEdge(d[0], d[1])
 		if d[0] == e.U {
 			b.WriteByte('>')
@@ -28,13 +29,15 @@ func orientKey(b *strings.Builder, o *graph.Orientation) {
 			b.WriteByte('<')
 		}
 	}
+	rest(&b)
+	return b.String()
 }
 
-// listsKey encodes per-node node-sets in node order.
-func listsKey(b *strings.Builder, n int, get func(graph.NodeID) []graph.NodeID) {
-	for u := 0; u < n; u++ {
+// key appends the per-node sets in node order.
+func (l lists) key(b *strings.Builder) {
+	for _, s := range l {
 		b.WriteByte('|')
-		for _, v := range get(graph.NodeID(u)) {
+		for _, v := range s.sorted() {
 			b.WriteString(strconv.Itoa(int(v)))
 			b.WriteByte(',')
 		}
@@ -42,80 +45,47 @@ func listsKey(b *strings.Builder, n int, get func(graph.NodeID) []graph.NodeID) 
 }
 
 // StateKey implements StateKeyer: orientation plus all lists.
-func (p *PR) StateKey() string {
-	var b strings.Builder
-	orientKey(&b, p.orient)
-	listsKey(&b, p.init.g.NumNodes(), p.List)
-	return b.String()
-}
+func (p *PR) StateKey() string { return p.key(p.list.key) }
 
 // StateKey implements StateKeyer: orientation plus all lists.
-func (p *OneStepPR) StateKey() string {
-	var b strings.Builder
-	orientKey(&b, p.orient)
-	listsKey(&b, p.init.g.NumNodes(), p.List)
-	return b.String()
-}
+func (p *OneStepPR) StateKey() string { return p.key(p.list.key) }
 
 // StateKey implements StateKeyer: orientation plus all step counts. Counts
 // are part of the paper's (history-augmented) state; executions terminate,
 // so the reachable space stays finite.
 func (p *NewPR) StateKey() string {
-	var b strings.Builder
-	orientKey(&b, p.orient)
-	for _, c := range p.count {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(c))
-	}
-	return b.String()
+	return p.key(func(b *strings.Builder) {
+		for _, c := range p.count {
+			b.WriteByte('|')
+			b.WriteString(strconv.Itoa(c))
+		}
+	})
 }
 
 // StateKey implements StateKeyer: FR's state is the orientation alone.
-func (f *FR) StateKey() string {
-	var b strings.Builder
-	orientKey(&b, f.orient)
-	return b.String()
-}
+func (f *FR) StateKey() string { return f.key(func(*strings.Builder) {}) }
 
 // StateKey implements StateKeyer: orientation plus height triples.
 func (g *GBPair) StateKey() string {
-	var b strings.Builder
-	orientKey(&b, g.orient)
-	for _, h := range g.heights {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(h.A))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(h.B))
-	}
-	return b.String()
+	return g.key(func(b *strings.Builder) {
+		for _, h := range g.heights {
+			b.WriteByte('|')
+			b.WriteString(strconv.Itoa(h.A))
+			b.WriteByte(':')
+			b.WriteString(strconv.Itoa(h.B))
+		}
+	})
 }
 
 // StateKey implements StateKeyer: orientation plus height pairs.
 func (g *GBFull) StateKey() string {
-	var b strings.Builder
-	orientKey(&b, g.orient)
-	for _, h := range g.heights {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(h.A))
-	}
-	return b.String()
+	return g.key(func(b *strings.Builder) {
+		for _, h := range g.heights {
+			b.WriteByte('|')
+			b.WriteString(strconv.Itoa(h.A))
+		}
+	})
 }
 
 // StateKey implements StateKeyer: orientation plus all mark sets.
-func (b2 *BLL) StateKey() string {
-	var b strings.Builder
-	orientKey(&b, b2.orient)
-	listsKey(&b, b2.init.g.NumNodes(), b2.Marked)
-	return b.String()
-}
-
-// Compile-time checks that every variant supports exhaustive enumeration.
-var (
-	_ StateKeyer = (*PR)(nil)
-	_ StateKeyer = (*OneStepPR)(nil)
-	_ StateKeyer = (*NewPR)(nil)
-	_ StateKeyer = (*FR)(nil)
-	_ StateKeyer = (*GBPair)(nil)
-	_ StateKeyer = (*GBFull)(nil)
-	_ StateKeyer = (*BLL)(nil)
-)
+func (b *BLL) StateKey() string { return b.key(b.marked.key) }

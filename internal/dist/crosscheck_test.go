@@ -15,16 +15,11 @@ import (
 // sequentialTwin returns the sequential automaton and invariant suite that
 // a distributed variant must agree with.
 func sequentialTwin(alg Algorithm, in *core.Init) (automaton.Automaton, []automaton.Invariant, error) {
-	switch alg {
-	case FullReversal:
-		return core.NewFR(in), core.BasicInvariants(), nil
-	case PartialReversal:
-		return core.NewPRAutomaton(in), core.ListInvariants(), nil
-	case StaticPartialReversal:
-		return core.NewNewPR(in), core.NewPRInvariants(), nil
-	default:
-		return nil, nil, fmt.Errorf("no sequential twin for %v", alg)
+	v, err := alg.Twin()
+	if err != nil {
+		return nil, nil, err
 	}
+	return v.New(in), v.Invariants, nil
 }
 
 // sequentialFinal runs alg's sequential twin on in until no sink is
@@ -43,7 +38,7 @@ func sequentialFinal(t testing.TB, alg Algorithm, in *core.Init) (*graph.Orienta
 			t.Fatal(err)
 		}
 	}
-	return twin.Orientation(), twin.(interface{ TotalReversals() int }).TotalReversals()
+	return twin.Orientation(), twin.TotalReversals()
 }
 
 // TestDistributedMatchesSequential replays each distributed run's recorded
@@ -95,11 +90,9 @@ func TestDistributedMatchesSequential(t *testing.T) {
 						if !twin.Orientation().Equal(res.Final) {
 							t.Error("sequential replay diverged from the distributed final orientation")
 						}
-						if wc, ok := twin.(interface{ TotalReversals() int }); ok {
-							if wc.TotalReversals() != res.Stats.TotalReversals {
-								t.Errorf("sequential reversals %d != distributed %d",
-									wc.TotalReversals(), res.Stats.TotalReversals)
-							}
+						if twin.TotalReversals() != res.Stats.TotalReversals {
+							t.Errorf("sequential reversals %d != distributed %d",
+								twin.TotalReversals(), res.Stats.TotalReversals)
 						}
 					})
 				}

@@ -95,6 +95,7 @@ import (
 	"errors"
 	"fmt"
 
+	"linkreversal/internal/core"
 	"linkreversal/internal/graph"
 	"linkreversal/internal/obs"
 )
@@ -130,6 +131,16 @@ func (a Algorithm) String() string {
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
+}
+
+// Twin returns the sequential automaton whose executions this protocol's
+// runs linearize to: FR, PR or NewPR. Trace replay checks a run against it.
+func (a Algorithm) Twin() (core.Variant, error) {
+	names := map[Algorithm]string{FullReversal: "FR", PartialReversal: "PR", StaticPartialReversal: "NewPR"}
+	if v, ok := core.VariantNamed(names[a]); ok {
+		return v, nil
+	}
+	return core.Variant{}, fmt.Errorf("%w: %d", ErrUnknownAlgorithm, int(a))
 }
 
 // Errors returned by the dist engines.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"linkreversal/internal/automaton"
 	"linkreversal/internal/core"
 	"linkreversal/internal/mc"
 	"linkreversal/internal/trace"
@@ -31,24 +30,12 @@ func E12Exhaustive(s Suite) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		variants := []struct {
-			name string
-			a    automaton.Automaton
-			invs []automaton.Invariant
-		}{
-			{name: "PR", a: core.NewPRAutomaton(in), invs: core.ListInvariants()},
-			{name: "OneStepPR", a: core.NewOneStepPR(in), invs: core.ListInvariants()},
-			{name: "NewPR", a: core.NewNewPR(in), invs: core.NewPRInvariants()},
-			{name: "FR", a: core.NewFR(in), invs: core.BasicInvariants()},
-			{name: "GBPair", a: core.NewGBPair(in), invs: core.BasicInvariants()},
-			{name: "GBFull", a: core.NewGBFull(in), invs: core.BasicInvariants()},
-		}
-		for _, v := range variants {
-			res, err := mc.Explore(v.a, mc.Options{Invariants: v.invs})
+		for _, v := range core.Variants {
+			res, err := mc.Explore(v.New(in), mc.Options{Invariants: v.Invariants})
 			if err != nil {
-				return nil, fmt.Errorf("E12 %s/%s: %w", topo.Name, v.name, err)
+				return nil, fmt.Errorf("E12 %s/%s: %w", topo.Name, v.Name, err)
 			}
-			tb.MustAddRow(trace.S(topo.Name), trace.S(v.name), trace.I(res.States),
+			tb.MustAddRow(trace.S(topo.Name), trace.S(v.Name), trace.I(res.States),
 				trace.I(res.Transitions), trace.I(res.MaxDepth), trace.I(0))
 		}
 	}

@@ -1,5 +1,5 @@
 // Package experiments regenerates every table of EXPERIMENTS.md: one
-// function per experiment E1–E8, each returning a trace.Table with the rows
+// function per experiment E1–E12, each returning a trace.Table with the rows
 // reported there. Parameters are explicit so benchmarks can scale them.
 package experiments
 
@@ -57,25 +57,9 @@ func (s Suite) seeds() int {
 	return s.Seeds
 }
 
-// variantsFor returns constructors and invariant suites for every automaton
-// variant over one Init.
-func variantsFor(in *core.Init) []struct {
-	Name string
-	Make func() automaton.Automaton
-	Invs []automaton.Invariant
-} {
-	return []struct {
-		Name string
-		Make func() automaton.Automaton
-		Invs []automaton.Invariant
-	}{
-		{Name: "PR", Make: func() automaton.Automaton { return core.NewPRAutomaton(in) }, Invs: core.ListInvariants()},
-		{Name: "OneStepPR", Make: func() automaton.Automaton { return core.NewOneStepPR(in) }, Invs: core.ListInvariants()},
-		{Name: "NewPR", Make: func() automaton.Automaton { return core.NewNewPR(in) }, Invs: core.NewPRInvariants()},
-		{Name: "FR", Make: func() automaton.Automaton { return core.NewFR(in) }, Invs: core.BasicInvariants()},
-		{Name: "GBPair", Make: func() automaton.Automaton { return core.NewGBPair(in) }, Invs: core.BasicInvariants()},
-	}
-}
+// e1e2Variants are the variants E1 and E2 report: the five that lr.Run
+// exposes. GBFull, the last entry of core.Variants, is covered by E12.
+var e1e2Variants = core.Variants[:len(core.Variants)-1]
 
 func schedulerFor(name string, seed int64) sched.Scheduler {
 	switch name {
@@ -114,9 +98,9 @@ func E1Acyclicity(s Suite) (*trace.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, v := range variantsFor(in) {
+			for _, v := range e1e2Variants {
 				for _, sn := range allSchedulers {
-					a := v.Make()
+					a := v.New(in)
 					res, err := sched.Run(a, schedulerFor(sn, int64(seed)), sched.Options{
 						Invariants: []automaton.Invariant{{Name: "acyclic", Check: core.CheckAcyclic}},
 					})
@@ -146,15 +130,14 @@ func E2Invariants(s Suite) (*trace.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, v := range variantsFor(in) {
-				a := v.Make()
-				if _, err := sched.Run(a, sched.NewRandomSingle(int64(seed)), sched.Options{
-					Invariants: v.Invs,
+			for _, v := range e1e2Variants {
+				if _, err := sched.Run(v.New(in), sched.NewRandomSingle(int64(seed)), sched.Options{
+					Invariants: v.Invariants,
 				}); err != nil {
 					return nil, fmt.Errorf("E2 %s: %w", v.Name, err)
 				}
 				if seed == 0 {
-					tb.MustAddRow(trace.I(n), trace.S(v.Name), trace.I(len(v.Invs)),
+					tb.MustAddRow(trace.I(n), trace.S(v.Name), trace.I(len(v.Invariants)),
 						trace.I(s.seeds()), trace.I(0))
 				}
 			}
@@ -178,21 +161,8 @@ func E3Simulation(s Suite) (*trace.Table, error) {
 				return nil, err
 			}
 			d := core.NewSimulationDriver(in)
-			rng := rand.New(rand.NewSource(int64(seed)))
-			for step := 0; step < 100*n*n+100 && !d.Quiescent(); step++ {
-				var sinks []graph.NodeID
-				for _, act := range d.PR().Enabled() {
-					sinks = append(sinks, act.Participants()...)
-				}
-				pick := []graph.NodeID{sinks[rng.Intn(len(sinks))]}
-				for _, u := range sinks {
-					if u != pick[0] && rng.Intn(2) == 0 {
-						pick = append(pick, u)
-					}
-				}
-				if err := d.Step(pick); err != nil {
-					return nil, fmt.Errorf("E3 n=%d seed=%d: %w", n, seed, err)
-				}
+			if err := d.Run(rand.New(rand.NewSource(int64(seed)))); err != nil {
+				return nil, fmt.Errorf("E3 n=%d seed=%d: %w", n, seed, err)
 			}
 			totalPR += d.PR().Steps()
 			totalNew += d.NewPR().Steps()
@@ -371,14 +341,18 @@ func E7SocialCost(s Suite) (*trace.Table, error) {
 		tb.MustAddRow(trace.S(name), trace.S(execution), trace.I(pFR.SocialCost()), trace.I(pPR.SocialCost()),
 			trace.I(maxFR), trace.I(maxPR), trace.S(ok))
 	}
-	asyncProfile := func(in *core.Init, alg dist.Algorithm, twin automaton.Automaton) (*trace.WorkProfile, error) {
+	asyncProfile := func(in *core.Init, alg dist.Algorithm) (*trace.WorkProfile, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		res, err := dist.RunWith(ctx, in, alg, dist.Options{Adversary: s.Faults})
 		if err != nil {
 			return nil, err
 		}
-		return trace.WorkProfileFromSteps(twin, res.Trace)
+		twin, err := alg.Twin()
+		if err != nil {
+			return nil, err
+		}
+		return trace.WorkProfileFromSteps(twin.New(in), res.Trace)
 	}
 	for _, topo := range topos {
 		in, err := topo.Init()
@@ -394,11 +368,11 @@ func E7SocialCost(s Suite) (*trace.Table, error) {
 			return nil, fmt.Errorf("E7 PR %s: %w", topo.Name, err)
 		}
 		addRow(topo.Name, "sequential", trace.NewWorkProfile(resFR.Execution), trace.NewWorkProfile(resPR.Execution))
-		aFR, err := asyncProfile(in, dist.FullReversal, core.NewFR(in))
+		aFR, err := asyncProfile(in, dist.FullReversal)
 		if err != nil {
 			return nil, fmt.Errorf("E7 async FR %s: %w", topo.Name, err)
 		}
-		aPR, err := asyncProfile(in, dist.PartialReversal, core.NewPRAutomaton(in))
+		aPR, err := asyncProfile(in, dist.PartialReversal)
 		if err != nil {
 			return nil, fmt.Errorf("E7 async PR %s: %w", topo.Name, err)
 		}
@@ -434,16 +408,11 @@ func E8Distributed(s Suite) (*trace.Table, error) {
 			return nil, err
 		}
 		for _, alg := range []dist.Algorithm{dist.FullReversal, dist.PartialReversal, dist.StaticPartialReversal} {
-			var central automaton.Automaton
-			switch alg {
-			case dist.FullReversal:
-				central = core.NewFR(in)
-			case dist.PartialReversal:
-				central = core.NewPRAutomaton(in)
-			case dist.StaticPartialReversal:
-				central = core.NewNewPR(in)
+			twin, err := alg.Twin()
+			if err != nil {
+				return nil, err
 			}
-			resC, err := sched.Run(central, sched.Greedy{}, sched.Options{})
+			resC, err := sched.Run(twin.New(in), sched.Greedy{}, sched.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("E8 centralized %v: %w", alg, err)
 			}
@@ -476,16 +445,26 @@ func E8Distributed(s Suite) (*trace.Table, error) {
 	return tb, nil
 }
 
+// Experiment is one table of the suite: its id and the function that
+// computes it.
+type Experiment struct {
+	ID  string
+	Run func(Suite) (*trace.Table, error)
+}
+
+// List holds every experiment, E1 to E12, in order.
+var List = []Experiment{
+	{"E1", E1Acyclicity}, {"E2", E2Invariants}, {"E3", E3Simulation},
+	{"E4", E4WorstCase}, {"E5", E5PRvsFR}, {"E6", E6DummyOverhead},
+	{"E7", E7SocialCost}, {"E8", E8Distributed}, {"E9", E9Rounds},
+	{"E10", E10Churn}, {"E11", E11DistributedChurn}, {"E12", E12Exhaustive},
+}
+
 // All runs every experiment with the given suite parameters.
 func All(s Suite) ([]*trace.Table, error) {
-	runs := []func(Suite) (*trace.Table, error){
-		E1Acyclicity, E2Invariants, E3Simulation, E4WorstCase,
-		E5PRvsFR, E6DummyOverhead, E7SocialCost, E8Distributed,
-		E9Rounds, E10Churn, E11DistributedChurn, E12Exhaustive,
-	}
-	tables := make([]*trace.Table, 0, len(runs))
-	for _, run := range runs {
-		tb, err := run(s)
+	tables := make([]*trace.Table, 0, len(List))
+	for _, e := range List {
+		tb, err := e.Run(s)
 		if err != nil {
 			return tables, err
 		}

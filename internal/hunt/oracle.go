@@ -65,21 +65,6 @@ func (b Breach) String() string {
 	return fmt.Sprintf("%s: %s", b.Oracle, b.Detail)
 }
 
-// twin returns the fresh sequential automaton and invariant suite matching
-// a dist algorithm — the replay target of the trace oracle.
-func twin(alg dist.Algorithm, in *core.Init) (automaton.Automaton, []automaton.Invariant, error) {
-	switch alg {
-	case dist.FullReversal:
-		return core.NewFR(in), core.BasicInvariants(), nil
-	case dist.PartialReversal:
-		return core.NewPRAutomaton(in), core.ListInvariants(), nil
-	case dist.StaticPartialReversal:
-		return core.NewNewPR(in), core.NewPRInvariants(), nil
-	default:
-		return nil, nil, fmt.Errorf("%w: %d", dist.ErrUnknownAlgorithm, int(alg))
-	}
-}
-
 // Check verifies a finished run against every applicable bound. The run
 // should have been produced with Profile on (per-node bounds are skipped
 // without counters) and the trace recorded (replay checks are skipped
@@ -165,16 +150,17 @@ func (o Oracle) Check(in *core.Init, alg dist.Algorithm, adv *faults.Adversary, 
 // replay drives the trace through the sequential twin, checking the
 // invariant suite every stride steps and at the end.
 func (o Oracle) replay(in *core.Init, alg dist.Algorithm, steps []graph.NodeID) []Breach {
-	a, invs, err := twin(alg, in)
+	v, err := alg.Twin()
 	if err != nil {
 		return []Breach{{Oracle: "replay", Detail: err.Error(), Step: -1}}
 	}
+	a := v.New(in)
 	stride := o.Stride
 	if stride == 0 {
 		stride = (len(steps) + 63) / 64
 	}
 	check := func(i int) *Breach {
-		if err := automaton.CheckAll(a, invs); err != nil {
+		if err := automaton.CheckAll(a, v.Invariants); err != nil {
 			return &Breach{Oracle: "invariant", Detail: err.Error(), Step: i}
 		}
 		return nil

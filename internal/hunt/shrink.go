@@ -215,20 +215,17 @@ func (o Oracle) witness(in *core.Init, alg dist.Algorithm, steps []graph.NodeID,
 			return bound + 1
 		}
 	case "work-total":
-		a, _, err := twin(alg, in)
+		v, err := alg.Twin()
 		if err != nil {
 			return 0
 		}
-		rc, ok := a.(interface{ TotalReversals() int })
-		if !ok {
-			return 0
-		}
+		a := v.New(in)
 		bound := c*float64(nb)*float64(n) + float64(n)
 		for i, u := range steps {
 			if a.Step(automaton.ReverseNode{U: u}) != nil {
 				return 0
 			}
-			if float64(rc.TotalReversals()) > bound {
+			if float64(a.TotalReversals()) > bound {
 				return i + 1
 			}
 		}

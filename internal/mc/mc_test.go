@@ -30,21 +30,9 @@ func smallTopologies() []*workload.Topology {
 func TestExhaustiveAcyclicityAllVariants(t *testing.T) {
 	for _, topo := range smallTopologies() {
 		in := topo.MustInit()
-		variants := []struct {
-			name string
-			a    automaton.Automaton
-			invs []automaton.Invariant
-		}{
-			{name: "PR", a: core.NewPRAutomaton(in), invs: core.ListInvariants()},
-			{name: "OneStepPR", a: core.NewOneStepPR(in), invs: core.ListInvariants()},
-			{name: "NewPR", a: core.NewNewPR(in), invs: core.NewPRInvariants()},
-			{name: "FR", a: core.NewFR(in), invs: core.BasicInvariants()},
-			{name: "GBPair", a: core.NewGBPair(in), invs: core.BasicInvariants()},
-			{name: "GBFull", a: core.NewGBFull(in), invs: core.BasicInvariants()},
-		}
-		for _, v := range variants {
-			t.Run(topo.Name+"/"+v.name, func(t *testing.T) {
-				res, err := mc.Explore(v.a, mc.Options{Invariants: v.invs})
+		for _, v := range core.Variants {
+			t.Run(topo.Name+"/"+v.Name, func(t *testing.T) {
+				res, err := mc.Explore(v.New(in), mc.Options{Invariants: v.Invariants})
 				if err != nil {
 					t.Fatalf("explore: %v", err)
 				}
@@ -52,7 +40,7 @@ func TestExhaustiveAcyclicityAllVariants(t *testing.T) {
 					t.Errorf("suspicious result %+v", res)
 				}
 				t.Logf("%s on %s: %d states, %d transitions, depth %d, %d quiescent",
-					v.name, topo.Name, res.States, res.Transitions, res.MaxDepth, res.Quiescent)
+					v.Name, topo.Name, res.States, res.Transitions, res.MaxDepth, res.Quiescent)
 			})
 		}
 	}

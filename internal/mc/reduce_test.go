@@ -11,27 +11,6 @@ import (
 	"linkreversal/internal/workload"
 )
 
-// allVariants builds every checkable automaton variant on in, paired with
-// its invariant suite.
-func allVariants(in *core.Init) []struct {
-	name string
-	a    automaton.Automaton
-	invs []automaton.Invariant
-} {
-	return []struct {
-		name string
-		a    automaton.Automaton
-		invs []automaton.Invariant
-	}{
-		{name: "PR", a: core.NewPRAutomaton(in), invs: core.ListInvariants()},
-		{name: "OneStepPR", a: core.NewOneStepPR(in), invs: core.ListInvariants()},
-		{name: "NewPR", a: core.NewNewPR(in), invs: core.NewPRInvariants()},
-		{name: "FR", a: core.NewFR(in), invs: core.BasicInvariants()},
-		{name: "GBPair", a: core.NewGBPair(in), invs: core.BasicInvariants()},
-		{name: "GBFull", a: core.NewGBFull(in), invs: core.BasicInvariants()},
-	}
-}
-
 // TestSleepReductionMatchesFullSearch is the DPOR-vs-full equivalence pin:
 // on every small instance and every variant, sleep-set reduction must
 // discover exactly the same state census as the unreduced search — States
@@ -41,16 +20,13 @@ func allVariants(in *core.Init) []struct {
 func TestSleepReductionMatchesFullSearch(t *testing.T) {
 	for _, topo := range smallTopologies() {
 		in := topo.MustInit()
-		for _, v := range allVariants(in) {
-			t.Run(topo.Name+"/"+v.name, func(t *testing.T) {
-				mk := func(a automaton.Automaton) automaton.Automaton {
-					return a.(automaton.Cloner).CloneAutomaton()
-				}
-				full, err := mc.Explore(mk(v.a), mc.Options{Invariants: v.invs})
+		for _, v := range core.Variants {
+			t.Run(topo.Name+"/"+v.Name, func(t *testing.T) {
+				full, err := mc.Explore(v.New(in), mc.Options{Invariants: v.Invariants})
 				if err != nil {
 					t.Fatalf("full: %v", err)
 				}
-				sleep, err := mc.Explore(mk(v.a), mc.Options{Invariants: v.invs, Reduction: mc.ReduceSleep})
+				sleep, err := mc.Explore(v.New(in), mc.Options{Invariants: v.Invariants, Reduction: mc.ReduceSleep})
 				if err != nil {
 					t.Fatalf("sleep: %v", err)
 				}
@@ -62,7 +38,7 @@ func TestSleepReductionMatchesFullSearch(t *testing.T) {
 					t.Errorf("sleep transitions %d > full %d", sleep.Transitions, full.Transitions)
 				}
 				t.Logf("%s on %s: %d states; transitions full %d → sleep %d",
-					v.name, topo.Name, full.States, full.Transitions, sleep.Transitions)
+					v.Name, topo.Name, full.States, full.Transitions, sleep.Transitions)
 			})
 		}
 	}
@@ -95,16 +71,13 @@ func TestSleepReductionPrunesTransitions(t *testing.T) {
 func TestAmpleReductionPreservesQuiescence(t *testing.T) {
 	for _, topo := range smallTopologies() {
 		in := topo.MustInit()
-		for _, v := range allVariants(in) {
-			t.Run(topo.Name+"/"+v.name, func(t *testing.T) {
-				mk := func(a automaton.Automaton) automaton.Automaton {
-					return a.(automaton.Cloner).CloneAutomaton()
-				}
-				full, err := mc.Explore(mk(v.a), mc.Options{})
+		for _, v := range core.Variants {
+			t.Run(topo.Name+"/"+v.Name, func(t *testing.T) {
+				full, err := mc.Explore(v.New(in), mc.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ample, err := mc.Explore(mk(v.a), mc.Options{Reduction: mc.ReduceAmple})
+				ample, err := mc.Explore(v.New(in), mc.Options{Reduction: mc.ReduceAmple})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -204,11 +204,7 @@ func (AdversarialMax) Pick(a automaton.Automaton, enabled []automaton.Action) au
 	if !ok {
 		return enabled[0]
 	}
-	wc, hasWork := a.(workCounter)
-	if !hasWork {
-		return enabled[0]
-	}
-	baseline := wc.TotalReversals()
+	baseline := a.TotalReversals()
 	best := enabled[0]
 	bestWork := -1
 	for _, act := range enabled {
@@ -216,11 +212,7 @@ func (AdversarialMax) Pick(a automaton.Automaton, enabled []automaton.Action) au
 		if err := clone.Step(act); err != nil {
 			continue
 		}
-		cwc, ok := clone.(workCounter)
-		if !ok {
-			continue
-		}
-		if w := cwc.TotalReversals() - baseline; w > bestWork {
+		if w := clone.TotalReversals() - baseline; w > bestWork {
 			bestWork = w
 			best = act
 		}
@@ -236,12 +228,6 @@ type Result struct {
 	TotalReversals int
 	Quiesced       bool
 	Execution      *automaton.Execution
-}
-
-// workCounter is implemented by all core automata to expose cumulative
-// reversal counts, letting the engine attribute work per step.
-type workCounter interface {
-	TotalReversals() int
 }
 
 // Options configures a run.
@@ -274,7 +260,6 @@ func Run(a automaton.Automaton, s Scheduler, opts Options) (*Result, error) {
 	if err := automaton.CheckAll(a, opts.Invariants); err != nil {
 		return res, fmt.Errorf("initial state: %w", err)
 	}
-	wc, hasWork := a.(workCounter)
 	for steps := 0; ; steps++ {
 		enabled := a.Enabled()
 		if len(enabled) == 0 {
@@ -288,22 +273,15 @@ func Run(a automaton.Automaton, s Scheduler, opts Options) (*Result, error) {
 		if act == nil {
 			return res, ErrSchedulerStall
 		}
-		before := 0
-		if hasWork {
-			before = wc.TotalReversals()
-		}
+		before := a.TotalReversals()
 		if err := a.Step(act); err != nil {
 			return res, fmt.Errorf("step %d (%s): %w", steps, act, err)
 		}
 		res.Steps++
-		if hasWork {
-			delta := wc.TotalReversals() - before
-			res.TotalReversals += delta
-			if opts.Record {
-				res.Execution.Append(act, delta)
-			}
-		} else if opts.Record {
-			res.Execution.Append(act, 0)
+		delta := a.TotalReversals() - before
+		res.TotalReversals += delta
+		if opts.Record {
+			res.Execution.Append(act, delta)
 		}
 		if err := automaton.CheckAll(a, opts.Invariants); err != nil {
 			return res, fmt.Errorf("after step %d (%s): %w", steps, act, err)

@@ -83,20 +83,14 @@ func DecodeExecution(r io.Reader) (*automaton.Execution, error) {
 // every recorded action is enabled and reverses exactly the recorded number
 // of edges. It returns the automaton's step count on success.
 func Replay(a automaton.Automaton, e *automaton.Execution) (int, error) {
-	wc, hasWork := a.(interface{ TotalReversals() int })
 	for i, r := range e.Records {
-		before := 0
-		if hasWork {
-			before = wc.TotalReversals()
-		}
+		before := a.TotalReversals()
 		if err := a.Step(r.Action); err != nil {
 			return a.Steps(), fmt.Errorf("%w: step %d (%s): %v", ErrReplayMismatch, i, r.Action, err)
 		}
-		if hasWork {
-			if got := wc.TotalReversals() - before; got != r.Reversed {
-				return a.Steps(), fmt.Errorf("%w: step %d (%s) reversed %d edges, recorded %d",
-					ErrReplayMismatch, i, r.Action, got, r.Reversed)
-			}
+		if got := a.TotalReversals() - before; got != r.Reversed {
+			return a.Steps(), fmt.Errorf("%w: step %d (%s) reversed %d edges, recorded %d",
+				ErrReplayMismatch, i, r.Action, got, r.Reversed)
 		}
 	}
 	return a.Steps(), nil

@@ -94,20 +94,16 @@ func (p *WorkProfile) Steps() int { return p.steps }
 // accounting of the game-theoretic experiments cover asynchronous
 // executions: a distributed trace is a legal sequential execution, so
 // replaying it yields the exact per-node reversal counts of the
-// distributed run. The automaton must be fresh (at the initial state) and
-// implement TotalReversals; replay errors are returned verbatim.
+// distributed run. The automaton must be fresh (at the initial state);
+// replay errors are returned verbatim.
 func WorkProfileFromSteps(a automaton.Automaton, steps []graph.NodeID) (*WorkProfile, error) {
-	rc, ok := a.(interface{ TotalReversals() int })
-	if !ok {
-		return nil, fmt.Errorf("trace: automaton %s does not count reversals", a.Name())
-	}
 	p := &WorkProfile{perNode: make(map[graph.NodeID]int)}
-	prev := rc.TotalReversals()
+	prev := a.TotalReversals()
 	for i, u := range steps {
 		if err := a.Step(automaton.ReverseNode{U: u}); err != nil {
 			return nil, fmt.Errorf("trace: replay step %d (node %d): %w", i, u, err)
 		}
-		now := rc.TotalReversals()
+		now := a.TotalReversals()
 		p.perNode[u] += now - prev
 		prev = now
 		p.steps++

@@ -411,8 +411,11 @@ const Names = "bad-chain, alt-chain, good-chain, star, ladder, grid, tree, ring,
 // density p and a seed: the -topo table of the batch CLIs. n is passed to
 // the generator as its size parameter, grid builds the n×n square, and
 // layered spreads about n nodes over four layers; p is read by layered and
-// random, seed by tree, ring, layered and random.
+// random, seed by tree, ring, layered and random. n must be at least 1.
 func ByName(name string, n int, p float64, seed int64) (*Topology, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("topology size %d (want n ≥ 1)", n)
+	}
 	switch strings.ToLower(name) {
 	case "bad-chain":
 		return BadChain(n), nil

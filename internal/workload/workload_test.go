@@ -180,16 +180,23 @@ func TestDegenerateSizes(t *testing.T) {
 	}
 }
 
-// TestByName builds every listed name, case-insensitively, and rejects an
-// unknown one.
+// TestByName builds every listed name, case-insensitively, at sizes 6 and 1,
+// and rejects an unknown name and every size below 1.
 func TestByName(t *testing.T) {
 	for _, name := range strings.Split(Names, ", ") {
-		topo, err := ByName(strings.ToUpper(name), 6, 0.3, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		for _, n := range []int{6, 1} {
+			topo, err := ByName(strings.ToUpper(name), n, 0.3, 1)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", name, n, err)
+			}
+			if _, err := topo.Init(); err != nil {
+				t.Errorf("%s n=%d: %v", name, n, err)
+			}
 		}
-		if _, err := topo.Init(); err != nil {
-			t.Errorf("%s: %v", name, err)
+		for _, n := range []int{0, -1} {
+			if _, err := ByName(name, n, 0.3, 1); err == nil {
+				t.Errorf("%s n=%d accepted", name, n)
+			}
 		}
 	}
 	if topo, err := ByName("grid", 3, 0, 1); err != nil || topo.Name != "grid-3x3" {

@@ -364,20 +364,11 @@ type Report struct {
 }
 
 func newAutomaton(a Algorithm, in *core.Init) (automaton.Automaton, []automaton.Invariant, error) {
-	switch a {
-	case PR:
-		return core.NewPRAutomaton(in), core.ListInvariants(), nil
-	case OneStepPR:
-		return core.NewOneStepPR(in), core.ListInvariants(), nil
-	case NewPR:
-		return core.NewNewPR(in), core.NewPRInvariants(), nil
-	case FR:
-		return core.NewFR(in), core.BasicInvariants(), nil
-	case GBPair:
-		return core.NewGBPair(in), core.BasicInvariants(), nil
-	default:
+	v, ok := core.VariantNamed(a.String())
+	if !ok {
 		return nil, nil, fmt.Errorf("%w: %d", ErrUnknownAlgorithm, int(a))
 	}
+	return v.New(in), v.Invariants, nil
 }
 
 func newScheduler(s Scheduler, seed int64) (sched.Scheduler, error) {
@@ -671,22 +662,8 @@ func VerifySimulation(topo *Topology, seed int64) (*SimulationReport, error) {
 		return nil, err
 	}
 	d := core.NewSimulationDriver(in)
-	rng := rand.New(rand.NewSource(seed))
-	n := topo.Graph.NumNodes()
-	for step := 0; step < 100*n*n+100 && !d.Quiescent(); step++ {
-		var sinks []NodeID
-		for _, act := range d.PR().Enabled() {
-			sinks = append(sinks, act.Participants()...)
-		}
-		pick := []NodeID{sinks[rng.Intn(len(sinks))]}
-		for _, u := range sinks {
-			if u != pick[0] && rng.Intn(2) == 0 {
-				pick = append(pick, u)
-			}
-		}
-		if err := d.Step(pick); err != nil {
-			return nil, err
-		}
+	if err := d.Run(rand.New(rand.NewSource(seed))); err != nil {
+		return nil, err
 	}
 	if !d.Quiescent() {
 		return nil, fmt.Errorf("linkreversal: simulation did not quiesce")
@@ -722,18 +699,15 @@ func ReplayExecution(g *Graph, initial *Orientation, dest NodeID, alg Algorithm,
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
+	return &Report{
 		Algorithm:           alg,
 		Steps:               steps,
+		TotalReversals:      a.TotalReversals(),
 		Quiesced:            a.Quiescent(),
 		Acyclic:             graph.IsAcyclic(a.Orientation()),
 		DestinationOriented: graph.IsDestinationOriented(a.Orientation(), dest),
 		Final:               a.Orientation().Clone(),
-	}
-	if wc, ok := a.(interface{ TotalReversals() int }); ok {
-		rep.TotalReversals = wc.TotalReversals()
-	}
-	return rep, nil
+	}, nil
 }
 
 // IsAcyclic reports whether o contains no directed cycle.
