@@ -5,7 +5,7 @@
 //
 //	lrbench [-quick] [-csv|-json] [-only E4]
 //	        [-partition block|hash|locality]
-//	        [-faults lossy|flaky|adversarial] [-seed 7]
+//	        [-faults none|lossy|flaky|adversarial] [-seed 7]
 //
 // With -json the selected experiments are emitted as one JSON array of
 // {title, columns, rows, scenario, seed} table objects — the
@@ -48,7 +48,7 @@ func run(args []string) error {
 		jsonOut  = fs.Bool("json", false, "emit one JSON array of table objects")
 		only     = fs.String("only", "", "run a single experiment (E1..E12)")
 		part     = fs.String("partition", "block", "sharded node-to-shard assignment for E8: block, hash or locality")
-		faultsIn = fs.String("faults", "off", "network adversary for the distributed experiments: off, lossy, flaky or adversarial")
+		faultsIn = fs.String("faults", "off", "network adversary for the distributed experiments: none (or off, reliable), lossy, flaky or adversarial")
 		seed     = fs.Int64("seed", 0, "seed of the fault adversary (every adversarial row replays from it)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -66,35 +66,21 @@ func run(args []string) error {
 			Seeds:       2,
 		}
 	}
-	switch *part {
-	case "block":
-		suite.Partition = dist.PartitionBlock
-	case "hash":
-		suite.Partition = dist.PartitionHash
-	case "locality":
-		suite.Partition = dist.PartitionLocality
-	default:
-		return fmt.Errorf("unknown -partition %q (want block, hash or locality)", *part)
+	var err error
+	if suite.Partition, err = dist.ParsePartition(*part); err != nil {
+		return err
+	}
+	if suite.Faults, err = faults.PresetNamed(*faultsIn, *seed); err != nil {
+		return err
 	}
 	scenario := "reliable"
-	switch *faultsIn {
-	case "off":
-	case "lossy":
-		suite.Faults = faults.Lossy(*seed)
-	case "flaky":
-		suite.Faults = faults.Flaky(*seed)
-	case "adversarial":
-		suite.Faults = faults.Adversarial(*seed)
-	default:
-		return fmt.Errorf("unknown -faults %q (want off, lossy, flaky or adversarial)", *faultsIn)
-	}
 	if suite.Faults != nil {
 		scenario = suite.Faults.Scenario
 	}
-	if *part != "block" {
+	if suite.Partition != dist.PartitionBlock {
 		// Stamp non-default shard assignments into the provenance line so a
 		// JSON artifact alone reproduces its -partition invocation.
-		scenario += "/partition=" + *part
+		scenario += "/partition=" + suite.Partition.String()
 	}
 	var selected []experiments.Experiment
 	var ids []string

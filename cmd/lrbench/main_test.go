@@ -40,11 +40,26 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-engine", "sharded"}, // no such flag
 		{"-partition", "psychic"},
 		{"-faults", "sunny"},
+		{"-faults", "lossless"},
 		{"-quick", "-only", "E13"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// TestRunAcceptsSharedSpellings: lrbench takes the -faults and -partition
+// spellings lrd takes, ignoring case.
+func TestRunAcceptsSharedSpellings(t *testing.T) {
+	for _, args := range [][]string{
+		{"-faults", "none"},
+		{"-faults", "reliable", "-partition", "Hash"},
+		{"-faults", "FLAKY"},
+	} {
+		captureStdout(t, func() error {
+			return run(append([]string{"-quick", "-only", "E1", "-json"}, args...))
+		})
 	}
 }
 

@@ -37,6 +37,8 @@ import (
 	"time"
 
 	lr "linkreversal"
+	"linkreversal/internal/dist"
+	"linkreversal/internal/faults"
 )
 
 func main() {
@@ -59,34 +61,6 @@ func checkEngine(s string) error {
 		return fmt.Errorf("-engine %s was removed: the sharded runtime is the only engine; for one goroutine per node, set -shards to the node count", s)
 	default:
 		return fmt.Errorf("unknown engine %q (sharded)", s)
-	}
-}
-
-func parsePartition(s string) (lr.DistPartition, error) {
-	switch strings.ToLower(s) {
-	case "", "block":
-		return lr.DistPartitionBlock, nil
-	case "hash":
-		return lr.DistPartitionHash, nil
-	case "locality":
-		return lr.DistPartitionLocality, nil
-	default:
-		return 0, fmt.Errorf("unknown partition %q (block, hash, locality)", s)
-	}
-}
-
-func parseFaults(s string, seed int64) (*lr.NetworkAdversary, error) {
-	switch strings.ToLower(s) {
-	case "", "none", "reliable":
-		return nil, nil
-	case "lossy":
-		return lr.LossyNetwork(seed), nil
-	case "flaky":
-		return lr.FlakyNetwork(seed), nil
-	case "adversarial":
-		return lr.AdversarialNetwork(seed), nil
-	default:
-		return nil, fmt.Errorf("unknown fault scenario %q (none, lossy, flaky, adversarial)", s)
 	}
 }
 
@@ -131,7 +105,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		engName   = fs.String("engine", "sharded", "execution engine; sharded is the only one (deprecated)")
 		shards    = fs.Int("shards", 0, "shard count (0 = GOMAXPROCS; clamped to the node count, which gives one node per shard)")
 		partName  = fs.String("partition", "block", "sharded partition: block, hash, locality")
-		faultName = fs.String("faults", "none", "fault scenario: none, lossy, flaky, adversarial")
+		faultName = fs.String("faults", "none", "fault scenario: none (or off, reliable), lossy, flaky, adversarial")
 		seed      = fs.Int64("seed", 1, "seed for random topologies and the fault adversary")
 		publish   = fs.Duration("publish", 25*time.Millisecond, "epoch snapshot cadence (0 = publish only at quiescence)")
 		logLevel  = fs.String("log-level", "info", "log verbosity: debug, info, warn, error")
@@ -150,11 +124,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := checkEngine(*engName); err != nil {
 		return err
 	}
-	partition, err := parsePartition(*partName)
+	partition, err := dist.ParsePartition(*partName)
 	if err != nil {
 		return err
 	}
-	adversary, err := parseFaults(*faultName, *seed)
+	adversary, err := faults.PresetNamed(*faultName, *seed)
 	if err != nil {
 		return err
 	}

@@ -234,12 +234,27 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-engine", "goroutine"},
 		{"-partition", "psychic"},
 		{"-faults", "solar-flare"},
+		{"-faults", "lossless"},
 		{"-n", "1"},
 		{"-log-level", "loud"},
 		{"-flightrec-sample", "0"},
 	} {
 		if err := run(context.Background(), args, &syncBuffer{}); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestRunAcceptsSharedSpellings: lrd takes the -faults and -partition
+// spellings lrbench takes, ignoring case.
+func TestRunAcceptsSharedSpellings(t *testing.T) {
+	for _, args := range [][]string{
+		{"-faults", "off"},
+		{"-faults", "Reliable", "-partition", "HASH"},
+	} {
+		_, shutdown := startDaemon(t, append([]string{"-topo", "chain", "-n", "8"}, args...))
+		if err := shutdown(); err != nil {
+			t.Errorf("args %v: shutdown: %v", args, err)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func run() error {
 	if err := net.AwaitQuiescence(); err != nil {
 		return err
 	}
-	s := net.Snapshot()
+	s := net.ReadSnapshot()
 	fmt.Printf("converged: %d reversal steps, %d messages across %d radios\n",
 		s.Steps, s.Messages, topo.Graph.NumNodes())
 	if path, ok := s.RouteInto(23, 0, 25, nil); ok {
@@ -76,7 +76,7 @@ func run() error {
 			}
 			return err
 		}
-		s := net.Snapshot()
+		s := net.ReadSnapshot()
 		path, ok := s.RouteInto(23, 0, 25, nil)
 		fmt.Printf(" → repaired (total steps %d); route 23→0: %v ok=%v\n", s.Steps, path, ok)
 	}

@@ -49,8 +49,10 @@
 // outboxes are flushed. The count reaches zero only when no message is
 // pending anywhere, so every view is exact and "no node believes it is a
 // sink" implies global quiescence. A DynamicNetwork control-plane
-// operation enters as a one-message batch whose token the control plane
-// counts before injecting it.
+// message enters as a one-message batch whose token the control plane
+// counts before injecting it; DynamicNetwork.injectLocked is the one
+// function that does both, for every topology mutation and for
+// AwaitQuiescence's erasures and pokes.
 //
 // # Safety and liveness under network faults
 //
@@ -162,6 +164,9 @@ var (
 	ErrUnknownNode = errors.New("dist: unknown node")
 	// ErrSelfLink is returned for links from a node to itself.
 	ErrSelfLink = errors.New("dist: self links are not allowed")
+	// ErrDestination is returned by RemoveNode for the destination, which
+	// cannot be removed.
+	ErrDestination = errors.New("dist: the destination cannot be removed")
 	// ErrLinkExists is returned by AddLink for a link that is present.
 	ErrLinkExists = errors.New("dist: link already exists")
 	// ErrNoSuchLink is returned by FailLink for a link that is absent.
@@ -243,15 +248,6 @@ type Result struct {
 	// automaton (internal/core) reproduces Final exactly. Trace is nil when
 	// the run was executed with Options.RecordTrace == TraceOff.
 	Trace []graph.NodeID
-	// NodeSteps and NodeReversals are the per-node work counters
-	// accumulated when Options.Profile is ProfileOn (nil otherwise),
-	// indexed by node ID. NodeSteps[u] counts u's protocol steps and
-	// NodeReversals[u] the edges those steps reversed; their sums equal
-	// Stats.Steps and Stats.TotalReversals. They are the fitness surface
-	// of the adversarial search harness: per-node cost, skew and the
-	// paper's per-node bound oracles read off them without a trace replay.
-	NodeSteps     []int64
-	NodeReversals []int64
 	// Shards is the per-shard telemetry snapshot captured when
 	// Options.Observer was armed (nil otherwise): one entry per shard of
 	// the run (Options.Shards clamped to the node count) plus a trailing

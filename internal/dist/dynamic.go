@@ -34,17 +34,20 @@ import (
 // heights do not ratchet upward across cut/heal cycles. A height ceiling
 // survives only as a runaway backstop for pathological concurrent churn.
 type DynamicNetwork struct {
-	// ctl serializes the control-plane operations (AddLink, FailLink,
-	// AddNode, RemoveNode, Crash, Recover) so that each adjacency update
-	// and its message injections form one atomic unit: without it, two
+	// ctl serializes the control plane: every topology mutation runs as
+	// one control transaction (see control), so its adjacency update and
+	// its message injections form one atomic unit. Without it, two
 	// concurrent calls on the same edge could deliver their messages in the
 	// opposite order of their adjacency updates and desync the nodes'
 	// neighbour views from adj. ctl is never held while mu is needed by the
-	// nodes' hot path, and injections must not run under mu (a full mailbox
-	// ingress could then deadlock against a node waiting for mu).
+	// nodes' hot path, and injections never run under mu (see
+	// injectLocked).
 	ctl  sync.Mutex
 	mu   sync.Mutex
 	cond *sync.Cond
+	// ctlMsgs is the message buffer the control transactions reuse, so a
+	// link change allocates no slice for its messages. Guarded by ctl.
+	ctlMsgs []dynMsg
 
 	opts DynOptions
 	n    int
@@ -70,19 +73,13 @@ type DynamicNetwork struct {
 	// nodes whose reference level came back reflected (the TORA partition
 	// signal); cut marks nodes named by the last PartitionError, pending
 	// erasure at heal. dead marks removed nodes, crashedCtl the control
-	// plane's crash ledger. The marks are packed bitsets — one bit per node
-	// instead of one byte, with NextSet iteration skipping empty words, so
-	// poke sweeps over a million idle nodes touch kilowords, not megabytes.
-	// All are read and written only under mu.
-	suspended      *bitset.Set
-	suspendedCount int
-	detected       *bitset.Set
-	detectedCount  int
-	cut            *bitset.Set
-	cutCount       int
-	dead           *bitset.Set
-	crashedCtl     []bool
-	everCrashed    bool
+	// plane's crash ledger. All are read and written only under mu.
+	suspended   marks
+	detected    marks
+	cut         marks
+	dead        *bitset.Set
+	crashedCtl  []bool
+	everCrashed bool
 
 	// reach, inR and depth are BFS scratch reused across AwaitQuiescence
 	// calls, so validation allocates nothing; reach and inR are packed so
@@ -94,8 +91,8 @@ type DynamicNetwork struct {
 
 	// inflight is the batch-token count of the shard runtime (see tokens).
 	// The shards add and retire tokens lock-free; the control plane adds
-	// its injections' tokens under mu, so a zero read under mu means the
-	// network is quiescent and stays so until mu is released.
+	// its injections' tokens under mu (injectLocked), so a zero read under
+	// mu means the network is quiescent and stays so until mu is released.
 	inflight tokens
 	stats    Stats
 	retrans  atomic.Int64
@@ -111,7 +108,11 @@ type DynamicNetwork struct {
 	stopped  bool
 
 	inj *faults.Injector
-	be  *dynShardBackend
+	// rt runs the protocol of dynnode.go. states is published copy-on-write
+	// so AddNode never blocks senders; shards reach a new entry only via
+	// messages that causally follow its publication.
+	rt     *shardRuntime[dynMsg]
+	states atomic.Pointer[[]*dynState]
 
 	// pub is the epoch-snapshot publication slot: an immutable *Snapshot
 	// swapped in atomically (RCU-style) by the serialized control plane, so
@@ -133,6 +134,29 @@ type DynamicNetwork struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 	wg       sync.WaitGroup
+}
+
+// marks is a node bitset that keeps its own member count, so the
+// quiescence checks read emptiness without a scan, and NextSet sweeps over
+// a million idle nodes touch kilowords, not megabytes. Guarded by mu.
+type marks struct {
+	*bitset.Set
+	count int
+}
+
+// mark adds u to the set and unmark removes it; both keep count.
+func (m *marks) mark(u graph.NodeID) {
+	if !m.Test(int(u)) {
+		m.Set.Set(int(u))
+		m.count++
+	}
+}
+
+func (m *marks) unmark(u graph.NodeID) {
+	if m.Test(int(u)) {
+		m.Clear(int(u))
+		m.count--
+	}
 }
 
 // NewDynamicNetwork starts the protocol on topo's graph with the default
@@ -167,9 +191,9 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 		adj:        newAdjTable(g),
 		heights:    make([]DynHeight, n),
 		gens:       make([]uint32, n),
-		suspended:  bitset.NewSet(n),
-		detected:   bitset.NewSet(n),
-		cut:        bitset.NewSet(n),
+		suspended:  marks{Set: bitset.NewSet(n)},
+		detected:   marks{Set: bitset.NewSet(n)},
+		cut:        marks{Set: bitset.NewSet(n)},
 		dead:       bitset.NewSet(n),
 		crashedCtl: make([]bool, n),
 		reach:      bitset.NewSet(n),
@@ -200,23 +224,7 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 	if opts.Adversary != nil {
 		d.inj = faults.NewInjector(opts.Adversary)
 	}
-	// One sink per shard plus the control plane; the shards pick their
-	// sinks up from opts during construction below.
-	opts.Observer.Attach(opts.Shards)
-	states := make([]*dynState, n)
-	for u := 0; u < n; u++ {
-		st := &dynState{net: d, id: graph.NodeID(u), h: d.heights[u]}
-		// The initial topology and heights are common knowledge at startup:
-		// every node knows its neighbours' initial heights, exactly as the
-		// sequential engines assume a globally known initial orientation.
-		// Rows are ascending, so appending keeps the view list sorted.
-		for _, v := range d.adj.row(graph.NodeID(u)) {
-			st.nbrs = append(st.nbrs, nbrView{id: v, h: d.heights[v], known: true})
-		}
-		states[u] = st
-	}
-	d.be = newDynShardBackend(d, states)
-	d.be.rt.start()
+	d.startShards()
 	// Publish the initial state as epoch 1 so ReadSnapshot never returns
 	// nil, then start the cadence publisher if one was configured.
 	d.mu.Lock()
@@ -317,12 +325,6 @@ func (d *DynamicNetwork) removeNbrLocked(u, v graph.NodeID) {
 	}
 }
 
-// linkedLocked reports whether the link {u,v} exists. Callers must hold mu.
-func (d *DynamicNetwork) linkedLocked(u, v graph.NodeID) bool {
-	_, ok := slices.BinarySearch(d.adj.row(u), v)
-	return ok
-}
-
 // ownHeightsLocked makes the height mirror private before a write: a
 // snapshot shares the mirror, so the first write after one clones it.
 // Callers must hold mu.
@@ -333,10 +335,53 @@ func (d *DynamicNetwork) ownHeightsLocked() {
 	}
 }
 
-// inject delivers a control message to m.To. The in-flight token was
-// accounted by the caller under mu, so AwaitQuiescence cannot report
-// quiescence before the message is handled.
-func (d *DynamicNetwork) inject(m dynMsg) { d.be.inject(m) }
+// control runs one control-plane transaction: it takes ctl, then mu, and
+// returns ErrStopped after Stop. Otherwise op validates its arguments,
+// changes the authoritative state and appends the messages that tell the
+// nodes, in delivery order, to the buffer it is handed; a rejected op
+// returns before any token is counted. control then injects the messages
+// (injectLocked), holding ctl until the last one is in, so two
+// transactions' messages never interleave.
+func (d *DynamicNetwork) control(op func(msgs []dynMsg) ([]dynMsg, error)) error {
+	d.ctl.Lock()
+	defer d.ctl.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.stopped {
+		return ErrStopped
+	}
+	msgs, err := op(d.ctlMsgs[:0])
+	if err != nil {
+		return err
+	}
+	d.injectLocked(msgs)
+	clear(msgs) // drop the views the buffer would otherwise keep alive
+	d.ctlMsgs = msgs[:0]
+	return nil
+}
+
+// injectLocked is the one place control messages enter the shards. It
+// counts one in-flight token per message under mu, so AwaitQuiescence
+// cannot report quiescence before every message is handled; then it
+// releases mu, injects the messages in order as one-message batches, and
+// takes mu back. Injecting under mu could deadlock: a full mailbox ingress
+// would block the injector while the receiving node waits for mu.
+func (d *DynamicNetwork) injectLocked(msgs []dynMsg) {
+	if len(msgs) == 0 {
+		return
+	}
+	d.inflight.add(len(msgs))
+	d.mu.Unlock()
+	for _, m := range msgs {
+		b := d.rt.getBatch()
+		b.msgs = append(b.msgs, m)
+		select {
+		case d.rt.workers[d.rt.part.shardOf(m.To)].tx <- b:
+		case <-d.rt.stop:
+		}
+	}
+	d.mu.Lock()
+}
 
 func (d *DynamicNetwork) validNode(u graph.NodeID) error {
 	if int(u) < 0 || int(u) >= d.n {
@@ -348,7 +393,9 @@ func (d *DynamicNetwork) validNode(u graph.NodeID) error {
 	return nil
 }
 
-func (d *DynamicNetwork) validLinkLocked(u, v graph.NodeID) error {
+// validLinkLocked checks the endpoints of {u,v} and that the link is
+// present if want says so, absent otherwise. Callers must hold mu.
+func (d *DynamicNetwork) validLinkLocked(u, v graph.NodeID, want bool) error {
 	if err := d.validNode(u); err != nil {
 		return err
 	}
@@ -358,7 +405,45 @@ func (d *DynamicNetwork) validLinkLocked(u, v graph.NodeID) error {
 	if u == v {
 		return fmt.Errorf("%w: %d", ErrSelfLink, u)
 	}
+	e := graph.NormalizedEdge(u, v)
+	switch _, linked := slices.BinarySearch(d.adj.row(u), v); {
+	case linked && !want:
+		return fmt.Errorf("%w: {%d,%d}", ErrLinkExists, e.U, e.V)
+	case !linked && want:
+		return fmt.Errorf("%w: {%d,%d}", ErrNoSuchLink, e.U, e.V)
+	}
 	return nil
+}
+
+// unmarkLocked clears u's partition and ceiling marks. Callers must hold
+// mu.
+func (d *DynamicNetwork) unmarkLocked(u graph.NodeID) {
+	d.cut.unmark(u)
+	d.detected.unmark(u)
+	d.suspended.unmark(u)
+}
+
+// pokesLocked appends a poke for every node parked at the ceiling, which
+// makes it re-evaluate its state. Callers must hold mu.
+func (d *DynamicNetwork) pokesLocked(msgs []dynMsg) []dynMsg {
+	if d.suspended.count == 0 {
+		return msgs
+	}
+	for id := d.suspended.NextSet(0); id >= 0; id = d.suspended.NextSet(id + 1) {
+		msgs = append(msgs, dynMsg{Kind: dynPoke, To: graph.NodeID(id)})
+	}
+	return msgs
+}
+
+// viewsLocked returns u's authoritative neighbour views: every current
+// neighbour with its mirrored height and generation. Callers must hold mu.
+func (d *DynamicNetwork) viewsLocked(u graph.NodeID) []nbrView {
+	links := d.adj.row(u)
+	views := make([]nbrView, 0, len(links))
+	for _, v := range links {
+		views = append(views, nbrView{id: v, h: d.heights[v], gen: d.gens[v], known: true})
+	}
+	return views
 }
 
 // raiseCeilingLocked gives the runaway backstops fresh headroom above the
@@ -380,51 +465,24 @@ func (d *DynamicNetwork) raiseCeilingLocked() {
 // values before the endpoints are introduced — the CLR-like reset that
 // stops heights from ratcheting upward across cut/heal cycles.
 func (d *DynamicNetwork) AddLink(u, v graph.NodeID) error {
-	d.ctl.Lock()
-	defer d.ctl.Unlock()
-	e := graph.NormalizedEdge(u, v)
-	d.mu.Lock()
-	if d.stopped {
-		d.mu.Unlock()
-		return ErrStopped
-	}
-	if err := d.validLinkLocked(u, v); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	if d.linkedLocked(u, v) {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: {%d,%d}", ErrLinkExists, e.U, e.V)
-	}
-	d.insertNbrLocked(u, v)
-	d.insertNbrLocked(v, u)
-	d.topoVer++
-	d.raiseCeilingLocked()
-	var erase []dynMsg
-	if d.cutCount+d.detectedCount > 0 && d.inflight.idle() {
-		// The network is quiescent and carries partition marks: erase the
-		// stranded heights before the new link's introductions flow, so the
-		// healed component rejoins at small zero-level heights and its
-		// reference levels never leak across the new link.
-		erase = d.eraseLocked()
-	}
-	var pokes []graph.NodeID
-	if d.suspendedCount > 0 {
-		for id := d.suspended.NextSet(0); id >= 0; id = d.suspended.NextSet(id + 1) {
-			pokes = append(pokes, graph.NodeID(id))
+	return d.control(func(msgs []dynMsg) ([]dynMsg, error) {
+		if err := d.validLinkLocked(u, v, false); err != nil {
+			return nil, err
 		}
-	}
-	d.inflight.add(len(erase) + 2 + len(pokes))
-	d.mu.Unlock()
-	for _, m := range erase {
-		d.inject(m)
-	}
-	d.inject(dynMsg{Kind: dynLinkUp, To: u, Peer: v})
-	d.inject(dynMsg{Kind: dynLinkUp, To: v, Peer: u})
-	for _, id := range pokes {
-		d.inject(dynMsg{Kind: dynPoke, To: id})
-	}
-	return nil
+		d.insertNbrLocked(u, v)
+		d.insertNbrLocked(v, u)
+		d.topoVer++
+		d.raiseCeilingLocked()
+		if d.cut.count+d.detected.count > 0 && d.inflight.idle() {
+			// The network is quiescent and carries partition marks: erase the
+			// stranded heights before the new link's introductions flow, so
+			// the healed component rejoins at small zero-level heights and
+			// its reference levels never leak across the new link.
+			msgs = d.eraseLocked(msgs)
+		}
+		msgs = append(msgs, dynMsg{Kind: dynLinkUp, To: u, Peer: v}, dynMsg{Kind: dynLinkUp, To: v, Peer: u})
+		return d.pokesLocked(msgs), nil
+	})
 }
 
 // FailLink removes the link {u,v}. The endpoints learn of it by message; a
@@ -432,144 +490,91 @@ func (d *DynamicNetwork) AddLink(u, v graph.NodeID) error {
 // reference level (the TORA generate case), which is what makes partition
 // detection take O(component) steps instead of a ceiling grind.
 func (d *DynamicNetwork) FailLink(u, v graph.NodeID) error {
-	d.ctl.Lock()
-	defer d.ctl.Unlock()
-	e := graph.NormalizedEdge(u, v)
-	d.mu.Lock()
-	if d.stopped {
-		d.mu.Unlock()
-		return ErrStopped
-	}
-	if err := d.validLinkLocked(u, v); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	if !d.linkedLocked(u, v) {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: {%d,%d}", ErrNoSuchLink, e.U, e.V)
-	}
-	d.removeNbrLocked(u, v)
-	d.removeNbrLocked(v, u)
-	d.topoVer++
-	d.inflight.add(2)
-	d.mu.Unlock()
-	d.inject(dynMsg{Kind: dynLinkDown, To: u, Peer: v})
-	d.inject(dynMsg{Kind: dynLinkDown, To: v, Peer: u})
-	return nil
+	return d.control(func(msgs []dynMsg) ([]dynMsg, error) {
+		if err := d.validLinkLocked(u, v, true); err != nil {
+			return nil, err
+		}
+		d.removeNbrLocked(u, v)
+		d.removeNbrLocked(v, u)
+		d.topoVer++
+		return append(msgs, dynMsg{Kind: dynLinkDown, To: u, Peer: v}, dynMsg{Kind: dynLinkDown, To: v, Peer: u}), nil
+	})
 }
 
 // AddNode grows the network by one node with no links and returns its ID.
 // The node is trivially cut off until AddLink attaches it, and
 // AwaitQuiescence will report it so; attach it before awaiting.
 func (d *DynamicNetwork) AddNode() (graph.NodeID, error) {
-	d.ctl.Lock()
-	defer d.ctl.Unlock()
-	d.mu.Lock()
-	if d.stopped {
-		d.mu.Unlock()
-		return 0, ErrStopped
-	}
-	id := graph.NodeID(d.n)
-	d.n++
-	d.slack = 8*d.n + 64
-	d.ownHeightsLocked()
-	d.heights = append(d.heights, DynHeight{H: core.Height{ID: id}})
-	d.gens = append(d.gens, 0)
-	d.adj.grow(d.n)
-	d.zeroDeg++
-	d.suspended.Grow(d.n)
-	d.detected.Grow(d.n)
-	d.cut.Grow(d.n)
-	d.dead.Grow(d.n)
-	d.crashedCtl = append(d.crashedCtl, false)
-	d.reach.Grow(d.n)
-	d.inR.Grow(d.n)
-	d.depth = append(d.depth, 0)
-	d.topoVer++
-	st := &dynState{net: d, id: id, h: d.heights[id]}
-	d.mu.Unlock()
-	d.be.addNode(st)
-	return id, nil
+	var id graph.NodeID
+	err := d.control(func(msgs []dynMsg) ([]dynMsg, error) {
+		id = graph.NodeID(d.n)
+		d.n++
+		d.slack = 8*d.n + 64
+		d.ownHeightsLocked()
+		d.heights = append(d.heights, DynHeight{H: core.Height{ID: id}})
+		d.gens = append(d.gens, 0)
+		d.adj.grow(d.n)
+		d.zeroDeg++
+		for _, s := range []*bitset.Set{d.suspended.Set, d.detected.Set, d.cut.Set, d.dead, d.reach, d.inR} {
+			s.Grow(d.n)
+		}
+		d.crashedCtl = append(d.crashedCtl, false)
+		d.depth = append(d.depth, 0)
+		d.topoVer++
+		// Publish the new state before its start message can reach a shard.
+		states := append(slices.Clip(*d.states.Load()), &dynState{net: d, id: id, h: d.heights[id]})
+		d.states.Store(&states)
+		return append(msgs, dynMsg{Kind: dynStart, To: id}), nil
+	})
+	return id, err
 }
 
 // RemoveNode permanently removes u and all its links. Neighbours learn by
 // linkDown message; the node itself discards its state and ignores all
-// further traffic. The destination cannot be removed.
+// further traffic. Removing the destination fails with ErrDestination.
 func (d *DynamicNetwork) RemoveNode(u graph.NodeID) error {
-	d.ctl.Lock()
-	defer d.ctl.Unlock()
-	d.mu.Lock()
-	if d.stopped {
-		d.mu.Unlock()
-		return ErrStopped
-	}
-	if err := d.validNode(u); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	if u == d.dest {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: cannot remove the destination %d", ErrSelfLink, u)
-	}
-	links := d.adj.row(u)
-	for _, v := range links {
-		d.removeNbrLocked(v, u)
-	}
-	// u is dead now: retract its zero-degree tally and partition marks.
-	if len(links) == 0 {
-		d.zeroDeg--
-	} else {
-		d.adj.set(u, nil)
-	}
-	d.dead.Set(int(u))
-	d.crashedCtl[u] = false
-	if d.cut.Test(int(u)) {
-		d.cut.Clear(int(u))
-		d.cutCount--
-	}
-	if d.detected.Test(int(u)) {
-		d.detected.Clear(int(u))
-		d.detectedCount--
-	}
-	if d.suspended.Test(int(u)) {
-		d.suspended.Clear(int(u))
-		d.suspendedCount--
-	}
-	d.topoVer++
-	d.inflight.add(1 + len(links))
-	d.mu.Unlock()
-	d.inject(dynMsg{Kind: dynRemove, To: u})
-	for _, v := range links {
-		d.inject(dynMsg{Kind: dynLinkDown, To: v, Peer: u})
-	}
-	return nil
+	return d.control(func(msgs []dynMsg) ([]dynMsg, error) {
+		if err := d.validNode(u); err != nil {
+			return nil, err
+		}
+		if u == d.dest {
+			return nil, fmt.Errorf("%w: %d", ErrDestination, u)
+		}
+		links := d.adj.row(u)
+		msgs = append(msgs, dynMsg{Kind: dynRemove, To: u})
+		for _, v := range links {
+			d.removeNbrLocked(v, u)
+			msgs = append(msgs, dynMsg{Kind: dynLinkDown, To: v, Peer: u})
+		}
+		// u is dead now: retract its zero-degree tally and its marks.
+		if len(links) == 0 {
+			d.zeroDeg--
+		} else {
+			d.adj.set(u, nil)
+		}
+		d.dead.Set(int(u))
+		d.crashedCtl[u] = false
+		d.unmarkLocked(u)
+		d.topoVer++
+		return msgs, nil
+	})
 }
 
 // Crash crash-stops u: it drops every protocol message until Recover. Its
 // links stay in the topology (a crashed node still counts as a connector
 // for partition validation — it resumes with its state intact).
 func (d *DynamicNetwork) Crash(u graph.NodeID) error {
-	d.ctl.Lock()
-	defer d.ctl.Unlock()
-	d.mu.Lock()
-	if d.stopped {
-		d.mu.Unlock()
-		return ErrStopped
-	}
-	if err := d.validNode(u); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	if d.crashedCtl[u] {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrCrashed, u)
-	}
-	d.crashedCtl[u] = true
-	d.everCrashed = true
-	d.inflight.add(1)
-	d.mu.Unlock()
-	d.inject(dynMsg{Kind: dynCrash, To: u})
-	return nil
+	return d.control(func(msgs []dynMsg) ([]dynMsg, error) {
+		if err := d.validNode(u); err != nil {
+			return nil, err
+		}
+		if d.crashedCtl[u] {
+			return nil, fmt.Errorf("%w: %d", ErrCrashed, u)
+		}
+		d.crashedCtl[u] = true
+		d.everCrashed = true
+		return append(msgs, dynMsg{Kind: dynCrash, To: u}), nil
+	})
 }
 
 // Recover ends u's crash window. The node resumes from the control plane's
@@ -578,31 +583,16 @@ func (d *DynamicNetwork) Crash(u graph.NodeID) error {
 // and announcement while crashed), and the node re-announces itself so
 // peers whose introductions it dropped catch up.
 func (d *DynamicNetwork) Recover(u graph.NodeID) error {
-	d.ctl.Lock()
-	defer d.ctl.Unlock()
-	d.mu.Lock()
-	if d.stopped {
-		d.mu.Unlock()
-		return ErrStopped
-	}
-	if err := d.validNode(u); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	if !d.crashedCtl[u] {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrNotCrashed, u)
-	}
-	links := d.adj.row(u)
-	views := make([]nbrView, 0, len(links))
-	for _, v := range links {
-		views = append(views, nbrView{id: v, h: d.heights[v], gen: d.gens[v], known: true})
-	}
-	d.crashedCtl[u] = false
-	d.inflight.add(1)
-	d.mu.Unlock()
-	d.inject(dynMsg{Kind: dynRecover, To: u, Views: views})
-	return nil
+	return d.control(func(msgs []dynMsg) ([]dynMsg, error) {
+		if err := d.validNode(u); err != nil {
+			return nil, err
+		}
+		if !d.crashedCtl[u] {
+			return nil, fmt.Errorf("%w: %d", ErrNotCrashed, u)
+		}
+		d.crashedCtl[u] = false
+		return append(msgs, dynMsg{Kind: dynRecover, To: u, Views: d.viewsLocked(u)}), nil
+	})
 }
 
 // computeReachLocked runs a BFS from the destination over the
@@ -624,10 +614,9 @@ func (d *DynamicNetwork) computeReachLocked() {
 	d.queue = q[:0]
 }
 
-// cutLocked validates reachability and returns the live nodes with no path
-// to the destination, ascending. A non-empty result refreshes the cut
-// marks consumed by the heal-time erasure.
-func (d *DynamicNetwork) cutLocked() []graph.NodeID {
+// unreachableLocked returns the live nodes with no path to the
+// destination, ascending. Callers must hold mu.
+func (d *DynamicNetwork) unreachableLocked() []graph.NodeID {
 	d.computeReachLocked()
 	var cut []graph.NodeID
 	for u := 0; u < d.n; u++ {
@@ -635,12 +624,20 @@ func (d *DynamicNetwork) cutLocked() []graph.NodeID {
 			cut = append(cut, graph.NodeID(u))
 		}
 	}
+	return cut
+}
+
+// cutLocked validates reachability and returns the live nodes with no path
+// to the destination, ascending. A non-empty result refreshes the cut
+// marks consumed by the heal-time erasure.
+func (d *DynamicNetwork) cutLocked() []graph.NodeID {
+	cut := d.unreachableLocked()
 	if len(cut) > 0 {
 		d.cut.ClearAll()
+		d.cut.count = 0
 		for _, u := range cut {
-			d.cut.Set(int(u))
+			d.cut.mark(u)
 		}
-		d.cutCount = len(cut)
 	}
 	return cut
 }
@@ -654,20 +651,20 @@ func (d *DynamicNetwork) cutLocked() []graph.NodeID {
 // The new heights are BFS layers within the marked region, seeded at its
 // frontier (marked nodes adjacent to an unmarked live node): layer k gets
 // height (0, k, id), which drains the region deterministically toward the
-// live side. The returned messages carry, in order, height corrections to
-// the region's outside neighbours (so no stale view of a lowered node
-// survives anywhere) followed by the per-node resets; callers must account
-// their tokens and inject them in exactly this order. Callers must hold mu
-// and ensure the network is quiescent (no token in flight).
-func (d *DynamicNetwork) eraseLocked() []dynMsg {
+// live side. It appends to msgs, in order, height corrections to the
+// region's outside neighbours (so no stale view of a lowered node survives
+// anywhere) followed by the per-node resets; callers must inject them in
+// exactly this order. Callers must hold mu and ensure the network is
+// quiescent (no token in flight).
+func (d *DynamicNetwork) eraseLocked(msgs []dynMsg) []dynMsg {
 	d.computeReachLocked()
 	// The region is the union of the mark sets restricted to live, reachable
 	// nodes — assembled by iterating the (sparse) marks, not by scanning all
 	// n nodes.
 	d.inR.ClearAll()
 	members := 0
-	for _, marks := range []*bitset.Set{d.cut, d.detected, d.suspended} {
-		for u := marks.NextSet(0); u >= 0; u = marks.NextSet(u + 1) {
+	for _, m := range []*marks{&d.cut, &d.detected, &d.suspended} {
+		for u := m.NextSet(0); u >= 0; u = m.NextSet(u + 1) {
 			if !d.inR.Test(u) && !d.dead.Test(u) && d.reach.Test(u) {
 				d.inR.Set(u)
 				members++
@@ -676,7 +673,7 @@ func (d *DynamicNetwork) eraseLocked() []dynMsg {
 		}
 	}
 	if members == 0 {
-		return nil
+		return msgs
 	}
 	d.topoVer++
 	// Layer assignment: multi-source BFS from the region's frontier.
@@ -712,23 +709,11 @@ func (d *DynamicNetwork) eraseLocked() []dynMsg {
 		}
 		d.gens[u]++
 		d.heights[u] = DynHeight{H: core.Height{A: 0, B: layer, ID: graph.NodeID(u)}}
-		if d.cut.Test(u) {
-			d.cut.Clear(u)
-			d.cutCount--
-		}
-		if d.detected.Test(u) {
-			d.detected.Clear(u)
-			d.detectedCount--
-		}
-		if d.suspended.Test(u) {
-			d.suspended.Clear(u)
-			d.suspendedCount--
-		}
+		d.unmarkLocked(graph.NodeID(u))
 	}
 	// Corrections first: by the time any post-erasure message reaches an
 	// outside neighbour, its view of the lowered node is already current
 	// (per-receiver FIFO delivers the earlier-enqueued correction first).
-	var msgs []dynMsg
 	for u := d.inR.NextSet(0); u >= 0; u = d.inR.NextSet(u + 1) {
 		for _, v := range d.adj.row(graph.NodeID(u)) {
 			if !d.inR.Test(int(v)) && !d.dead.Test(int(v)) {
@@ -740,14 +725,9 @@ func (d *DynamicNetwork) eraseLocked() []dynMsg {
 		}
 	}
 	for u := d.inR.NextSet(0); u >= 0; u = d.inR.NextSet(u + 1) {
-		links := d.adj.row(graph.NodeID(u))
-		views := make([]nbrView, 0, len(links))
-		for _, v := range links {
-			views = append(views, nbrView{id: v, h: d.heights[v], gen: d.gens[v], known: true})
-		}
 		msgs = append(msgs, dynMsg{
 			Kind: dynReset, To: graph.NodeID(u),
-			H: d.heights[u], Gen: d.gens[u], Views: views,
+			H: d.heights[u], Gen: d.gens[u], Views: d.viewsLocked(graph.NodeID(u)),
 		})
 	}
 	return msgs
@@ -778,7 +758,7 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 		if d.stopped {
 			return ErrStopped
 		}
-		if d.suspendedCount == 0 && d.detectedCount == 0 && d.cutCount == 0 &&
+		if d.suspended.count == 0 && d.detected.count == 0 && d.cut.count == 0 &&
 			d.zeroDeg == 0 && !d.everCrashed {
 			d.raiseCeilingLocked()
 			d.publishLocked()
@@ -792,41 +772,22 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 			d.opts.Observer.TriggerDump("partition")
 			return &PartitionError{Cut: cut}
 		}
-		if d.cutCount+d.detectedCount > 0 {
+		if d.cut.count+d.detected.count > 0 {
 			// Partition marks without an actual cut: the caller healed the
 			// topology without going through AddLink's quiescent-heal path
 			// (or detection raced a concurrent heal). Erase the stranded
 			// component now and wait for the reset cascade to settle.
-			msgs := d.eraseLocked()
 			d.raiseCeilingLocked()
-			if len(msgs) == 0 {
-				continue
-			}
-			d.inflight.add(len(msgs))
-			d.mu.Unlock()
-			for _, m := range msgs {
-				d.inject(m)
-			}
-			d.mu.Lock()
+			d.injectLocked(d.eraseLocked(nil))
 			continue
 		}
-		if d.suspendedCount > 0 {
+		if d.suspended.count > 0 {
 			// Ceiling parks with full reachability: a legitimate cascade
 			// outran the runaway backstop. Raise it and resume the parked
 			// nodes.
 			d.raiseCeilingLocked()
-			pokes := 0
-			for id := d.suspended.NextSet(0); id >= 0; id = d.suspended.NextSet(id + 1) {
-				pokes++
-				d.inflight.add(1)
-				id := graph.NodeID(id)
-				d.mu.Unlock()
-				d.inject(dynMsg{Kind: dynPoke, To: id})
-				d.mu.Lock()
-			}
-			if pokes > 0 {
-				continue
-			}
+			d.injectLocked(d.pokesLocked(nil))
+			continue
 		}
 		d.raiseCeilingLocked()
 		d.publishLocked()
@@ -903,6 +864,9 @@ func (s *Snapshot) NumNodes() int { return len(s.Heights) }
 // it copies only one page pointer per 1,024 nodes and one bit per node
 // (the removed marks); the network copies a page or the mirror when it
 // next writes it.
+//
+// Deprecated: use ReadSnapshot, or PublishSnapshot for the current state;
+// Snapshot is kept only because bench/ calls it.
 func (d *DynamicNetwork) Snapshot() *Snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -926,16 +890,11 @@ func (d *DynamicNetwork) snapshotLocked() *Snapshot {
 		dead:           d.dead.Clone(),
 	}
 	d.heightsShared = true
-	if d.suspendedCount+d.detectedCount+d.cutCount+d.zeroDeg > 0 || d.everCrashed {
+	if d.suspended.count+d.detected.count+d.cut.count+d.zeroDeg > 0 || d.everCrashed {
 		// Same gate as AwaitQuiescence's clean path: only a partition
 		// signal justifies the O(n+E) reachability scan. Unlike cutLocked
 		// this leaves the heal-time cut marks untouched.
-		d.computeReachLocked()
-		for u := 0; u < d.n; u++ {
-			if !d.dead.Test(u) && !d.reach.Test(u) {
-				s.Cut = append(s.Cut, graph.NodeID(u))
-			}
-		}
+		s.Cut = d.unreachableLocked()
 	}
 	if d.inj != nil {
 		fs := d.inj.Snapshot()
@@ -993,15 +952,6 @@ func (d *DynamicNetwork) PublishSnapshot() *Snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.publishLocked()
-}
-
-// Quiescent reports whether no message was in flight at the instant of
-// the call. It takes the state lock briefly; use ReadSnapshot().Quiescent
-// for a lock-free (published-state) view.
-func (d *DynamicNetwork) Quiescent() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.inflight.idle()
 }
 
 // publisher is the cadence loop behind DynOptions.PublishEvery: every

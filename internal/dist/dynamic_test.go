@@ -319,39 +319,52 @@ func TestDynamicConcurrentControlPlane(t *testing.T) {
 	}
 }
 
-// TestDynamicLinkValidation exercises the control-plane error paths.
+// TestDynamicLinkValidation exercises the control-plane error paths. The
+// rejected calls run as one block between two awaits: a rejection that
+// counted a token would hang the second await, and one that touched the
+// topology would make it publish a new epoch.
 func TestDynamicLinkValidation(t *testing.T) {
-	net, err := NewDynamicNetwork(workload.GoodChain(4))
+	net, err := NewDynamicNetwork(workload.GoodChain(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer net.Stop()
-	if err := net.AddLink(0, 0); !errors.Is(err, ErrSelfLink) {
-		t.Errorf("self link err = %v", err)
-	}
-	if err := net.AddLink(0, 99); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("unknown node err = %v", err)
-	}
-	if err := net.AddLink(0, 1); !errors.Is(err, ErrLinkExists) {
-		t.Errorf("duplicate link err = %v", err)
-	}
-	if err := net.FailLink(0, 2); !errors.Is(err, ErrNoSuchLink) {
-		t.Errorf("absent link err = %v", err)
-	}
-	if err := net.RemoveNode(99); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("remove unknown err = %v", err)
-	}
-	if err := net.RemoveNode(0); err == nil {
-		t.Error("removing the destination succeeded")
-	}
-	if err := net.Recover(1); !errors.Is(err, ErrNotCrashed) {
-		t.Errorf("recover healthy err = %v", err)
+	if err := net.RemoveNode(4); err != nil {
+		t.Fatal(err)
 	}
 	if err := net.Crash(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Crash(2); !errors.Is(err, ErrCrashed) {
-		t.Errorf("double crash err = %v", err)
+	if err := awaitWithin(t, net, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	epoch := net.ReadSnapshot().Epoch
+	for _, c := range []struct {
+		name string
+		err  error
+		want error
+	}{
+		{"self link", net.AddLink(0, 0), ErrSelfLink},
+		{"unknown node", net.AddLink(0, 99), ErrUnknownNode},
+		{"removed node", net.AddLink(4, 1), ErrUnknownNode},
+		{"duplicate link", net.AddLink(0, 1), ErrLinkExists},
+		{"absent link", net.FailLink(0, 2), ErrNoSuchLink},
+		{"remove unknown", net.RemoveNode(99), ErrUnknownNode},
+		{"remove removed", net.RemoveNode(4), ErrUnknownNode},
+		{"remove destination", net.RemoveNode(0), ErrDestination},
+		{"crash removed", net.Crash(4), ErrUnknownNode},
+		{"double crash", net.Crash(2), ErrCrashed},
+		{"recover healthy", net.Recover(1), ErrNotCrashed},
+	} {
+		if !errors.Is(c.err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, c.err, c.want)
+		}
+	}
+	if err := awaitWithin(t, net, 10*time.Second); err != nil {
+		t.Fatalf("await after the rejected calls = %v", err)
+	}
+	if got := net.ReadSnapshot().Epoch; got != epoch {
+		t.Errorf("epoch %d after the rejected calls, want %d", got, epoch)
 	}
 	if err := net.Recover(2); err != nil {
 		t.Fatal(err)
@@ -405,6 +418,12 @@ func TestDynamicStop(t *testing.T) {
 			}
 			if err := net.Crash(1); !errors.Is(err, ErrStopped) {
 				t.Errorf("Crash after Stop = %v, want ErrStopped", err)
+			}
+			if err := net.RemoveNode(1); !errors.Is(err, ErrStopped) {
+				t.Errorf("RemoveNode after Stop = %v, want ErrStopped", err)
+			}
+			if err := net.Recover(1); !errors.Is(err, ErrStopped) {
+				t.Errorf("Recover after Stop = %v, want ErrStopped", err)
 			}
 		})
 	}

@@ -1,50 +1,47 @@
 package dist
 
 import (
-	"sync/atomic"
-
 	"linkreversal/internal/faults"
+	"linkreversal/internal/graph"
 	"linkreversal/internal/obs"
 )
-
-// dynShardBackend is the execution engine of a DynamicNetwork: the
-// protocol of dynnode.go on a shardRuntime of dynMsg. It shares the static
-// plane's batch-token quiescence; a control-plane message enters as a
-// one-message batch whose token the control plane counted under mu.
-type dynShardBackend struct {
-	net *DynamicNetwork
-	rt  *shardRuntime[dynMsg]
-	// states is published copy-on-write so AddNode never blocks senders;
-	// shards reach new entries only via messages that causally follow the
-	// publication.
-	states atomic.Pointer[[]*dynState]
-}
 
 // dynShard is the dynamic plane's view of one runtime worker; it is the
 // dynEnv the states it runs transmit through.
 type dynShard struct {
 	*worker[dynMsg]
-	be *dynShardBackend
+	net *DynamicNetwork
 }
 
-func newDynShardBackend(net *DynamicNetwork, states []*dynState) *dynShardBackend {
-	nsh := net.opts.Shards
+// startShards builds the protocol states of the initial nodes, each
+// knowing its neighbours' initial heights, and starts the shard runtime
+// that runs them. The dynamic plane shares the static plane's batch-token
+// quiescence; a control-plane message enters as a one-message batch whose
+// token the control plane counts under mu (see injectLocked).
+func (d *DynamicNetwork) startShards() {
+	nsh := d.opts.Shards
+	// One sink per shard plus the control plane; newShardRuntime hands the
+	// shards theirs.
+	d.opts.Observer.Attach(nsh)
 	// The locality partitioner grows shards over the initial rows. Links
 	// added later do not re-partition — assignments are fixed at
 	// construction.
-	part := newPartitioner(net.opts.Partition, len(states), nsh, net.adj.row)
-	b := &dynShardBackend{
-		net: net,
-		rt:  newShardRuntime[dynMsg](part, defaultMailboxCap, &net.inflight, net.stop, &net.wg, net.opts.Observer),
-	}
-	b.states.Store(&states)
+	part := newPartitioner(d.opts.Partition, d.n, nsh, d.adj.row)
+	d.rt = newShardRuntime[dynMsg](part, defaultMailboxCap, &d.inflight, d.stop, &d.wg, d.opts.Observer)
+	states := make([]*dynState, d.n)
 	initial := make([][]*dynState, nsh)
-	for _, st := range states {
-		d := part.shardOf(st.id)
-		initial[d] = append(initial[d], st)
+	for u := range states {
+		id := graph.NodeID(u)
+		// The initial topology and heights are common knowledge at startup,
+		// exactly as the sequential engines assume a globally known initial
+		// orientation.
+		states[u] = &dynState{net: d, id: id, h: d.heights[u], nbrs: d.viewsLocked(id)}
+		sh := part.shardOf(id)
+		initial[sh] = append(initial[sh], states[u])
 	}
-	for i, w := range b.rt.workers {
-		s := &dynShard{worker: w, be: b}
+	d.states.Store(&states)
+	for i, w := range d.rt.workers {
+		s := &dynShard{worker: w, net: d}
 		w.handle = s.process
 		w.initial = func() {
 			for _, st := range initial[i] {
@@ -52,38 +49,14 @@ func newDynShardBackend(net *DynamicNetwork, states []*dynState) *dynShardBacken
 			}
 		}
 	}
-	return b
-}
-
-// addNode attaches a node added at runtime and accounts its start token.
-func (b *dynShardBackend) addNode(st *dynState) {
-	old := *b.states.Load()
-	states := make([]*dynState, len(old)+1)
-	copy(states, old)
-	states[st.id] = st
-	b.states.Store(&states)
-	b.net.mu.Lock()
-	b.net.inflight.add(1) // the new node's start token
-	b.net.mu.Unlock()
-	b.inject(dynMsg{Kind: dynStart, To: st.id})
-}
-
-// inject delivers one control-plane message to the shard owning m.To as a
-// one-message batch, whose token the caller counted under mu.
-func (b *dynShardBackend) inject(m dynMsg) {
-	nb := b.rt.getBatch()
-	nb.msgs = append(nb.msgs, m)
-	select {
-	case b.rt.workers[b.rt.part.shardOf(m.To)].tx <- nb:
-	case <-b.rt.stop:
-	}
+	d.rt.start()
 }
 
 // process is the dynamic plane's message handler: it runs m on its target
 // state. Appends to the run-queue during the handler (same-shard
 // transmissions, requeues) are fine: the runtime drains by index.
 func (s *dynShard) process(m dynMsg) {
-	(*s.be.states.Load())[m.To].handle(s, m)
+	(*s.net.states.Load())[m.To].handle(s, m)
 }
 
 // transmit sends m on behalf of st, routing height announcements through
@@ -94,7 +67,7 @@ func (s *dynShard) process(m dynMsg) {
 // Control traffic bypasses the adversary: the control plane's view of the
 // topology must stay authoritative.
 func (s *dynShard) transmit(st *dynState, m dynMsg) {
-	net := s.be.net
+	net := s.net
 	if net.inj == nil || m.Kind != dynHeight {
 		s.route(m.To, m)
 		return

@@ -99,13 +99,9 @@ func (st *dynState) unpark() {
 		return
 	}
 	st.parked = false
-	net := st.net
-	net.mu.Lock()
-	if net.suspended.Test(int(st.id)) {
-		net.suspended.Clear(int(st.id))
-		net.suspendedCount--
-	}
-	net.mu.Unlock()
+	st.net.mu.Lock()
+	st.net.suspended.unmark(st.id)
+	st.net.mu.Unlock()
 }
 
 // commit adopts newH, updates the shared mirrors and counters under mu, and
@@ -127,9 +123,8 @@ func (st *dynState) commit(env dynEnv, newH DynHeight) bool {
 	if newH.H.A > net.ceiling || -newH.H.B > net.ceilingB {
 		// A node removed while it runs keeps running until its dynRemove
 		// arrives; it must not mark itself, or the mark outlives it.
-		if !net.suspended.Test(int(st.id)) && !net.dead.Test(int(st.id)) {
-			net.suspended.Set(int(st.id))
-			net.suspendedCount++
+		if !net.dead.Test(int(st.id)) {
+			net.suspended.mark(st.id)
 		}
 		net.mu.Unlock()
 		st.parked = true
@@ -144,10 +139,7 @@ func (st *dynState) commit(env dynEnv, newH DynHeight) bool {
 	if newH.H.B < net.minB {
 		net.minB = newH.H.B
 	}
-	if net.suspended.Test(int(st.id)) {
-		net.suspended.Clear(int(st.id))
-		net.suspendedCount--
-	}
+	net.suspended.unmark(st.id)
 	net.stats.Steps++
 	net.stats.TotalReversals += flips
 	net.stats.Messages += len(st.nbrs)
@@ -212,9 +204,8 @@ func (st *dynState) act(env dynEnv) {
 			st.detected = true
 			net.mu.Lock()
 			// As in commit, a removed node must not mark itself.
-			if !net.detected.Test(int(st.id)) && !net.dead.Test(int(st.id)) {
-				net.detected.Set(int(st.id))
-				net.detectedCount++
+			if !net.dead.Test(int(st.id)) {
+				net.detected.mark(st.id)
 			}
 			net.mu.Unlock()
 			env.sink().Note(obs.EvPartitionDetect, st.id, lvl.Oid, int64(lvl.Tau))

@@ -275,3 +275,59 @@ func TestRemoveDuringDetection(t *testing.T) {
 		})
 	}
 }
+
+// TestCeilingBackstopResumes drives the runaway backstop: commit parks a
+// node whose next height would pass the ceiling, and AwaitQuiescence,
+// finding every node still reachable, raises the ceiling and pokes the
+// parked nodes until the repair completes. The ceiling is forced below
+// every height, and the slack that a raise grants is cut to 1, so the
+// failure's first reference level parks at once and the repair runs
+// through many raise-and-poke rounds.
+func TestCeilingBackstopResumes(t *testing.T) {
+	for _, c := range dynEngines(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			topo := workload.GoodChain(40)
+			net, err := NewDynamicNetworkWith(topo, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer net.Stop()
+			if err := net.AddLink(39, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := awaitWithin(t, net, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			net.mu.Lock()
+			net.ceiling, net.ceilingB, net.slack = -1, -1, 1
+			net.mu.Unlock()
+			if err := net.FailLink(20, 21); err != nil {
+				t.Fatal(err)
+			}
+			// Node 21 lost its last route, and the reference level it defines
+			// passes the ceiling; nothing but a poke moves it again.
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				net.mu.Lock()
+				parked := net.suspended.count
+				net.mu.Unlock()
+				if parked > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("no node parked at the ceiling")
+				}
+			}
+			if err := awaitWithin(t, net, 30*time.Second); err != nil {
+				t.Fatalf("await after the park = %v", err)
+			}
+			net.mu.Lock()
+			parked := net.suspended.count
+			net.mu.Unlock()
+			if parked != 0 {
+				t.Errorf("%d nodes still parked after a clean await", parked)
+			}
+			requireRoutes(t, net.ReadSnapshot(), 40, topo.Dest)
+		})
+	}
+}

@@ -11,12 +11,12 @@ import (
 	"linkreversal/internal/graph"
 )
 
-// runCore is the accounting shared by the shards of one RunWith
-// invocation. The hot-path counters — statistics and the in-flight tokens
-// that detect quiescence — are plain atomics, so steps on different shards
-// never serialize through a lock. Only the optional trace (and the failure
-// slot) sit behind mu: when Options.RecordTrace is off, the mutex is never
-// taken after construction.
+// runCore is one RunWith invocation: the run's nodes on a shardRuntime of
+// shardMsg, and the accounting their shards share. The hot-path counters —
+// statistics and the in-flight tokens that detect quiescence — are plain
+// atomics, so steps on different shards never serialize through a lock.
+// Only the optional trace (and the failure slot) sit behind mu: when
+// Options.RecordTrace is off, the mutex is never taken after construction.
 type runCore struct {
 	inflight    tokens
 	steps       atomic.Int64
@@ -29,13 +29,9 @@ type runCore struct {
 	recordTrace bool
 	// inj is the armed fault injector, nil on a reliable network. Shards
 	// route every transmission through it when set.
-	inj *faults.Injector
-	// nodeSteps and nodeWork are the per-node profile counters, nil unless
-	// Options.Profile is ProfileOn. Slot u is written only by the shard
-	// that owns u, so the writes need no synchronization; readers wait for
-	// wg before looking.
-	nodeSteps []int64
-	nodeWork  []int64
+	inj   *faults.Injector
+	rt    *shardRuntime[shardMsg]
+	nodes []runNode
 
 	mu      sync.Mutex // guards trace and failure only
 	trace   []graph.NodeID
@@ -47,14 +43,44 @@ type runCore struct {
 	wg        sync.WaitGroup
 }
 
-func newRunCore(stepLimit int64, recordTrace bool) *runCore {
+// newRunCore builds the run of alg on in's topology over shards shards;
+// RunWith starts it.
+func newRunCore(in *core.Init, alg Algorithm, opts Options, shards int) *runCore {
+	g := in.Graph()
+	n := g.NumNodes()
 	c := &runCore{
-		stepLimit:   stepLimit,
-		recordTrace: recordTrace,
+		// NewPR takes at most one dummy step per real step, and sequential
+		// executions are bounded well under 100·n²+100 steps; double that
+		// factor so hitting the limit can only mean an engine bug.
+		stepLimit:   200*int64(n)*int64(n) + stepLimitSlack,
+		recordTrace: opts.RecordTrace == TraceRecorded,
 		quiet:       make(chan struct{}),
 		stop:        make(chan struct{}),
 	}
 	c.inflight.onZero = c.unblock
+	if opts.Adversary != nil {
+		c.inj = faults.NewInjector(opts.Adversary)
+	}
+	// The partitioner is built before the node table: newRunNodes packs the
+	// bit views densely within one shard's nodes and word-aligns the
+	// boundaries between shards, so it needs the ownership map up front.
+	part := newPartitioner(opts.Partition, n, shards, g.Neighbors)
+	c.rt = newShardRuntime[shardMsg](part, opts.MailboxCap, &c.inflight, c.stop, &c.wg, opts.Observer)
+	c.nodes = newRunNodes(in, alg, c.inj != nil, part.shardOf)
+	owned := make([][]*runNode, shards)
+	for u := range c.nodes {
+		d := part.shardOf(graph.NodeID(u))
+		owned[d] = append(owned[d], &c.nodes[u])
+	}
+	for i, w := range c.rt.workers {
+		s := &shard{worker: w, run: c}
+		w.handle = s.process
+		w.initial = func() {
+			for _, nd := range owned[i] {
+				nd.act(s)
+			}
+		}
+	}
 	return c
 }
 
@@ -71,10 +97,6 @@ func (c *runCore) record(u graph.NodeID, targets int) {
 		c.mu.Lock()
 		c.trace = append(c.trace, u)
 		c.mu.Unlock()
-	}
-	if c.nodeSteps != nil {
-		c.nodeSteps[u]++
-		c.nodeWork[u] += int64(targets)
 	}
 	steps := c.steps.Add(1)
 	c.reversals.Add(int64(targets))
@@ -132,17 +154,17 @@ func (c *runCore) judgeSend(from, to graph.NodeID, seq uint32, attempt int32, ki
 }
 
 // snapshot assembles the Stats from the atomic counters and the
-// transport counters of rt. Callers must ensure the run has quiesced (or
-// all goroutines exited).
-func (c *runCore) snapshot(rt *shardRuntime[shardMsg]) Stats {
+// transport counters of the runtime. Callers must ensure the run has
+// quiesced (or all goroutines exited).
+func (c *runCore) snapshot() Stats {
 	s := Stats{
 		Messages:       int(c.messages.Load()),
-		Batches:        int(rt.batches.Load()),
+		Batches:        int(c.rt.batches.Load()),
 		Steps:          int(c.steps.Load()),
 		TotalReversals: int(c.reversals.Load()),
 		Acks:           int(c.acks.Load()),
 		Retransmits:    int(c.retransmits.Load()),
-		Remote:         int(rt.remote.Load()),
+		Remote:         int(c.rt.remote.Load()),
 	}
 	if c.inj != nil {
 		fs := c.inj.Snapshot()
@@ -171,24 +193,11 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 		return nil, err
 	}
 	g := in.Graph()
-	n := g.NumNodes()
-	// NewPR takes at most one dummy step per real step, and sequential
-	// executions are bounded well under 100·n²+100 steps; double that
-	// factor so hitting the limit can only mean an engine bug.
-	limit := 200*int64(n)*int64(n) + stepLimitSlack
-	shards := min(opts.Shards, n)
-	c := newRunCore(limit, opts.RecordTrace == TraceRecorded)
-	if opts.Adversary != nil {
-		c.inj = faults.NewInjector(opts.Adversary)
-	}
-	if opts.Profile == ProfileOn {
-		c.nodeSteps = make([]int64, n)
-		c.nodeWork = make([]int64, n)
-	}
+	shards := min(opts.Shards, g.NumNodes())
 	// One sink per shard; the shards pick theirs up from opts.
 	opts.Observer.Attach(shards)
-	eng := newShardEngine(c, in, alg, opts, shards)
-	eng.rt.start()
+	c := newRunCore(in, alg, opts, shards)
+	c.rt.start()
 
 	var ctxErr error
 	select {
@@ -211,7 +220,7 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 	}
 	directed := make([][2]graph.NodeID, 0, g.NumEdges())
 	for _, e := range g.Edges() {
-		if eng.nodes[e.U].incomingTo(e.V) {
+		if c.nodes[e.U].incomingTo(e.V) {
 			directed = append(directed, [2]graph.NodeID{e.V, e.U})
 		} else {
 			directed = append(directed, [2]graph.NodeID{e.U, e.V})
@@ -222,11 +231,9 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 		return nil, fmt.Errorf("dist: reassemble final orientation: %w", err)
 	}
 	res := &Result{
-		Final:         final,
-		Stats:         c.snapshot(eng.rt),
-		Trace:         c.trace,
-		NodeSteps:     c.nodeSteps,
-		NodeReversals: c.nodeWork,
+		Final: final,
+		Stats: c.snapshot(),
+		Trace: c.trace,
 	}
 	if opts.Observer != nil {
 		res.Shards = opts.Observer.ShardStats()
@@ -259,48 +266,12 @@ type shardMsg struct {
 	Hold uint8
 }
 
-// shardEngine is the execution engine of RunWith: the run's nodes on a
-// shardRuntime of shardMsg.
-type shardEngine struct {
-	c     *runCore
-	rt    *shardRuntime[shardMsg]
-	nodes []runNode
-}
-
-func newShardEngine(c *runCore, in *core.Init, alg Algorithm, opts Options, shards int) *shardEngine {
-	g := in.Graph()
-	// The partitioner is built before the node table: newRunNodes packs the
-	// bit views densely within one shard's nodes and word-aligns the
-	// boundaries between shards, so it needs the ownership map up front.
-	part := newPartitioner(opts.Partition, g.NumNodes(), shards, g.Neighbors)
-	e := &shardEngine{
-		c:     c,
-		rt:    newShardRuntime[shardMsg](part, opts.MailboxCap, &c.inflight, c.stop, &c.wg, opts.Observer),
-		nodes: newRunNodes(in, alg, c.inj != nil, part.shardOf),
-	}
-	owned := make([][]*runNode, shards)
-	for u := range e.nodes {
-		d := part.shardOf(graph.NodeID(u))
-		owned[d] = append(owned[d], &e.nodes[u])
-	}
-	for i, w := range e.rt.workers {
-		s := &shard{worker: w, eng: e}
-		w.handle = s.process
-		w.initial = func() {
-			for _, nd := range owned[i] {
-				nd.act(s)
-			}
-		}
-	}
-	return e
-}
-
 // shard is the static plane's view of one runtime worker: the protocol
 // rules of run.go hand it their steps and messages. nodes' views are read
 // by RunWith only after the WaitGroup drained.
 type shard struct {
 	*worker[shardMsg]
-	eng *shardEngine
+	run *runCore
 }
 
 // announce records one step by a node of this shard. When trace recording
@@ -309,7 +280,7 @@ type shard struct {
 // after announce returns), which is what makes the trace a legal
 // sequential execution.
 func (s *shard) announce(u graph.NodeID, targets int) {
-	s.eng.c.record(u, targets)
+	s.run.record(u, targets)
 	if s.obs != nil {
 		s.obs.Step(u, targets)
 	}
@@ -322,7 +293,7 @@ func (s *shard) announce(u graph.NodeID, targets int) {
 // Batch-token quiescence already covers all of this traffic, so no extra
 // tokens are needed.
 func (s *shard) send(from graph.NodeID, fromSlot int32, to graph.NodeID, toSlot int32, seq uint32, attempt int32, kind msgKind) {
-	f, dropped, notify := s.eng.c.judgeSend(from, to, seq, attempt, kind)
+	f, dropped, notify := s.run.judgeSend(from, to, seq, attempt, kind)
 	if s.obs != nil {
 		switch {
 		case kind == msgAck:
@@ -359,7 +330,7 @@ func (s *shard) process(m shardMsg) {
 	if s.obs != nil && m.Kind == msgData {
 		s.obs.Deliver(m.To, -1, int64(m.Seq))
 	}
-	nd := &s.eng.nodes[m.To]
+	nd := &s.run.nodes[m.To]
 	if nd.rel != nil {
 		nd.handle(s, m)
 	} else {

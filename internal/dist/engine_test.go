@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,22 +52,14 @@ func engineName(o Options) string {
 }
 
 // testPartition returns the sharded partition scheme selected by the
-// LR_DIST_PARTITION environment variable (the CI partition matrix); the
-// zero value (PartitionBlock after defaulting) when unset.
+// LR_DIST_PARTITION environment variable (the CI partition matrix);
+// PartitionBlock when unset.
 func testPartition(t testing.TB) Partition {
-	switch v := os.Getenv("LR_DIST_PARTITION"); v {
-	case "":
-		return 0
-	case "block":
-		return PartitionBlock
-	case "hash":
-		return PartitionHash
-	case "locality":
-		return PartitionLocality
-	default:
-		t.Fatalf("unknown LR_DIST_PARTITION %q (want block, hash or locality)", v)
-		return 0
+	p, err := ParsePartition(os.Getenv("LR_DIST_PARTITION"))
+	if err != nil {
+		t.Fatalf("LR_DIST_PARTITION: %v", err)
 	}
+	return p
 }
 
 // testAdversary returns the fault scenario selected by the LR_DIST_FAULTS
@@ -393,6 +386,19 @@ func TestEngineStrings(t *testing.T) {
 	}
 	if Partition(42).String() != "Partition(42)" {
 		t.Errorf("unknown partition string = %q", Partition(42).String())
+	}
+	for _, p := range []Partition{PartitionBlock, PartitionHash, PartitionLocality} {
+		for _, s := range []string{p.String(), strings.ToUpper(p.String())} {
+			if got, err := ParsePartition(s); got != p || err != nil {
+				t.Errorf("ParsePartition(%q) = %v, %v; want %v", s, got, err, p)
+			}
+		}
+	}
+	if got, err := ParsePartition(""); got != PartitionBlock || err != nil {
+		t.Errorf("ParsePartition(\"\") = %v, %v; want block", got, err)
+	}
+	if _, err := ParsePartition("psychic"); !errors.Is(err, ErrBadOption) {
+		t.Errorf("ParsePartition(psychic) err = %v, want ErrBadOption", err)
 	}
 	if TraceRecorded.String() != "trace-recorded" || TraceOff.String() != "trace-off" {
 		t.Error("trace strings wrong")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"linkreversal/internal/faults"
@@ -27,15 +28,6 @@ type Engine int
 //
 // Deprecated: Sharded is the only engine; leave Options.Engine zero.
 const Sharded Engine = 2
-
-// validEngine reports whether e is accepted by the option validators: 0
-// and Sharded both select the sharded runtime.
-func validEngine(e Engine) error {
-	if e != 0 && e != Sharded {
-		return fmt.Errorf("%w: engine %d", ErrBadOption, int(e))
-	}
-	return nil
-}
 
 // Partition selects how nodes are assigned to shards. All schemes are
 // deterministic and assign every node to exactly one shard.
@@ -76,6 +68,20 @@ func (p Partition) String() string {
 	}
 }
 
+// ParsePartition returns the scheme that String spells s, ignoring case;
+// the empty string names the default, PartitionBlock.
+func ParsePartition(s string) (Partition, error) {
+	if s == "" {
+		return PartitionBlock, nil
+	}
+	for p := PartitionBlock; p <= PartitionLocality; p++ {
+		if strings.EqualFold(s, p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: partition %q (want block, hash or locality)", ErrBadOption, s)
+}
+
 // Trace selects whether RunWith records the global step linearization.
 type Trace int
 
@@ -105,34 +111,6 @@ func (t Trace) String() string {
 		return "trace-off"
 	default:
 		return fmt.Sprintf("Trace(%d)", int(t))
-	}
-}
-
-// Profile selects whether RunWith maintains per-node work counters.
-type Profile int
-
-const (
-	// ProfileOff (the default) keeps the hot path free of per-node
-	// accounting; Result.NodeSteps and Result.NodeReversals are nil.
-	ProfileOff Profile = iota + 1
-	// ProfileOn accumulates per-node step and reversal counts during the
-	// run (each node's slot is written only by its owning executor, so the
-	// counters cost two plain writes per step, no atomics). It is the
-	// fitness hook of the adversarial search harness (internal/hunt): work
-	// skew and per-node bound oracles read these directly instead of
-	// replaying the trace.
-	ProfileOn
-)
-
-// String implements fmt.Stringer.
-func (p Profile) String() string {
-	switch p {
-	case ProfileOff:
-		return "profile-off"
-	case ProfileOn:
-		return "profile-on"
-	default:
-		return fmt.Sprintf("Profile(%d)", int(p))
 	}
 }
 
@@ -181,12 +159,6 @@ type Options struct {
 	// O(steps) trace memory, at the price of Result.Trace (and with it the
 	// sequential replay cross-check).
 	RecordTrace Trace
-	// Profile selects whether the run maintains per-node step and reversal
-	// counters (Result.NodeSteps / Result.NodeReversals); 0 means
-	// ProfileOff. Unlike the trace it stays O(n) regardless of run length,
-	// so worst-case-seeking searches can score long executions without
-	// retaining them.
-	Profile Profile
 	// Adversary injects seeded network faults (loss, duplication, delay,
 	// reorder) between senders and mailboxes; nil means a reliable network
 	// and the exact pre-fault hot path. A non-nil adversary also arms the
@@ -248,52 +220,49 @@ type DynOptions struct {
 	Observer *obs.Observer
 }
 
-// withDefaults validates o and fills in the defaults for zero fields.
-func (o DynOptions) withDefaults() (DynOptions, error) {
-	if err := validEngine(o.Engine); err != nil {
-		return o, err
+// sharedDefaults validates the options both planes share — Engine,
+// Partition, Shards and Adversary — and fills in the defaults of a zero
+// Partition and Shards.
+func sharedDefaults(e Engine, part *Partition, shards *int, adv *faults.Adversary) error {
+	if e != 0 && e != Sharded {
+		return fmt.Errorf("%w: engine %d", ErrBadOption, int(e))
 	}
-	switch o.Partition {
+	switch *part {
 	case 0:
-		o.Partition = PartitionBlock
+		*part = PartitionBlock
 	case PartitionBlock, PartitionHash, PartitionLocality:
 	default:
-		return o, fmt.Errorf("%w: partition %d", ErrBadOption, int(o.Partition))
+		return fmt.Errorf("%w: partition %d", ErrBadOption, int(*part))
 	}
-	if o.Shards < 0 {
-		return o, fmt.Errorf("%w: %d shards", ErrBadOption, o.Shards)
+	if *shards < 0 {
+		return fmt.Errorf("%w: %d shards", ErrBadOption, *shards)
 	}
-	if o.Shards == 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
+	if *shards == 0 {
+		*shards = runtime.GOMAXPROCS(0)
+	}
+	if adv != nil {
+		if err := adv.Validate(); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadOption, err)
+		}
+	}
+	return nil
+}
+
+// withDefaults validates o and fills in the defaults for zero fields.
+func (o DynOptions) withDefaults() (DynOptions, error) {
+	if err := sharedDefaults(o.Engine, &o.Partition, &o.Shards, o.Adversary); err != nil {
+		return o, err
 	}
 	if o.PublishEvery < 0 {
 		return o, fmt.Errorf("%w: publish cadence %v", ErrBadOption, o.PublishEvery)
-	}
-	if o.Adversary != nil {
-		if err := o.Adversary.Validate(); err != nil {
-			return o, fmt.Errorf("%w: %v", ErrBadOption, err)
-		}
 	}
 	return o, nil
 }
 
 // withDefaults validates o and fills in the defaults for zero fields.
 func (o Options) withDefaults() (Options, error) {
-	if err := validEngine(o.Engine); err != nil {
+	if err := sharedDefaults(o.Engine, &o.Partition, &o.Shards, o.Adversary); err != nil {
 		return o, err
-	}
-	switch o.Partition {
-	case 0:
-		o.Partition = PartitionBlock
-	case PartitionBlock, PartitionHash, PartitionLocality:
-	default:
-		return o, fmt.Errorf("%w: partition %d", ErrBadOption, int(o.Partition))
-	}
-	if o.Shards < 0 {
-		return o, fmt.Errorf("%w: %d shards", ErrBadOption, o.Shards)
-	}
-	if o.Shards == 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
 	}
 	switch o.RecordTrace {
 	case 0:
@@ -307,18 +276,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.MailboxCap == 0 {
 		o.MailboxCap = defaultMailboxCap
-	}
-	switch o.Profile {
-	case 0:
-		o.Profile = ProfileOff
-	case ProfileOff, ProfileOn:
-	default:
-		return o, fmt.Errorf("%w: profile mode %d", ErrBadOption, int(o.Profile))
-	}
-	if o.Adversary != nil {
-		if err := o.Adversary.Validate(); err != nil {
-			return o, fmt.Errorf("%w: %v", ErrBadOption, err)
-		}
 	}
 	return o, nil
 }

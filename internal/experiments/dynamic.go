@@ -34,7 +34,7 @@ func E11DistributedChurn(s Suite) (*trace.Table, error) {
 			net.Stop()
 			return nil, fmt.Errorf("E11 n=%d initial: %w", n, err)
 		}
-		base := net.Snapshot()
+		base := net.ReadSnapshot()
 		rng := rand.New(rand.NewSource(int64(n)))
 		edges := topo.Graph.Edges()
 		removed := make(map[graph.Edge]bool)
@@ -74,7 +74,7 @@ func E11DistributedChurn(s Suite) (*trace.Table, error) {
 				return nil, fmt.Errorf("E11 n=%d event %d await: %w", n, i, err)
 			}
 		}
-		final := net.Snapshot()
+		final := net.ReadSnapshot()
 		net.Stop()
 		tb.MustAddRow(trace.I(n), trace.I(events),
 			trace.F(float64(final.Steps-base.Steps)/float64(events)),

@@ -29,6 +29,7 @@ package faults
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 
 	"linkreversal/internal/graph"
@@ -324,6 +325,22 @@ func Adversarial(seed int64) *Adversary {
 // maxima the searched worst case lands.
 func Presets(seed int64) []*Adversary {
 	return []*Adversary{Lossy(seed), Flaky(seed), Adversarial(seed)}
+}
+
+// PresetNamed returns the preset whose Scenario is name, ignoring case, at
+// the given seed. "none", "off", "reliable" and the empty string name the
+// reliable network, for which it returns nil.
+func PresetNamed(name string, seed int64) (*Adversary, error) {
+	switch strings.ToLower(name) {
+	case "", "none", "off", "reliable":
+		return nil, nil
+	}
+	for _, a := range Presets(seed) {
+		if strings.EqualFold(name, a.Scenario) {
+			return a, nil
+		}
+	}
+	return nil, fmt.Errorf("faults: unknown scenario %q (want none, lossy, flaky or adversarial)", name)
 }
 
 // Stats counts what the adversary did to the traffic. All counters are

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"linkreversal/internal/dist"
-	"linkreversal/internal/trace"
 )
 
 // Fitness selects what the hunter maximizes — which notion of "worst
@@ -55,8 +54,8 @@ func ParseFitness(s string) (Fitness, error) {
 	return 0, fmt.Errorf("hunt: unknown fitness %q (want work, steps, retrans or skew)", s)
 }
 
-// score extracts the fitness value from a profiled run.
-func (f Fitness) score(res *dist.Result) float64 {
+// score extracts the fitness value from a run whose work skew is skew.
+func (f Fitness) score(res *dist.Result, skew float64) float64 {
 	switch f {
 	case FitnessWork:
 		return float64(res.Stats.TotalReversals)
@@ -65,7 +64,7 @@ func (f Fitness) score(res *dist.Result) float64 {
 	case FitnessRetrans:
 		return float64(res.Stats.Retransmits)
 	case FitnessSkew:
-		return trace.NewWorkProfileFromCounts(res.NodeSteps, res.NodeReversals).Skew()
+		return skew
 	default:
 		panic(fmt.Sprintf("hunt: fitness %d", int(f)))
 	}

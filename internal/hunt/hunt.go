@@ -10,7 +10,6 @@ import (
 	"linkreversal/internal/dist"
 	"linkreversal/internal/faults"
 	"linkreversal/internal/obs"
-	"linkreversal/internal/trace"
 	"linkreversal/internal/workload"
 )
 
@@ -66,9 +65,9 @@ func (c Candidate) Layout() string {
 	return "sharded"
 }
 
-// options assembles the dist options the candidate encodes. Profiling and
-// tracing are always on: the fitness reads the per-node counters and the
-// oracles replay the trace.
+// options assembles the dist options the candidate encodes. The trace is
+// always recorded (the default): the oracles replay it, and the skew
+// fitness reads the work profile of that replay.
 func (c Candidate) options() dist.Options {
 	shards := c.Shards
 	if c.PerNode {
@@ -78,7 +77,6 @@ func (c Candidate) options() dist.Options {
 		Shards:     shards,
 		Partition:  c.Partition,
 		MailboxCap: c.MailboxCap,
-		Profile:    dist.ProfileOn,
 		Adversary:  c.Genome.Adversary(),
 	}
 }
@@ -243,14 +241,16 @@ func (h *Hunter) evaluate(ctx context.Context, cand Candidate, preset bool) (*Ev
 		return nil, err
 	}
 	h.evals++
+	breaches, profile := h.cfg.Oracle.Check(h.in, h.cfg.Alg, opts.Adversary, res)
+	skew := profile.Skew()
 	ev := &Evaluated{
 		Candidate: cand,
-		Score:     h.cfg.Fitness.score(res),
-		Skew:      trace.NewWorkProfileFromCounts(res.NodeSteps, res.NodeReversals).Skew(),
+		Score:     h.cfg.Fitness.score(res, skew),
+		Skew:      skew,
 		Stats:     res.Stats,
 		Preset:    preset,
 	}
-	if breaches := h.cfg.Oracle.Check(h.in, h.cfg.Alg, opts.Adversary, res); len(breaches) > 0 {
+	if len(breaches) > 0 {
 		rep := h.shrink(ctx, cand, res, breaches, o.Tail(reproTail))
 		h.report.Reproducers = append(h.report.Reproducers, rep)
 	}

@@ -8,6 +8,7 @@ import (
 	"linkreversal/internal/dist"
 	"linkreversal/internal/faults"
 	"linkreversal/internal/graph"
+	"linkreversal/internal/trace"
 )
 
 // Oracle encodes the paper's bounds as checks over a finished run. Every
@@ -65,11 +66,15 @@ func (b Breach) String() string {
 	return fmt.Sprintf("%s: %s", b.Oracle, b.Detail)
 }
 
-// Check verifies a finished run against every applicable bound. The run
-// should have been produced with Profile on (per-node bounds are skipped
-// without counters) and the trace recorded (replay checks are skipped
-// without it); the hunter always runs with both.
-func (o Oracle) Check(in *core.Init, alg dist.Algorithm, adv *faults.Adversary, res *dist.Result) []Breach {
+// Check verifies a finished run against every applicable bound and
+// returns the breaches with the run's work profile. The run should have
+// its trace recorded — the hunter always records it: the per-node step
+// bound counts steps from the trace, and the sequential replay that checks
+// legality and invariants also yields the profile. Without a trace both
+// are skipped and the profile is empty. After an invariant breach the
+// replay goes on without checks to complete the profile; a trace that is
+// not a legal execution yields the profile of its legal prefix.
+func (o Oracle) Check(in *core.Init, alg dist.Algorithm, adv *faults.Adversary, res *dist.Result) ([]Breach, *trace.WorkProfile) {
 	var breaches []Breach
 	n := in.Graph().NumNodes()
 	c := o.factor()
@@ -93,12 +98,16 @@ func (o Oracle) Check(in *core.Init, alg dist.Algorithm, adv *faults.Adversary, 
 	// Work bounds, on connected instances only.
 	nb := len(graph.BadNodes(in.InitialOrientation(), in.Destination()))
 	if in.Graph().Connected() {
-		if perNode := c * float64(nb+1); res.NodeSteps != nil {
-			for u, steps := range res.NodeSteps {
-				if float64(steps) > perNode {
+		if perNode := c * float64(nb+1); res.Trace != nil {
+			steps := make([]int, n)
+			for _, u := range res.Trace {
+				steps[u]++
+			}
+			for u, s := range steps {
+				if float64(s) > perNode {
 					breaches = append(breaches, Breach{
 						Oracle: "work-per-node",
-						Detail: fmt.Sprintf("node %d took %d steps, bound is %.2f (c=%.2f, n_b=%d)", u, steps, perNode, c, nb),
+						Detail: fmt.Sprintf("node %d took %d steps, bound is %.2f (c=%.2f, n_b=%d)", u, s, perNode, c, nb),
 						Step:   -1,
 					})
 					break // One witness suffices; the rest is noise.
@@ -141,15 +150,17 @@ func (o Oracle) Check(in *core.Init, alg dist.Algorithm, adv *faults.Adversary, 
 	// Replay legality and invariants: the distributed linearization must be
 	// a legal sequential execution whose every sampled state satisfies the
 	// paper's invariant suite.
+	profile := new(trace.WorkProfile)
 	if res.Trace != nil {
-		breaches = append(breaches, o.replay(in, alg, res.Trace)...)
+		breaches = append(breaches, o.replay(in, alg, res.Trace, profile)...)
 	}
-	return breaches
+	return breaches, profile
 }
 
-// replay drives the trace through the sequential twin, checking the
-// invariant suite every stride steps and at the end.
-func (o Oracle) replay(in *core.Init, alg dist.Algorithm, steps []graph.NodeID) []Breach {
+// replay drives the trace through the sequential twin, attributing each
+// step's reversals in profile, and checks the invariant suite every stride
+// steps and at the end until one check fails.
+func (o Oracle) replay(in *core.Init, alg dist.Algorithm, steps []graph.NodeID, profile *trace.WorkProfile) []Breach {
 	v, err := alg.Twin()
 	if err != nil {
 		return []Breach{{Oracle: "replay", Detail: err.Error(), Step: -1}}
@@ -159,35 +170,36 @@ func (o Oracle) replay(in *core.Init, alg dist.Algorithm, steps []graph.NodeID) 
 	if stride == 0 {
 		stride = (len(steps) + 63) / 64
 	}
-	check := func(i int) *Breach {
+	var found []Breach
+	check := func(i int) {
 		if err := automaton.CheckAll(a, v.Invariants); err != nil {
-			return &Breach{Oracle: "invariant", Detail: err.Error(), Step: i}
+			found = []Breach{{Oracle: "invariant", Detail: err.Error(), Step: i}}
 		}
-		return nil
 	}
 	for i, u := range steps {
-		if err := a.Step(automaton.ReverseNode{U: u}); err != nil {
+		if err := profile.Replay(a, u); err != nil {
+			if found != nil {
+				return found
+			}
 			return []Breach{{
 				Oracle: "replay",
 				Detail: fmt.Sprintf("trace is not a legal sequential execution: %v", err),
 				Step:   i,
 			}}
 		}
-		if stride > 0 && (i+1)%stride == 0 {
-			if b := check(i); b != nil {
-				return []Breach{*b}
-			}
+		if found == nil && stride > 0 && (i+1)%stride == 0 {
+			check(i)
 		}
 	}
-	if b := check(len(steps) - 1); b != nil {
-		return []Breach{*b}
+	if found == nil {
+		check(len(steps) - 1)
 	}
-	if !a.Quiescent() {
-		return []Breach{{
+	if found == nil && !a.Quiescent() {
+		found = []Breach{{
 			Oracle: "termination",
 			Detail: "twin automaton is not quiescent after full trace replay",
 			Step:   len(steps) - 1,
 		}}
 	}
-	return nil
+	return found
 }

@@ -71,7 +71,8 @@ func Replay(ctx context.Context, o Oracle, rep Reproducer) ([]Breach, error) {
 	if err != nil {
 		return nil, err
 	}
-	return o.Check(in, alg, opts.Adversary, res), nil
+	breaches, _ := o.Check(in, alg, opts.Adversary, res)
+	return breaches, nil
 }
 
 // shrink delta-debugs a breaching candidate toward the minimal reproducer:
@@ -103,7 +104,7 @@ func (h *Hunter) shrink(ctx context.Context, cand Candidate, res *dist.Result, b
 		if err != nil {
 			return false
 		}
-		br := h.cfg.Oracle.Check(in, h.cfg.Alg, opts.Adversary, r)
+		br, _ := h.cfg.Oracle.Check(in, h.cfg.Alg, opts.Adversary, r)
 		if len(br) == 0 {
 			return false
 		}

@@ -53,25 +53,6 @@ func NewWorkProfile(e *automaton.Execution) *WorkProfile {
 	return p
 }
 
-// NewWorkProfileFromCounts builds a profile directly from per-node counter
-// slices indexed by node ID — the dist engines' ProfileOn output
-// (Result.NodeSteps / Result.NodeReversals). It is the allocation-light
-// sibling of WorkProfileFromSteps for runs whose trace was not retained:
-// the counters carry exactly the per-node attribution a replay would
-// recompute.
-func NewWorkProfileFromCounts(nodeSteps, nodeReversals []int64) *WorkProfile {
-	p := &WorkProfile{perNode: make(map[graph.NodeID]int)}
-	for u, c := range nodeReversals {
-		if c > 0 {
-			p.perNode[graph.NodeID(u)] = int(c)
-		}
-	}
-	for _, s := range nodeSteps {
-		p.steps += int(s)
-	}
-	return p
-}
-
 // NodeCost returns the number of reversals attributed to u.
 func (p *WorkProfile) NodeCost(u graph.NodeID) int { return p.perNode[u] }
 
@@ -97,18 +78,29 @@ func (p *WorkProfile) Steps() int { return p.steps }
 // distributed run. The automaton must be fresh (at the initial state);
 // replay errors are returned verbatim.
 func WorkProfileFromSteps(a automaton.Automaton, steps []graph.NodeID) (*WorkProfile, error) {
-	p := &WorkProfile{perNode: make(map[graph.NodeID]int)}
-	prev := a.TotalReversals()
+	p := new(WorkProfile)
 	for i, u := range steps {
-		if err := a.Step(automaton.ReverseNode{U: u}); err != nil {
+		if err := p.Replay(a, u); err != nil {
 			return nil, fmt.Errorf("trace: replay step %d (node %d): %w", i, u, err)
 		}
-		now := a.TotalReversals()
-		p.perNode[u] += now - prev
-		prev = now
-		p.steps++
 	}
 	return p, nil
+}
+
+// Replay applies u's step to a and attributes the reversals it makes to u.
+// a must be in the state the profile's earlier steps left it in; the zero
+// WorkProfile starts from a fresh automaton.
+func (p *WorkProfile) Replay(a automaton.Automaton, u graph.NodeID) error {
+	prev := a.TotalReversals()
+	if err := a.Step(automaton.ReverseNode{U: u}); err != nil {
+		return err
+	}
+	if p.perNode == nil {
+		p.perNode = make(map[graph.NodeID]int)
+	}
+	p.perNode[u] += a.TotalReversals() - prev
+	p.steps++
+	return nil
 }
 
 // MaxNodeCost returns the largest per-node cost and the node achieving it.
