@@ -23,38 +23,31 @@ func main() {
 	}
 }
 
-func parseAlgorithm(s string) (lr.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "pr":
-		return lr.PR, nil
-	case "onesteppr":
-		return lr.OneStepPR, nil
-	case "newpr":
-		return lr.NewPR, nil
-	case "fr":
-		return lr.FR, nil
-	case "gbpair":
-		return lr.GBPair, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (PR, OneStepPR, NewPR, FR, GBPair)", s)
-	}
+// enum is an enumeration of consecutive values that spell themselves
+// with String.
+type enum interface {
+	~int
+	fmt.Stringer
 }
 
-func parseScheduler(s string) (lr.Scheduler, error) {
-	switch strings.ToLower(s) {
-	case "greedy":
-		return lr.Greedy, nil
-	case "random-single":
-		return lr.RandomSingle, nil
-	case "random-subset":
-		return lr.RandomSubset, nil
-	case "round-robin":
-		return lr.RoundRobin, nil
-	case "lifo":
-		return lr.LIFO, nil
-	default:
-		return 0, fmt.Errorf("unknown scheduler %q (greedy, random-single, random-subset, round-robin, lifo)", s)
+// names lists the spellings of the values from first to last.
+func names[T enum](first, last T) string {
+	var out []string
+	for v := first; v <= last; v++ {
+		out = append(out, v.String())
 	}
+	return strings.Join(out, ", ")
+}
+
+// parse returns the value from first to last that String spells s,
+// ignoring case.
+func parse[T enum](kind, s string, first, last T) (T, error) {
+	for v := first; v <= last; v++ {
+		if strings.EqualFold(s, v.String()) {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown %s %q (%s)", kind, s, names(first, last))
 }
 
 func run(args []string) error {
@@ -63,8 +56,8 @@ func run(args []string) error {
 		topoName  = fs.String("topo", "bad-chain", "topology: "+workload.Names)
 		n         = fs.Int("n", 16, "topology size parameter")
 		p         = fs.Float64("p", 0.3, "edge density for random topologies")
-		algName   = fs.String("alg", "PR", "algorithm: PR, OneStepPR, NewPR, FR, GBPair")
-		schedName = fs.String("sched", "greedy", "scheduler: greedy, random-single, random-subset, round-robin, lifo")
+		algName   = fs.String("alg", "PR", "algorithm: "+names(lr.PR, lr.GBPair))
+		schedName = fs.String("sched", "greedy", "scheduler: "+names(lr.Greedy, lr.AdversarialMax))
 		seed      = fs.Int64("seed", 1, "random seed")
 		check     = fs.Bool("check", false, "verify the paper's invariants after every step")
 		dot       = fs.Bool("dot", false, "print the final orientation as Graphviz DOT")
@@ -74,11 +67,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	alg, err := parseAlgorithm(*algName)
+	alg, err := parse("algorithm", *algName, lr.PR, lr.GBPair)
 	if err != nil {
 		return err
 	}
-	s, err := parseScheduler(*schedName)
+	s, err := parse("scheduler", *schedName, lr.Greedy, lr.AdversarialMax)
 	if err != nil {
 		return err
 	}

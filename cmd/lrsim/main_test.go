@@ -12,6 +12,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-nope"},
 		{"-alg", "dijkstra"},
 		{"-sched", "psychic"},
+		{"-sched", "Scheduler(7)"},
+		{"-alg", "GBFull"},
 		{"-topo", "nope"},
 		{"-n", "-1"},
 	} {
@@ -27,6 +29,8 @@ func TestRunSmoke(t *testing.T) {
 		{"-topo", "bad-chain", "-n", "6", "-alg", "PR", "-check"},
 		{"-topo", "alt-chain", "-n", "6", "-alg", "NewPR"},
 		{"-topo", "star", "-n", "5", "-alg", "GBPair", "-dot"},
+		{"-topo", "bad-chain", "-n", "6", "-alg", "fr", "-sched", "adversarial-max", "-check"},
+		{"-topo", "alt-chain", "-n", "6", "-alg", "onesteppr", "-sched", "Round-Robin"},
 	} {
 		if err := run(args); err != nil {
 			t.Errorf("args %v: %v", args, err)

@@ -99,7 +99,6 @@ func TestRunDistributedWithBadOptions(t *testing.T) {
 	topo := lr.BadChain(4)
 	for _, opts := range []lr.DistOptions{
 		{Shards: -1},
-		{MailboxCap: -1},
 		{Engine: lr.DistEngine(9)},
 		{Adversary: &lr.NetworkAdversary{}}, // no policy
 		{Adversary: lr.NewNetworkAdversary(lr.FaultDrop{P: 2}, 1)}, // probability out of range

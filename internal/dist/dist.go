@@ -15,7 +15,7 @@
 //     worker pool runs them: nodes are partitioned across Options.Shards
 //     shard goroutines (default GOMAXPROCS) and cross-shard traffic
 //     travels in batches. Shards ≥ n gives one node per shard, so every
-//     node runs on its own goroutine with its own mailbox: per-node
+//     node runs on its own goroutine with its own inbox: per-node
 //     asynchrony.
 //
 //   - DynamicNetwork runs the height-based (Gafni–Bertsekas pair) protocol
@@ -52,12 +52,18 @@
 // message enters as a one-message batch whose token the control plane
 // counts before injecting it; DynamicNetwork.injectLocked is the one
 // function that does both, for every topology mutation and for
-// AwaitQuiescence's erasures and pokes.
+// AwaitQuiescence's erasures and pokes, all under the network's one lock.
+//
+// The transport owes these arguments two things only: every message is
+// delivered, and each receiver gets its messages in the order they were
+// put for it. Each shard is one goroutine with an inbox, an unbounded
+// locked list of batches: a put appends and never blocks, and the shard
+// takes every waiting batch at once and runs them in arrival order.
 //
 // # Safety and liveness under network faults
 //
 // With Options.Adversary set, a seeded fault injector (internal/faults)
-// sits between senders and mailboxes and may drop, duplicate, or hold back
+// sits between senders and receivers and may drop, duplicate, or hold back
 // any transmission. Reversal announcements then carry per-directed-link
 // sequence numbers: the receiver applies only fresh sequence numbers (so a
 // late duplicate can never resurrect a view the receiver has since

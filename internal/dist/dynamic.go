@@ -34,19 +34,16 @@ import (
 // heights do not ratchet upward across cut/heal cycles. A height ceiling
 // survives only as a runaway backstop for pathological concurrent churn.
 type DynamicNetwork struct {
-	// ctl serializes the control plane: every topology mutation runs as
-	// one control transaction (see control), so its adjacency update and
-	// its message injections form one atomic unit. Without it, two
-	// concurrent calls on the same edge could deliver their messages in the
-	// opposite order of their adjacency updates and desync the nodes'
-	// neighbour views from adj. ctl is never held while mu is needed by the
-	// nodes' hot path, and injections never run under mu (see
-	// injectLocked).
-	ctl  sync.Mutex
+	// mu guards the control plane's state and serializes it: every
+	// topology mutation runs as one control transaction under mu (see
+	// control), so its adjacency update and its message injections form
+	// one atomic unit. Otherwise two concurrent calls on the same edge
+	// could deliver their messages in the opposite order of their
+	// adjacency updates and desync the nodes' neighbour views from adj.
 	mu   sync.Mutex
 	cond *sync.Cond
-	// ctlMsgs is the message buffer the control transactions reuse, so a
-	// link change allocates no slice for its messages. Guarded by ctl.
+	// ctlMsgs is the message buffer the control plane reuses, so a link
+	// change allocates no slice for its messages. Guarded by mu.
 	ctlMsgs []dynMsg
 
 	opts DynOptions
@@ -116,7 +113,7 @@ type DynamicNetwork struct {
 
 	// pub is the epoch-snapshot publication slot: an immutable *Snapshot
 	// swapped in atomically (RCU-style) by the serialized control plane, so
-	// ReadSnapshot is a single atomic load that never touches ctl or mu.
+	// ReadSnapshot is a single atomic load that never touches mu.
 	// epoch counts publications; pubSteps/pubMessages/pubTopoVer remember
 	// the state fingerprint of the last publication so a re-publication of
 	// an unchanged state is skipped (which is what keeps the clean-path
@@ -335,16 +332,13 @@ func (d *DynamicNetwork) ownHeightsLocked() {
 	}
 }
 
-// control runs one control-plane transaction: it takes ctl, then mu, and
-// returns ErrStopped after Stop. Otherwise op validates its arguments,
-// changes the authoritative state and appends the messages that tell the
-// nodes, in delivery order, to the buffer it is handed; a rejected op
-// returns before any token is counted. control then injects the messages
-// (injectLocked), holding ctl until the last one is in, so two
-// transactions' messages never interleave.
+// control runs one control-plane transaction under mu, returning
+// ErrStopped after Stop. Otherwise op validates its arguments, changes the
+// authoritative state and appends the messages that tell the nodes, in
+// delivery order, to the buffer it is handed; a rejected op returns before
+// any token is counted. control then injects the messages (injectLocked)
+// before it releases mu, so two transactions' messages never interleave.
 func (d *DynamicNetwork) control(op func(msgs []dynMsg) ([]dynMsg, error)) error {
-	d.ctl.Lock()
-	defer d.ctl.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.stopped {
@@ -355,32 +349,23 @@ func (d *DynamicNetwork) control(op func(msgs []dynMsg) ([]dynMsg, error)) error
 		return err
 	}
 	d.injectLocked(msgs)
-	clear(msgs) // drop the views the buffer would otherwise keep alive
-	d.ctlMsgs = msgs[:0]
 	return nil
 }
 
 // injectLocked is the one place control messages enter the shards. It
-// counts one in-flight token per message under mu, so AwaitQuiescence
-// cannot report quiescence before every message is handled; then it
-// releases mu, injects the messages in order as one-message batches, and
-// takes mu back. Injecting under mu could deadlock: a full mailbox ingress
-// would block the injector while the receiving node waits for mu.
+// counts one in-flight token per message, so AwaitQuiescence cannot
+// report quiescence before every message is handled, and puts the
+// messages in order as one-message batches; a put never blocks, so both
+// happen under mu. msgs is then kept as the reusable ctlMsgs buffer.
 func (d *DynamicNetwork) injectLocked(msgs []dynMsg) {
-	if len(msgs) == 0 {
-		return
-	}
 	d.inflight.add(len(msgs))
-	d.mu.Unlock()
 	for _, m := range msgs {
 		b := d.rt.getBatch()
 		b.msgs = append(b.msgs, m)
-		select {
-		case d.rt.workers[d.rt.part.shardOf(m.To)].tx <- b:
-		case <-d.rt.stop:
-		}
+		d.rt.workers[d.rt.part.shardOf(m.To)].in.put(b)
 	}
-	d.mu.Lock()
+	clear(msgs) // drop the views the buffer would otherwise keep alive
+	d.ctlMsgs = msgs[:0]
 }
 
 func (d *DynamicNetwork) validNode(u graph.NodeID) error {
@@ -778,7 +763,7 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 			// (or detection raced a concurrent heal). Erase the stranded
 			// component now and wait for the reset cascade to settle.
 			d.raiseCeilingLocked()
-			d.injectLocked(d.eraseLocked(nil))
+			d.injectLocked(d.eraseLocked(d.ctlMsgs[:0]))
 			continue
 		}
 		if d.suspended.count > 0 {
@@ -786,7 +771,7 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 			// outran the runaway backstop. Raise it and resume the parked
 			// nodes.
 			d.raiseCeilingLocked()
-			d.injectLocked(d.pokesLocked(nil))
+			d.injectLocked(d.pokesLocked(d.ctlMsgs[:0]))
 			continue
 		}
 		d.raiseCeilingLocked()

@@ -63,10 +63,10 @@ func TestDynamicShardsClamped(t *testing.T) {
 		t.Fatalf("await after AddNode = %v", err)
 	}
 	peak = max(peak, runtime.NumGoroutine())
-	// Two goroutines per shard, one cadence publisher, and slack for the
+	// One goroutine per shard, one cadence publisher, and slack for the
 	// runtime's own.
-	if limit := baseline + 2*n + 1 + 4; peak > limit {
-		t.Errorf("goroutine peak %d > %d (baseline %d + 2·%d shards + publisher + slack)", peak, limit, baseline, n)
+	if limit := baseline + n + 1 + 4; peak > limit {
+		t.Errorf("goroutine peak %d > %d (baseline %d + %d shards + publisher + slack)", peak, limit, baseline, n)
 	}
 	net.Stop()
 	deadline := time.Now().Add(5 * time.Second)

@@ -27,7 +27,7 @@ func (d *DynamicNetwork) startShards() {
 	// added later do not re-partition — assignments are fixed at
 	// construction.
 	part := newPartitioner(d.opts.Partition, d.n, nsh, d.adj.row)
-	d.rt = newShardRuntime[dynMsg](part, defaultMailboxCap, &d.inflight, d.stop, &d.wg, d.opts.Observer)
+	d.rt = newShardRuntime[dynMsg](part, &d.inflight, d.stop, &d.wg, d.opts.Observer)
 	states := make([]*dynState, d.n)
 	initial := make([][]*dynState, nsh)
 	for u := range states {

@@ -65,7 +65,7 @@ func newRunCore(in *core.Init, alg Algorithm, opts Options, shards int) *runCore
 	// bit views densely within one shard's nodes and word-aligns the
 	// boundaries between shards, so it needs the ownership map up front.
 	part := newPartitioner(opts.Partition, n, shards, g.Neighbors)
-	c.rt = newShardRuntime[shardMsg](part, opts.MailboxCap, &c.inflight, c.stop, &c.wg, opts.Observer)
+	c.rt = newShardRuntime[shardMsg](part, &c.inflight, c.stop, &c.wg, opts.Observer)
 	c.nodes = newRunNodes(in, alg, c.inj != nil, part.shardOf)
 	owned := make([][]*runNode, shards)
 	for u := range c.nodes {

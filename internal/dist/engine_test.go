@@ -19,7 +19,7 @@ import (
 // perNodeShards is the Shards value of the per-node test configuration.
 // Both planes clamp Shards to the (initial) node count, so every topology
 // of up to perNodeShards nodes runs one node per shard — each node on its
-// own goroutine with its own mailbox — and larger ones run perNodeShards
+// own goroutine with its own inbox — and larger ones run perNodeShards
 // shards, which keeps the dense per-shard outbox tables (n² pointers at
 // one node per shard) affordable.
 const perNodeShards = 2048
@@ -94,7 +94,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Engine: 1}, // no engine has value 1
 		{Partition: Partition(42)},
 		{Shards: -1},
-		{MailboxCap: -3},
 		{RecordTrace: Trace(42)},
 	}
 	for _, opts := range bad {
@@ -107,8 +106,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Engine: Sharded},
 		{Shards: 64, Partition: PartitionHash}, // shards > nodes: clamped
 		{Shards: 2, Partition: PartitionLocality},
-		{MailboxCap: 1},
-		{Shards: 2, MailboxCap: 1},
 		{RecordTrace: TraceOff},
 		{Shards: 1, RecordTrace: TraceOff},
 	}
@@ -342,41 +339,58 @@ func TestRunWithCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestShardedGoroutineCount pins the sharded engine's O(shards) goroutine
-// bound: sampling the runtime's goroutine count during a long run must stay
-// within 2·shards workers (loop + mailbox pump each) plus a small slack,
-// regardless of the 1501-node topology.
+// TestShardedGoroutineCount pins the runtime's one goroutine per shard on
+// both planes: sampling the goroutine count while a static run or a
+// dynamic network's repair is under way must stay within the shards (plus
+// the dynamic plane's cadence publisher) and a small slack, regardless of
+// the topology's size.
 func TestShardedGoroutineCount(t *testing.T) {
-	in, err := workload.BadChain(1500).Init()
-	if err != nil {
-		t.Fatal(err)
-	}
 	const shards = 4
-	baseline := runtime.NumGoroutine()
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunWith(context.Background(), in, FullReversal, Options{Shards: shards})
-		done <- err
-	}()
-	peak := 0
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
+	// peakDuring runs fn in a goroutine and samples the goroutine count
+	// until it returns, at least once.
+	peakDuring := func(t *testing.T, fn func() error) int {
+		done := make(chan error, 1)
+		go func() { done <- fn() }()
+		peak := 0
+		for {
+			peak = max(peak, runtime.NumGoroutine())
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				return peak
+			default:
+				time.Sleep(time.Millisecond)
 			}
-			if limit := baseline + 2*shards + 4; peak > limit {
-				t.Errorf("goroutine peak %d > %d (baseline %d + 2·%d shards + slack)",
-					peak, limit, baseline, shards)
-			}
-			return
-		default:
-			if g := runtime.NumGoroutine(); g > peak {
-				peak = g
-			}
-			time.Sleep(time.Millisecond)
 		}
 	}
+	t.Run("static", func(t *testing.T) {
+		in, err := workload.BadChain(1500).Init()
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline := runtime.NumGoroutine()
+		peak := peakDuring(t, func() error {
+			_, err := RunWith(context.Background(), in, FullReversal, Options{Shards: shards})
+			return err
+		})
+		if limit := baseline + shards + 4; peak > limit {
+			t.Errorf("goroutine peak %d > %d (baseline %d + %d shards + slack)", peak, limit, baseline, shards)
+		}
+	})
+	t.Run("dynamic", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		net, err := NewDynamicNetworkWith(workload.BadChain(300), DynOptions{Shards: shards, PublishEvery: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer net.Stop()
+		peak := peakDuring(t, net.AwaitQuiescence)
+		if limit := baseline + shards + 1 + 4; peak > limit {
+			t.Errorf("goroutine peak %d > %d (baseline %d + %d shards + publisher + slack)", peak, limit, baseline, shards)
+		}
+	})
 }
 
 // TestEngineStrings pins the enum renderings used in benchmarks and tables.

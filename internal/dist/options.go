@@ -13,7 +13,7 @@ import (
 
 // Engine names an execution engine. The sharded runtime is the only one;
 // per-node asynchrony comes from Options.Shards ≥ n (or DynOptions.Shards
-// = n), which gives every node its own shard goroutine and mailbox.
+// = n), which gives every node its own shard goroutine and inbox.
 //
 // Deprecated: Options.Engine and DynOptions.Engine accept only 0 and
 // Sharded, and both mean the sharded runtime.
@@ -117,21 +117,10 @@ func (t Trace) String() string {
 // ErrBadOption is returned by RunWith for out-of-range Options values.
 var ErrBadOption = errors.New("dist: invalid option")
 
-// Defaults applied by Options.withDefaults for zero-valued fields, and the
-// fixed sizes that are not options.
-const (
-	// defaultMailboxCap is the default buffer size of a static shard's
-	// mailbox ingress channel and the fixed size of a dynamic shard's.
-	// Senders block only while the pump goroutine is momentarily
-	// descheduled; the pump itself never blocks on ingress, so there is no
-	// deadlock cycle regardless of traffic pattern.
-	defaultMailboxCap = 64
-	// stepLimitSlack is the additive slack of RunWith's runaway-step
-	// budget 200·n² + slack. Exceeding the budget aborts the run with
-	// ErrStepLimit; it indicates an engine bug, not a property of the
-	// algorithms.
-	stepLimitSlack = 200
-)
+// stepLimitSlack is the additive slack of RunWith's runaway-step budget
+// 200·n² + slack. Exceeding the budget aborts the run with ErrStepLimit;
+// it indicates an engine bug, not a property of the algorithms.
+const stepLimitSlack = 200
 
 // Options tunes RunWith. The zero value runs GOMAXPROCS shards with block
 // partitioning, a recorded trace and a reliable network, matching the
@@ -143,16 +132,13 @@ type Options struct {
 	Engine Engine
 	// Shards is the number of shard goroutines, clamped to the node count;
 	// 0 means GOMAXPROCS. Shards ≥ n gives one node per shard: every node
-	// runs on its own goroutine with its own mailbox, the finest-grained
+	// runs on its own goroutine with its own inbox, the finest-grained
 	// asynchrony the runtime offers. Each shard keeps one outbox slot per
 	// shard, so that setting costs n² pointers (8 MB at 1k nodes).
 	Shards int
 	// Partition selects the node-to-shard assignment; 0 means
 	// PartitionBlock.
 	Partition Partition
-	// MailboxCap is the buffer size of each shard's mailbox ingress
-	// channel; 0 means 64.
-	MailboxCap int
 	// RecordTrace selects whether the run records the global step
 	// linearization; 0 means TraceRecorded. Set TraceOff for
 	// production-scale runs: it drops the only lock on the hot path and the
@@ -160,7 +146,7 @@ type Options struct {
 	// sequential replay cross-check).
 	RecordTrace Trace
 	// Adversary injects seeded network faults (loss, duplication, delay,
-	// reorder) between senders and mailboxes; nil means a reliable network
+	// reorder) between senders and receivers; nil means a reliable network
 	// and the exact pre-fault hot path. A non-nil adversary also arms the
 	// sequence-numbered ack/retransmit protocol that restores liveness
 	// under loss; see internal/faults and the package documentation.
@@ -184,7 +170,7 @@ type DynOptions struct {
 	Engine Engine
 	// Shards is the number of shard goroutines, clamped to the initial
 	// node count; 0 means GOMAXPROCS. Shards ≥ n gives one node per shard:
-	// every initial node runs on its own goroutine with its own mailbox.
+	// every initial node runs on its own goroutine with its own inbox.
 	// Nodes added later by AddNode join the existing shards (see
 	// Partition).
 	Shards int
@@ -270,12 +256,6 @@ func (o Options) withDefaults() (Options, error) {
 	case TraceRecorded, TraceOff:
 	default:
 		return o, fmt.Errorf("%w: trace mode %d", ErrBadOption, int(o.RecordTrace))
-	}
-	if o.MailboxCap < 0 {
-		return o, fmt.Errorf("%w: mailbox capacity %d", ErrBadOption, o.MailboxCap)
-	}
-	if o.MailboxCap == 0 {
-		o.MailboxCap = defaultMailboxCap
 	}
 	return o, nil
 }

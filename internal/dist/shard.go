@@ -46,6 +46,47 @@ type batch[M any] struct {
 	msgs []M
 }
 
+// inbox is a shard's ingress: the batches other shards and the control
+// plane have put for it, in arrival order. put never blocks, so no sender
+// ever waits on a busy receiver — which rules out the send/receive cycles
+// a bounded channel mesh between shards would allow — and the control
+// plane may put while it holds its lock. wake holds at most one pending
+// signal: every put leaves one pending after its append, and only the
+// owner consumes it, before taking, so the owner never sleeps while a
+// batch waits. A signal may find its batch already taken; the owner then
+// takes nothing and waits again.
+type inbox[M any] struct {
+	mu   sync.Mutex
+	q    []*batch[M]
+	wake chan struct{}
+}
+
+// newInbox returns an empty inbox.
+func newInbox[M any]() *inbox[M] { return &inbox[M]{wake: make(chan struct{}, 1)} }
+
+// put appends b and wakes the owner.
+func (in *inbox[M]) put(b *batch[M]) {
+	in.mu.Lock()
+	in.q = append(in.q, b)
+	in.mu.Unlock()
+	select {
+	case in.wake <- struct{}{}:
+	default: // a signal is already pending
+	}
+}
+
+// take returns every waiting batch in arrival order and installs buf,
+// emptied, as the new queue: the owner hands back the slice it took last
+// time, so two backing arrays alternate and a take allocates nothing.
+// Only the owner calls take, after receiving from wake.
+func (in *inbox[M]) take(buf []*batch[M]) []*batch[M] {
+	in.mu.Lock()
+	q := in.q
+	in.q = buf[:0]
+	in.mu.Unlock()
+	return q
+}
+
 // drainStopCheck is how many local deliveries a shard processes between
 // polls of the stop channel. It bounds cancellation latency during long
 // intra-shard cascades without paying a select per message.
@@ -56,10 +97,9 @@ const drainStopCheck = 256
 // state outright and delivers intra-shard messages through a plain slice
 // run-queue with no channel or lock on the path. Only cross-shard traffic
 // touches the transport: it accumulates in per-destination outboxes and
-// travels as pooled batches through each receiver's elastic mailbox pump.
-// Goroutine count is 2·shards (one loop plus one pump each); one node per
-// shard gives every node its own goroutine and mailbox — per-node
-// asynchrony.
+// travels as pooled batches through each receiver's inbox. Each shard is
+// one goroutine; one node per shard gives every node its own goroutine
+// and inbox — per-node asynchrony.
 //
 // A plane supplies its message type M and, per shard, the handler of one
 // delivered message and the shard's initial acts (worker.handle and
@@ -80,7 +120,7 @@ type shardRuntime[M any] struct {
 }
 
 // worker is one shard of a shardRuntime. Its fields are owned by the shard
-// goroutine.
+// goroutine, except the inbox, which senders put into.
 type worker[M any] struct {
 	rt *shardRuntime[M]
 	id int
@@ -91,9 +131,8 @@ type worker[M any] struct {
 	// out[d] is the outbox of messages bound for shard d — a pooled batch,
 	// taken lazily on first write and handed off whole at flush.
 	out []*batch[M]
-	// tx is the ingress channel of this shard's mailbox; rx the pump's
-	// output.
-	tx, rx chan *batch[M]
+	// in receives the batches bound for this shard.
+	in *inbox[M]
 	// obs is this shard's telemetry sink, nil unless the plane's Observer
 	// is armed — every hook below it is guarded by a nil check, so the
 	// disarmed hot path costs one predictable branch.
@@ -106,7 +145,7 @@ type worker[M any] struct {
 
 // newShardRuntime builds the workers of part's shards. Their tokens count
 // into tok and they exit when stop is closed, each marking wg done.
-func newShardRuntime[M any](part partitioner, mailboxCap int, tok *tokens, stop chan struct{}, wg *sync.WaitGroup, o *obs.Observer) *shardRuntime[M] {
+func newShardRuntime[M any](part partitioner, tok *tokens, stop chan struct{}, wg *sync.WaitGroup, o *obs.Observer) *shardRuntime[M] {
 	rt := &shardRuntime[M]{
 		part:    part,
 		workers: make([]*worker[M], part.shards),
@@ -120,24 +159,18 @@ func newShardRuntime[M any](part partitioner, mailboxCap int, tok *tokens, stop 
 			rt:  rt,
 			id:  i,
 			out: make([]*batch[M], part.shards),
-			tx:  make(chan *batch[M], mailboxCap),
-			rx:  make(chan *batch[M]),
+			in:  newInbox[M](),
 			obs: o.Shard(i), // nil when no observer is armed
 		}
 	}
 	return rt
 }
 
-// start hands every shard its start token and launches its loop and
-// mailbox pump.
+// start hands every shard its start token and launches its loop.
 func (rt *shardRuntime[M]) start() {
 	rt.tokens.add(len(rt.workers))
+	rt.wg.Add(len(rt.workers))
 	for _, w := range rt.workers {
-		rt.wg.Add(2)
-		go func(w *worker[M]) {
-			defer rt.wg.Done()
-			mailbox(w.tx, w.rx, rt.stop)
-		}(w)
 		go w.loop()
 	}
 }
@@ -185,14 +218,15 @@ func (w *worker[M]) route(to graph.NodeID, m M) {
 }
 
 // loop is the shard goroutine: run the shard's initial acts, then serve
-// incoming batches until shutdown. The start token is retired after the
+// incoming batches until shutdown. Each wake-up takes every waiting batch
+// and runs them in arrival order. The start token is retired after the
 // initial cascade, each batch's token after that batch is fully processed —
 // at which point the batch buffer goes back to the pool.
 func (w *worker[M]) loop() {
 	defer w.rt.wg.Done()
 	// With an observer armed, the worker's wall clock is split into busy
-	// (processing) and idle (blocked on the mailbox) spans around each
-	// select. One time.Now per batch, never per message.
+	// (processing) and idle (waiting for a wake-up) spans around each
+	// wait. One time.Now per wake-up, never per message.
 	var mark time.Time
 	if w.obs != nil {
 		mark = time.Now()
@@ -202,6 +236,7 @@ func (w *worker[M]) loop() {
 		return
 	}
 	w.rt.tokens.done()
+	var taken []*batch[M]
 	for {
 		if w.obs != nil {
 			now := time.Now()
@@ -211,13 +246,16 @@ func (w *worker[M]) loop() {
 		select {
 		case <-w.rt.stop:
 			return
-		case b := <-w.rx:
-			if w.obs != nil {
-				now := time.Now()
-				w.obs.Idle(now.Sub(mark))
-				mark = now
-				w.obs.Mailbox(len(w.tx) + 1) // the batch in hand plus ingress backlog
-			}
+		case <-w.in.wake:
+		}
+		taken = w.in.take(taken)
+		if w.obs != nil {
+			now := time.Now()
+			w.obs.Idle(now.Sub(mark))
+			mark = now
+			w.obs.Mailbox(len(taken))
+		}
+		for _, b := range taken {
 			for _, m := range b.msgs {
 				w.handle(m)
 			}
@@ -227,6 +265,7 @@ func (w *worker[M]) loop() {
 			}
 			w.rt.tokens.done()
 		}
+		clear(taken) // the slice goes back to the inbox as its next queue
 	}
 }
 
@@ -242,16 +281,17 @@ func (w *worker[M]) drain() bool {
 		w.handle(w.local[i])
 	}
 	w.local = w.local[:0]
-	return w.flush()
+	w.flush()
+	return true
 }
 
 // flush sends every non-empty outbox to its destination shard as a single
-// batch. The batch's in-flight token is added before the send, so the
+// batch. The batch's in-flight token is added before the put, so the
 // count can never reach zero while a batch exists; the receiving shard
 // retires the token after fully processing the batch and returns the
 // buffer to the pool. The transport counters fold in once per flush, never
 // per message.
-func (w *worker[M]) flush() bool {
+func (w *worker[M]) flush() {
 	batches, msgs := 0, 0
 	for d, b := range w.out {
 		if b == nil {
@@ -263,18 +303,13 @@ func (w *worker[M]) flush() bool {
 		if w.obs != nil {
 			w.obs.Batch(len(b.msgs))
 		}
-		select {
-		case w.rt.workers[d].tx <- b:
-		case <-w.rt.stop:
-			return false
-		}
+		w.rt.workers[d].in.put(b)
 		w.out[d] = nil // the receiving shard owns the batch now
 	}
 	if batches > 0 {
 		w.rt.batches.Add(int64(batches))
 		w.rt.remote.Add(int64(msgs))
 	}
-	return true
 }
 
 // partitioner maps node IDs to shards. Assignments are deterministic and

@@ -61,24 +61,10 @@ func (s Suite) seeds() int {
 // exposes. GBFull, the last entry of core.Variants, is covered by E12.
 var e1e2Variants = core.Variants[:len(core.Variants)-1]
 
-func schedulerFor(name string, seed int64) sched.Scheduler {
-	switch name {
-	case "greedy":
-		return sched.Greedy{}
-	case "random-single":
-		return sched.NewRandomSingle(seed)
-	case "random-subset":
-		return sched.NewRandomSubset(seed)
-	case "round-robin":
-		return sched.NewRoundRobin()
-	case "lifo":
-		return sched.LIFO{}
-	default:
-		return sched.NewRandomSingle(seed)
-	}
-}
-
-var allSchedulers = []string{"greedy", "random-single", "random-subset", "round-robin", "lifo"}
+// e1Schedulers are the schedulers E1 sweeps: every entry of sched.Table
+// but the last, AdversarialMax, which clones the automaton once per
+// enabled action.
+var e1Schedulers = sched.Table[:len(sched.Table)-1]
 
 // E1Acyclicity checks Theorem 4.3/5.5 across random layered DAGs, all
 // variants and all schedulers, with the acyclicity invariant verified after
@@ -99,16 +85,16 @@ func E1Acyclicity(s Suite) (*trace.Table, error) {
 				return nil, err
 			}
 			for _, v := range e1e2Variants {
-				for _, sn := range allSchedulers {
+				for _, sn := range e1Schedulers {
 					a := v.New(in)
-					res, err := sched.Run(a, schedulerFor(sn, int64(seed)), sched.Options{
+					res, err := sched.Run(a, sn.New(int64(seed)), sched.Options{
 						Invariants: []automaton.Invariant{{Name: "acyclic", Check: core.CheckAcyclic}},
 					})
 					if err != nil {
-						return nil, fmt.Errorf("E1 %s/%s: %w", v.Name, sn, err)
+						return nil, fmt.Errorf("E1 %s/%s: %w", v.Name, sn.Name, err)
 					}
 					if seed == 0 {
-						tb.MustAddRow(trace.I(topo.Graph.NumNodes()), trace.S(v.Name), trace.S(sn),
+						tb.MustAddRow(trace.I(topo.Graph.NumNodes()), trace.S(v.Name), trace.S(sn.Name),
 							trace.I(s.seeds()), trace.I(res.Steps+1), trace.I(0))
 					}
 				}

@@ -1,6 +1,6 @@
 // Package faults is a deterministic, seeded network-adversary subsystem
 // for the internal/dist execution engines. It sits between senders and
-// mailboxes and decides, per transmission, whether the message is dropped,
+// receivers and decides, per transmission, whether the message is dropped,
 // duplicated, or held back behind later traffic — turning the scheduler
 // from "whatever Go does" into a programmable worst-case generator.
 //

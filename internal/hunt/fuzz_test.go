@@ -39,7 +39,7 @@ func FuzzHuntMutator(f *testing.F) {
 			default:
 				t.Fatalf("mutation %d produced partition %d", i, int(c1.Partition))
 			}
-			if c1.Shards < 0 || c1.MailboxCap < 0 || c1.Genome.RetryBudget < 0 {
+			if c1.Shards < 0 || c1.Genome.RetryBudget < 0 {
 				t.Fatalf("mutation %d produced negative knob: %+v", i, c1)
 			}
 

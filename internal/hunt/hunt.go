@@ -44,17 +44,13 @@ const perNodeShards = 2048
 type Candidate struct {
 	Genome Genome `json:"genome"`
 	// PerNode runs one node per shard (see perNodeShards): every node on
-	// its own goroutine with its own mailbox, the finest-grained
+	// its own goroutine with its own inbox, the finest-grained
 	// asynchrony. It overrides Shards.
 	PerNode bool `json:"per_node,omitempty"`
 	// Shards is the shard count; 0 means GOMAXPROCS.
 	Shards int `json:"shards,omitempty"`
 	// Partition is the node-to-shard assignment; 0 means block.
 	Partition dist.Partition `json:"partition,omitempty"`
-	// MailboxCap is the mailbox ingress buffer size; 0 means the default.
-	// Tiny mailboxes serialize senders and surface schedules the default
-	// buffering hides.
-	MailboxCap int `json:"mailbox_cap,omitempty"`
 }
 
 // Layout names the candidate's shard layout for reports.
@@ -74,10 +70,9 @@ func (c Candidate) options() dist.Options {
 		shards = perNodeShards
 	}
 	return dist.Options{
-		Shards:     shards,
-		Partition:  c.Partition,
-		MailboxCap: c.MailboxCap,
-		Adversary:  c.Genome.Adversary(),
+		Shards:    shards,
+		Partition: c.Partition,
+		Adversary: c.Genome.Adversary(),
 	}
 }
 
@@ -92,15 +87,13 @@ func MutateCandidate(r *faults.Rand, c Candidate) Candidate {
 		m.Genome = MutateGenome(r, m.Genome)
 		return m
 	}
-	switch r.Intn(4) {
+	switch r.Intn(3) {
 	case 0: // Flip between one node per shard and the Shards gene.
 		m.PerNode = !m.PerNode
 	case 1: // Retune the shard count.
 		m.Shards = []int{0, 2, 3, 5}[r.Intn(4)]
 	case 2: // Swap the partition scheme.
 		m.Partition = []dist.Partition{dist.PartitionBlock, dist.PartitionHash, dist.PartitionLocality}[r.Intn(3)]
-	case 3: // Squeeze or widen the mailboxes.
-		m.MailboxCap = []int{0, 1, 4, 16}[r.Intn(4)]
 	}
 	return m
 }

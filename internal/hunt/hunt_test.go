@@ -117,7 +117,7 @@ func TestSeededMutantOracleFindsBreach(t *testing.T) {
 	if len(r0.Candidate.Genome.Genes) != 0 {
 		t.Errorf("gene chain not shrunk: %v", r0.Candidate.Genome.Genes)
 	}
-	if c := r0.Candidate; c.PerNode || c.Shards != 0 || c.Partition != 0 || c.MailboxCap != 0 {
+	if c := r0.Candidate; c.PerNode || c.Shards != 0 || c.Partition != 0 {
 		t.Errorf("schedule knobs not shrunk: %+v", c)
 	}
 	if r0.WitnessLen != 1 {

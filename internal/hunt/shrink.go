@@ -157,9 +157,9 @@ func (h *Hunter) shrink(ctx context.Context, cand Candidate, res *dist.Result, b
 			cand = t
 		}
 	}
-	if cand.PerNode || cand.Shards != 0 || cand.Partition != 0 || cand.MailboxCap != 0 {
+	if cand.PerNode || cand.Shards != 0 || cand.Partition != 0 {
 		t := cand
-		t.PerNode, t.Shards, t.Partition, t.MailboxCap = false, 0, 0, 0
+		t.PerNode, t.Shards, t.Partition = false, 0, 0
 		if check(spec, t) {
 			cand = t
 		}

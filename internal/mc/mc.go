@@ -155,13 +155,13 @@ type entry struct {
 	sleep []graph.NodeID
 }
 
-// frontier is the BFS queue, windowed by a head index like the dist
-// mailboxQueue: popping with queue = queue[1:] would retain the whole
-// backing array (every consumed entry, and the cloned automaton it
-// references, pinned until the search ends) and permanently consume
-// capacity. Popped slots are zeroed so drained states are collectable, and
-// the live window slides to the front once the consumed prefix reaches
-// half the length — amortized O(1) per state.
+// frontier is the BFS queue, windowed by a head index: popping with
+// queue = queue[1:] would retain the whole backing array (every consumed
+// entry, and the cloned automaton it references, pinned until the search
+// ends) and permanently consume capacity. Popped slots are zeroed so
+// drained states are collectable, and the live window slides to the front
+// once the consumed prefix reaches half the length — amortized O(1) per
+// state.
 type frontier struct {
 	buf  []entry
 	head int

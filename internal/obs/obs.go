@@ -120,7 +120,7 @@ type ShardStats struct {
 	Batches      int64 `json:"batches"`      // cross-shard batches flushed
 	BatchMsgs    int64 `json:"batch_msgs"`   // cross-shard messages inside those batches (fill = BatchMsgs/Batches)
 	RunQueuePeak int64 `json:"runq_peak"`    // intra-shard run-queue depth high-water
-	MailboxPeak  int64 `json:"mailbox_peak"` // ingress mailbox occupancy high-water
+	MailboxPeak  int64 `json:"mailbox_peak"` // most batches waiting in the inbox at a wake-up
 	BusyNS       int64 `json:"busy_ns"`      // worker nanos spent processing
 	IdleNS       int64 `json:"idle_ns"`      // worker nanos spent waiting for input
 	Events       int64 `json:"events"`       // protocol events offered to the recorder
@@ -450,7 +450,8 @@ func (s *Shard) RunQueue(depth int) {
 	raiseMax(&s.runqPeak, int64(depth))
 }
 
-// Mailbox raises the ingress mailbox occupancy high-water mark.
+// Mailbox raises the high-water mark of the batches waiting in the
+// shard's inbox when it woke.
 func (s *Shard) Mailbox(depth int) {
 	if s == nil {
 		return

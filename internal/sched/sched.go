@@ -220,6 +220,25 @@ func (AdversarialMax) Pick(a automaton.Automaton, enabled []automaton.Action) au
 	return best
 }
 
+// Named is one entry of Table: a scheduler's name and its constructor.
+// Schedulers that draw no random numbers ignore the seed.
+type Named struct {
+	Name string
+	New  func(seed int64) Scheduler
+}
+
+// Table lists every scheduler, in the order of the public Scheduler
+// values: greedy, random-single, random-subset, round-robin, lifo and
+// adversarial-max. Each entry's Name is what its scheduler's Name returns.
+var Table = []Named{
+	{"greedy", func(int64) Scheduler { return Greedy{} }},
+	{"random-single", func(seed int64) Scheduler { return NewRandomSingle(seed) }},
+	{"random-subset", func(seed int64) Scheduler { return NewRandomSubset(seed) }},
+	{"round-robin", func(int64) Scheduler { return NewRoundRobin() }},
+	{"lifo", func(int64) Scheduler { return LIFO{} }},
+	{"adversarial-max", func(int64) Scheduler { return AdversarialMax{} }},
+}
+
 // Result summarizes a completed run.
 type Result struct {
 	Scheduler      string

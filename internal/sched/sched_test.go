@@ -72,18 +72,10 @@ func TestRandomSingleReproducible(t *testing.T) {
 func TestAllSchedulersQuiesce(t *testing.T) {
 	topo := workload.LayeredDAG(5, 3, 0.4, 5)
 	in := topo.MustInit()
-	scheds := []sched.Scheduler{
-		sched.Greedy{},
-		sched.NewRandomSingle(1),
-		sched.NewRandomSubset(1),
-		sched.NewRoundRobin(),
-		sched.LIFO{},
-		sched.AdversarialMax{},
-	}
-	for _, s := range scheds {
-		t.Run(s.Name(), func(t *testing.T) {
+	for _, entry := range sched.Table {
+		t.Run(entry.Name, func(t *testing.T) {
 			a := core.NewPRAutomaton(in)
-			res, err := sched.Run(a, s, sched.Options{})
+			res, err := sched.Run(a, entry.New(1), sched.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +85,7 @@ func TestAllSchedulersQuiesce(t *testing.T) {
 			if !graph.IsDestinationOriented(a.Orientation(), a.Destination()) {
 				t.Error("not destination oriented")
 			}
-			if res.Algorithm != "PR" || res.Scheduler != s.Name() {
+			if res.Algorithm != "PR" || res.Scheduler != entry.Name {
 				t.Errorf("result labels: %q/%q", res.Algorithm, res.Scheduler)
 			}
 		})

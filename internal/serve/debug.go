@@ -163,7 +163,7 @@ func renderShardMetrics(w io.Writer, o *obs.Observer) {
 		func(s obs.ShardStats) int64 { return s.Sampled })
 	gauge("lrd_shard_runq_peak", "High-water mark of the shard's local run-queue.",
 		func(s obs.ShardStats) float64 { return float64(s.RunQueuePeak) })
-	gauge("lrd_shard_mailbox_peak", "High-water mark of the shard's mailbox occupancy (batches).",
+	gauge("lrd_shard_mailbox_peak", "Most batches waiting in the shard's inbox when it woke.",
 		func(s obs.ShardStats) float64 { return float64(s.MailboxPeak) })
 	gauge("lrd_shard_batch_fill_ratio", "Mean messages per shipped cross-shard batch.",
 		func(s obs.ShardStats) float64 { return s.BatchFill() })

@@ -295,22 +295,11 @@ const (
 
 // String implements fmt.Stringer.
 func (s Scheduler) String() string {
-	switch s {
-	case Greedy:
-		return "greedy"
-	case RandomSingle:
-		return "random-single"
-	case RandomSubset:
-		return "random-subset"
-	case RoundRobin:
-		return "round-robin"
-	case LIFO:
-		return "lifo"
-	case AdversarialMax:
-		return "adversarial-max"
-	default:
+	// sched.Table lists the schedulers in the order of the values above.
+	if s < Greedy || int(s) > len(sched.Table) {
 		return fmt.Sprintf("Scheduler(%d)", int(s))
 	}
+	return sched.Table[s-1].Name
 }
 
 // Errors returned by the public API.
@@ -324,7 +313,8 @@ var (
 	// to the destination.
 	ErrPartitioned = dist.ErrPartitioned
 	// ErrBadDistOptions is returned by RunDistributedWith for out-of-range
-	// DistOptions values (negative shard counts, mailbox capacities, …).
+	// DistOptions values (negative shard counts, unknown partition schemes,
+	// invalid adversaries, …).
 	ErrBadDistOptions = dist.ErrBadOption
 )
 
@@ -372,22 +362,10 @@ func newAutomaton(a Algorithm, in *core.Init) (automaton.Automaton, []automaton.
 }
 
 func newScheduler(s Scheduler, seed int64) (sched.Scheduler, error) {
-	switch s {
-	case Greedy:
-		return sched.Greedy{}, nil
-	case RandomSingle:
-		return sched.NewRandomSingle(seed), nil
-	case RandomSubset:
-		return sched.NewRandomSubset(seed), nil
-	case RoundRobin:
-		return sched.NewRoundRobin(), nil
-	case LIFO:
-		return sched.LIFO{}, nil
-	case AdversarialMax:
-		return sched.AdversarialMax{}, nil
-	default:
+	if s < Greedy || int(s) > len(sched.Table) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownScheduler, int(s))
 	}
+	return sched.Table[s-1].New(seed), nil
 }
 
 // Run executes cfg.Algorithm on (g, initial, dest) until no sink remains
@@ -456,7 +434,7 @@ const (
 
 // DistEngine names an execution engine. The sharded runtime is the only
 // one; DistOptions.Shards ≥ n gives one node per shard, so every node runs
-// on its own goroutine with its own mailbox.
+// on its own goroutine with its own inbox.
 //
 // Deprecated: leave DistOptions.Engine and DynNetOptions.Engine zero.
 type DistEngine = dist.Engine
@@ -495,9 +473,9 @@ const (
 )
 
 // DistOptions tunes RunDistributedWith: shard count (Shards ≥ n gives one
-// node per shard) and partition scheme, mailbox capacity, trace recording,
-// and the network adversary (Adversary field; nil = reliable network). The
-// zero value reproduces RunDistributed's behaviour.
+// node per shard), partition scheme, trace recording and the network
+// adversary (Adversary field; nil = reliable network). The zero value
+// reproduces RunDistributed's behaviour.
 type DistOptions = dist.Options
 
 // EngineObserver is the engine-deep observability hook for both execution
@@ -518,7 +496,7 @@ type EngineEvent = obs.Event
 type EngineEventKind = obs.EventKind
 
 // ShardStats is one shard's telemetry snapshot: work and transport
-// counters, run-queue and mailbox high-water marks, busy/idle time and
+// counters, run-queue and inbox high-water marks, busy/idle time and
 // flight-recorder occupancy.
 type ShardStats = obs.ShardStats
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	lr "linkreversal"
+	"linkreversal/internal/sched"
 )
 
 func TestRunDefaults(t *testing.T) {
@@ -282,8 +283,18 @@ func TestEnumStrings(t *testing.T) {
 	if lr.PR.String() != "PR" || lr.NewPR.String() != "NewPR" || lr.GBPair.String() != "GBPair" {
 		t.Error("algorithm strings wrong")
 	}
-	if lr.Greedy.String() != "greedy" || lr.LIFO.String() != "lifo" {
+	if lr.Greedy.String() != "greedy" || lr.LIFO.String() != "lifo" || lr.AdversarialMax.String() != "adversarial-max" {
 		t.Error("scheduler strings wrong")
+	}
+	// Every scheduler value names its entry of the one scheduler table, and
+	// the table has no entry without a value.
+	if int(lr.AdversarialMax) != len(sched.Table) {
+		t.Errorf("%d scheduler values, %d table entries", int(lr.AdversarialMax), len(sched.Table))
+	}
+	for i, entry := range sched.Table {
+		if got := lr.Scheduler(i + 1).String(); got != entry.Name {
+			t.Errorf("Scheduler(%d) = %q, want %q", i+1, got, entry.Name)
+		}
 	}
 	if !strings.Contains(lr.Algorithm(42).String(), "42") {
 		t.Error("unknown algorithm string should carry the value")
