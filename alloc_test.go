@@ -1,0 +1,81 @@
+package linkreversal_test
+
+import (
+	"context"
+	"testing"
+
+	lr "linkreversal"
+)
+
+// TestRepairAllocs pins the repair path's allocations to the run's fixed
+// set-up: the graph, the Init, the node table and the result are flat
+// arrays, so a 4× larger grid costs no more allocations than the buffers
+// that grow with the cascade. A per-node slice, map or record anywhere on
+// the path adds thousands.
+func TestRepairAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	opts := lr.DistOptions{Shards: 2, Partition: lr.DistPartitionBlock, RecordTrace: lr.DistTraceOff}
+	measure := func(topo *lr.Topology) float64 {
+		run := func() {
+			rep, err := lr.RunDistributedWith(context.Background(), topo, lr.DistPR, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Acyclic || !rep.DestinationOriented {
+				t.Fatalf("%s: acyclic=%v destination-oriented=%v", topo.Name, rep.Acyclic, rep.DestinationOriented)
+			}
+		}
+		run() // warm-up
+		return testing.AllocsPerRun(5, run)
+	}
+	small, large := measure(lr.Grid(32, 32)), measure(lr.Grid(64, 64))
+	t.Logf("allocs/run: Grid(32, 32) = %.0f, Grid(64, 64) = %.0f", small, large)
+	if large-small > 32 {
+		t.Errorf("Grid(64, 64) allocates %.0f more than Grid(32, 32); a per-node allocation crept in", large-small)
+	}
+	if large >= 200 {
+		t.Errorf("Grid(64, 64) allocates %.0f ≥ 200 per repair", large)
+	}
+}
+
+// TestOrientationQueriesAllocFree pins the edge lookups that every
+// automaton step and invariant check makes: each is a binary search of one
+// CSR row and allocates nothing, on edges, non-edges and out-of-range
+// nodes alike.
+func TestOrientationQueriesAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	topo := lr.Grid(16, 16)
+	g, o := topo.Graph, topo.Initial.Clone()
+	edges := g.Edges()
+	n := lr.NodeID(g.NumNodes())
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, e := range edges {
+			if _, ok := o.Dir(e.U, e.V); !ok {
+				t.Fatal("Dir lost an edge")
+			}
+			o.PointsTo(e.V, e.U)
+			if !g.HasEdge(e.V, e.U) {
+				t.Fatal("HasEdge lost an edge")
+			}
+			if _, ok := g.EdgeIndex(e.U, e.V); !ok {
+				t.Fatal("EdgeIndex lost an edge")
+			}
+			if err := o.Reverse(e.U, e.V); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range [][2]lr.NodeID{{0, n - 1}, {-1, 0}, {0, n}} {
+			o.Dir(p[0], p[1])
+			o.PointsTo(p[0], p[1])
+			g.HasEdge(p[0], p[1])
+			g.EdgeIndex(p[0], p[1])
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Dir, PointsTo, Reverse, HasEdge and EdgeIndex allocate %.1f times per sweep, want 0", allocs)
+	}
+}

@@ -1,11 +1,14 @@
-// Benchmarks: one testing.B target per experiment of EXPERIMENTS.md
-// (E1–E8) plus the ablations called out in DESIGN.md §5. Run with
+// Benchmarks: one testing.B target per experiment (E1–E12), the engine at
+// 100k and 1M nodes, and ablations of the design choices that README's
+// *Execution engine* and *Performance* sections give the reasons for. Run
+// with
 //
 //	go test -bench=. -benchmem
 //
-// The experiment tables themselves are regenerated by cmd/lrbench; the
-// benchmarks here measure the cost of each experiment's inner loop so the
-// shapes in EXPERIMENTS.md can be re-derived on any machine.
+// The experiment tables themselves are regenerated by cmd/lrbench (and
+// committed as BENCH_dist.json); the benchmarks here measure the cost of
+// each experiment's inner loop so the tables' shapes can be re-derived on
+// any machine.
 package linkreversal_test
 
 import (
@@ -336,8 +339,8 @@ func BenchmarkE10Churn(b *testing.B) {
 }
 
 // BenchmarkAblationSchedulers compares scheduler choices for the same
-// algorithm and topology (DESIGN.md §5: acyclicity holds under every
-// scheduler; work and wall time differ).
+// algorithm and topology: acyclicity holds under every scheduler (E1
+// checks each), while work and wall time differ.
 func BenchmarkAblationSchedulers(b *testing.B) {
 	topo := lr.AlternatingChain(64)
 	for _, s := range []lr.Scheduler{lr.Greedy, lr.RandomSingle, lr.RoundRobin, lr.LIFO} {
@@ -371,9 +374,12 @@ func BenchmarkAblationCheckerCost(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationGraphRepr compares the cost of orientation queries via
-// the edge-index map against neighbourhood scans, the two representations
-// discussed in DESIGN.md §5 (the library uses the edge-index map).
+// BenchmarkAblationGraphRepr compares two ways to ask whether u points to
+// v. edge-index-dir is Orientation.PointsTo, which the library uses: it
+// binary-searches the shorter of the two CSR rows for the edge's ID and
+// reads that edge's head, allocating nothing (README *Memory layout*).
+// neighborhood-scan builds u's out-neighbour list by walking its slots and
+// scans it, allocating a list per query.
 func BenchmarkAblationGraphRepr(b *testing.B) {
 	topo := lr.RandomConnected(128, 0.1, 5)
 	o := topo.Initial

@@ -15,7 +15,7 @@
 // Neither shape synchronizes. Views carved from the same backing array may
 // share boundary words, so two views written by different goroutines race
 // unless the carver word-aligns the boundary between their owners — which
-// is exactly what newRunNodes does at executor-ownership boundaries.
+// is exactly what newNodeTable does at shard-ownership boundaries.
 package bitset
 
 import "math/bits"

@@ -93,7 +93,7 @@ func TestViewAgainstReference(t *testing.T) {
 }
 
 func TestAdjacentViewsShareBacking(t *testing.T) {
-	// Three dense views carved back to back, exactly as newRunNodes carves
+	// Three dense views carved back to back, exactly as newNodeTable carves
 	// per-node views within one shard: operations on one must never leak
 	// into its neighbours.
 	words := make([]uint64, Words(63+64+65))

@@ -31,7 +31,7 @@ type BLL struct {
 // edge starts marked at u; a nil map means all labels start unmarked (the PR
 // special case). Marks naming non-neighbours are rejected.
 func NewBLL(in *Init, initialMarks map[graph.NodeID][]graph.NodeID) (*BLL, error) {
-	marked := newLists(in.g.NumNodes())
+	marked := newLists(in)
 	for u, vs := range initialMarks {
 		if !in.g.ValidNode(u) {
 			return nil, fmt.Errorf("core: BLL mark on unknown node %d", u)
@@ -40,14 +40,14 @@ func NewBLL(in *Init, initialMarks map[graph.NodeID][]graph.NodeID) (*BLL, error
 			if !in.g.HasEdge(u, v) {
 				return nil, fmt.Errorf("core: BLL mark %d at %d is not an edge", v, u)
 			}
-			marked[u].add(v)
+			marked.add(u, v)
 		}
 	}
 	return &BLL{machine: newMachine("BLL", in), marked: marked}, nil
 }
 
 // Marked returns the neighbours whose edge is currently marked at u.
-func (b *BLL) Marked(u graph.NodeID) []graph.NodeID { return b.marked[u].sorted() }
+func (b *BLL) Marked(u graph.NodeID) []graph.NodeID { return b.marked.members(u) }
 
 // Step implements automaton.Automaton; only ReverseNode actions are valid.
 func (b *BLL) Step(a automaton.Action) error {

@@ -22,8 +22,8 @@
 // reverse(u) or reverse(S) action against the one precondition "u is a
 // sink other than D". Each automaton declares only its own state and
 // effect. PR's list rule is written once, as reverseListed over per-node
-// neighbour sets: PR and OneStepPR apply it to list[u], and BLL to its
-// marks.
+// neighbour sets kept as one bit per slot of the graph's rows: PR and
+// OneStepPR apply it to list[u], and BLL to its marks.
 //
 // Variants is the one table of the sequential automata with their
 // invariant suites (PR, OneStepPR, NewPR, FR, GBPair, GBFull); the public
@@ -36,7 +36,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"linkreversal/internal/graph"
 )
@@ -49,89 +48,44 @@ var (
 	// ErrBadDestination is returned when the destination is not a node of
 	// the graph.
 	ErrBadDestination = errors.New("core: destination is not a node of the graph")
+	// ErrForeignOrientation is returned when the initial orientation does
+	// not orient the given graph: its graph is neither the same value nor
+	// one with the same node count and the same edge list in the same order.
+	ErrForeignOrientation = errors.New("core: initial orientation is of a different graph")
 )
-
-// nodeSet is a small set of node IDs. The zero value is an empty set ready
-// for use via add (which allocates lazily through the owning map).
-type nodeSet map[graph.NodeID]struct{}
-
-func newNodeSet() nodeSet { return make(nodeSet) }
-
-func (s nodeSet) add(u graph.NodeID)      { s[u] = struct{}{} }
-func (s nodeSet) has(u graph.NodeID) bool { _, ok := s[u]; return ok }
-func (s nodeSet) size() int               { return len(s) }
-func (s nodeSet) clear() {
-	for k := range s {
-		delete(s, k)
-	}
-}
-
-// sorted returns the members in ascending order.
-func (s nodeSet) sorted() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(s))
-	for u := range s {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// equalSlice reports whether the set contains exactly the elements of vs
-// (which must be duplicate-free).
-func (s nodeSet) equalSlice(vs []graph.NodeID) bool {
-	if len(s) != len(vs) {
-		return false
-	}
-	for _, v := range vs {
-		if !s.has(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// subsetOfSlice reports whether every member of s appears in vs.
-func (s nodeSet) subsetOfSlice(vs []graph.NodeID) bool {
-	if len(s) == 0 {
-		return true
-	}
-	in := make(map[graph.NodeID]struct{}, len(vs))
-	for _, v := range vs {
-		in[v] = struct{}{}
-	}
-	for u := range s {
-		if _, ok := in[u]; !ok {
-			return false
-		}
-	}
-	return true
-}
 
 // Init captures everything that is fixed for the lifetime of an execution:
 // the undirected graph G, the destination D, the initial orientation G'_init,
 // the initial in-/out-neighbour sets of every node, and the left-to-right
 // planar embedding used by Invariant 4.1.
+//
+// The neighbour sets share one flat array laid out like the graph's rows:
+// node u's range starts at off[u] and holds in-nbrs(u) up to split[u] and
+// out-nbrs(u) after it, each ascending.
 type Init struct {
 	g       *graph.Graph
 	dest    graph.NodeID
 	initial *graph.Orientation
 	emb     *graph.Embedding
-	inNbrs  [][]graph.NodeID
-	outNbrs [][]graph.NodeID
+	nbrs    []graph.NodeID
+	off     []int // n+1 entries
+	split   []int
 }
 
-// NewInit validates the inputs (destination in range, acyclic initial
-// orientation) and precomputes the immutable per-node sets.
+// NewInit validates the inputs (destination in range, an acyclic initial
+// orientation of g) and precomputes the immutable per-node sets.
 func NewInit(g *graph.Graph, initial *graph.Orientation, dest graph.NodeID) (*Init, error) {
 	if !g.ValidNode(dest) {
 		return nil, fmt.Errorf("%w: %d", ErrBadDestination, dest)
 	}
-	if !graph.IsAcyclic(initial) {
-		return nil, ErrCyclicInitial
+	if !g.Equal(initial.Graph()) {
+		return nil, fmt.Errorf("%w: orientation of %v given for %v", ErrForeignOrientation, initial.Graph(), g)
 	}
+	// The embedding is a topological order, so building it proves
+	// acyclicity.
 	emb, err := graph.NewEmbedding(initial)
 	if err != nil {
-		return nil, fmt.Errorf("core: embed initial orientation: %w", err)
+		return nil, ErrCyclicInitial
 	}
 	n := g.NumNodes()
 	in := &Init{
@@ -139,13 +93,25 @@ func NewInit(g *graph.Graph, initial *graph.Orientation, dest graph.NodeID) (*In
 		dest:    dest,
 		initial: initial.Clone(),
 		emb:     emb,
-		inNbrs:  make([][]graph.NodeID, n),
-		outNbrs: make([][]graph.NodeID, n),
+		nbrs:    make([]graph.NodeID, 2*g.NumEdges()),
+		off:     make([]int, n+1),
+		split:   make([]int, n),
 	}
-	for u := 0; u < n; u++ {
+	for u := range n {
 		id := graph.NodeID(u)
-		in.inNbrs[u] = initial.InNeighbors(id)
-		in.outNbrs[u] = initial.OutNeighbors(id)
+		nbrs := g.Neighbors(id)
+		in.off[u+1] = in.off[u] + len(nbrs)
+		in.split[u] = in.off[u] + initial.InDegree(id)
+		i, o := in.off[u], in.split[u]
+		for j, v := range nbrs {
+			if initial.IncomingAt(id, j) {
+				in.nbrs[i] = v
+				i++
+			} else {
+				in.nbrs[o] = v
+				o++
+			}
+		}
 	}
 	return in, nil
 }
@@ -167,8 +133,22 @@ func (in *Init) InitialOrientation() *graph.Orientation { return in.initial.Clon
 // Embedding returns the left-to-right embedding of G'_init.
 func (in *Init) Embedding() *graph.Embedding { return in.emb }
 
-// InNbrs returns in-nbrs(u) in G'_init. Callers must not modify the slice.
-func (in *Init) InNbrs(u graph.NodeID) []graph.NodeID { return in.inNbrs[u] }
+// InNbrs returns in-nbrs(u) in G'_init, ascending, or nil if it is empty.
+// Callers must not modify the slice.
+func (in *Init) InNbrs(u graph.NodeID) []graph.NodeID { return in.part(in.off[u], in.split[u]) }
 
-// OutNbrs returns out-nbrs(u) in G'_init. Callers must not modify the slice.
-func (in *Init) OutNbrs(u graph.NodeID) []graph.NodeID { return in.outNbrs[u] }
+// OutNbrs returns out-nbrs(u) in G'_init, ascending, or nil if it is empty.
+// Callers must not modify the slice.
+func (in *Init) OutNbrs(u graph.NodeID) []graph.NodeID { return in.part(in.split[u], in.off[u+1]) }
+
+// part returns nbrs[lo:hi], capacity-limited, or nil if it is empty.
+func (in *Init) part(lo, hi int) []graph.NodeID {
+	if lo == hi {
+		return nil
+	}
+	return in.nbrs[lo:hi:hi]
+}
+
+// InitiallyIncoming reports whether the edge at u's i-th slot, the one to
+// g.Neighbors(u)[i], pointed toward u in G'_init.
+func (in *Init) InitiallyIncoming(u graph.NodeID, i int) bool { return in.initial.IncomingAt(u, i) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"linkreversal/internal/automaton"
 	"linkreversal/internal/graph"
@@ -84,21 +85,19 @@ func invariant32Part(o *graph.Orientation, allIncoming, listSide []graph.NodeID,
 			return false
 		}
 	}
-	want := make(map[graph.NodeID]struct{})
+	// Both sides are ascending, so they are equal as sets iff equal as
+	// sequences.
+	k := 0
 	for _, v := range listSide {
-		if o.PointsTo(v, u) {
-			want[v] = struct{}{}
+		if !o.PointsTo(v, u) {
+			continue
 		}
-	}
-	if len(want) != len(list) {
-		return false
-	}
-	for _, v := range list {
-		if _, ok := want[v]; !ok {
+		if k == len(list) || list[k] != v {
 			return false
 		}
+		k++
 	}
-	return true
+	return k == len(list)
 }
 
 // CheckCorollary33 verifies Corollary 3.3: list[u] ⊆ in-nbrs(u) or
@@ -112,11 +111,7 @@ func CheckCorollary33(a automaton.Automaton) error {
 	for u := 0; u < in.g.NumNodes(); u++ {
 		id := graph.NodeID(u)
 		list := p.List(id)
-		s := newNodeSet()
-		for _, v := range list {
-			s.add(v)
-		}
-		if !s.subsetOfSlice(in.InNbrs(id)) && !s.subsetOfSlice(in.OutNbrs(id)) {
+		if !subset(list, in.InNbrs(id)) && !subset(list, in.OutNbrs(id)) {
 			return fmt.Errorf("node %d: list %v ⊄ in-nbrs %v and ⊄ out-nbrs %v",
 				u, list, in.InNbrs(id), in.OutNbrs(id))
 		}
@@ -139,16 +134,28 @@ func CheckCorollary34(a automaton.Automaton) error {
 			continue
 		}
 		list := p.List(id)
-		s := newNodeSet()
-		for _, v := range list {
-			s.add(v)
-		}
-		if !s.equalSlice(in.InNbrs(id)) && !s.equalSlice(in.OutNbrs(id)) {
+		if !slices.Equal(list, in.InNbrs(id)) && !slices.Equal(list, in.OutNbrs(id)) {
 			return fmt.Errorf("sink %d: list %v != in-nbrs %v and != out-nbrs %v",
 				u, list, in.InNbrs(id), in.OutNbrs(id))
 		}
 	}
 	return nil
+}
+
+// subset reports whether every element of the ascending slice a is in the
+// ascending slice b.
+func subset(a, b []graph.NodeID) bool {
+	j := 0
+	for _, v := range a {
+		for j < len(b) && b[j] < v {
+			j++
+		}
+		if j == len(b) || b[j] != v {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // CheckInvariant41 verifies Invariant 4.1 on a NewPR state: for neighbours

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"linkreversal/internal/automaton"
+	"linkreversal/internal/bitset"
 	"linkreversal/internal/graph"
 )
 
@@ -158,15 +160,16 @@ func (m *machine) reverse(u, v graph.NodeID) {
 // then l[u] is emptied.
 func (m *machine) reverseListed(l lists, u graph.NodeID) {
 	nbrs := m.init.g.Neighbors(u)
-	full := l[u].size() == len(nbrs)
-	for _, v := range nbrs {
-		if !full && l[u].has(v) {
+	row := l.row(u)
+	full := row.Count() == len(nbrs)
+	for i, v := range nbrs {
+		if !full && row.Test(i) {
 			continue
 		}
 		m.reverse(u, v)
-		l[v].add(u)
+		l.add(v, u)
 	}
-	l[u].clear()
+	row.ClearAll()
 }
 
 // clone returns a copy of m with its own orientation.
@@ -176,25 +179,41 @@ func (m *machine) clone() machine {
 	return c
 }
 
-// lists holds one neighbour set per node: PR's list[u], or BLL's marks.
-type lists []nodeSet
-
-func newLists(n int) lists {
-	l := make(lists, n)
-	for i := range l {
-		l[i] = newNodeSet()
-	}
-	return l
+// lists holds one neighbour set per node, PR's list[u] or BLL's marks, as
+// one bit per slot of the graph's rows: bit i of u's row is set when
+// Neighbors(u)[i] is in l[u]. All the sets share one word array, so a
+// clone is one copy.
+type lists struct {
+	in   *Init
+	bits []uint64
 }
 
-// clone returns a deep copy of l.
-func (l lists) clone() lists {
-	c := make(lists, len(l))
-	for i, s := range l {
-		c[i] = make(nodeSet, len(s))
-		for u := range s {
-			c[i].add(u)
+func newLists(in *Init) lists {
+	return lists{in: in, bits: make([]uint64, bitset.Words(len(in.nbrs)))}
+}
+
+// row returns the bits of l[u].
+func (l lists) row(u graph.NodeID) bitset.View {
+	return bitset.Slice(l.bits, l.in.off[u], l.in.off[u+1]-l.in.off[u])
+}
+
+// add puts the neighbour v of u into l[u].
+func (l lists) add(u, v graph.NodeID) {
+	i, _ := slices.BinarySearch(l.in.g.Neighbors(u), v)
+	l.row(u).Set(i)
+}
+
+// members returns l[u] in ascending order.
+func (l lists) members(u graph.NodeID) []graph.NodeID {
+	row := l.row(u)
+	out := make([]graph.NodeID, 0, row.Count())
+	for i, v := range l.in.g.Neighbors(u) {
+		if row.Test(i) {
+			out = append(out, v)
 		}
 	}
-	return c
+	return out
 }
+
+// clone returns a copy of l with its own bits.
+func (l lists) clone() lists { return lists{in: l.in, bits: slices.Clone(l.bits)} }

@@ -15,11 +15,11 @@ type OneStepPR struct {
 
 // NewOneStepPR creates a OneStepPR automaton in its initial state.
 func NewOneStepPR(in *Init) *OneStepPR {
-	return &OneStepPR{machine: newMachine("OneStepPR", in), list: newLists(in.g.NumNodes())}
+	return &OneStepPR{machine: newMachine("OneStepPR", in), list: newLists(in)}
 }
 
 // List returns the current contents of list[u] in ascending order.
-func (p *OneStepPR) List(u graph.NodeID) []graph.NodeID { return p.list[u].sorted() }
+func (p *OneStepPR) List(u graph.NodeID) []graph.NodeID { return p.list.members(u) }
 
 // Step implements automaton.Automaton; only ReverseNode actions are valid.
 func (p *OneStepPR) Step(a automaton.Action) error {

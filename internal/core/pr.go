@@ -24,11 +24,11 @@ type PR struct {
 // NewPRAutomaton creates a PR automaton in its initial state (all lists
 // empty, orientation = G'_init).
 func NewPRAutomaton(in *Init) *PR {
-	return &PR{machine: newMachine("PR", in), list: newLists(in.g.NumNodes())}
+	return &PR{machine: newMachine("PR", in), list: newLists(in)}
 }
 
 // List returns the current contents of list[u] in ascending order.
-func (p *PR) List(u graph.NodeID) []graph.NodeID { return p.list[u].sorted() }
+func (p *PR) List(u graph.NodeID) []graph.NodeID { return p.list.members(u) }
 
 // Enabled implements automaton.Automaton. It returns one singleton
 // reverse(S) action per enabled sink; any union of enabled singletons is

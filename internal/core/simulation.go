@@ -77,13 +77,10 @@ func CheckRelationR(s *OneStepPR, t *NewPR) error {
 	in := s.Init()
 	for u := 0; u < s.Graph().NumNodes(); u++ {
 		id := graph.NodeID(u)
-		list := newNodeSet()
-		for _, v := range s.List(id) {
-			list.add(v)
-		}
+		list := s.List(id)
 		switch t.Parity(id) {
 		case Even:
-			if !list.subsetOfSlice(in.OutNbrs(id)) {
+			if !subset(list, in.OutNbrs(id)) {
 				return &RelationViolationError{
 					Relation: "R", Clause: "2",
 					Detail: fmt.Sprintf("node %d: parity even, list %v ⊄ out-nbrs %v",
@@ -91,7 +88,7 @@ func CheckRelationR(s *OneStepPR, t *NewPR) error {
 				}
 			}
 		case Odd:
-			if !list.subsetOfSlice(in.InNbrs(id)) {
+			if !subset(list, in.InNbrs(id)) {
 				return &RelationViolationError{
 					Relation: "R", Clause: "3",
 					Detail: fmt.Sprintf("node %d: parity odd, list %v ⊄ in-nbrs %v",

@@ -33,13 +33,17 @@ func (m *machine) key(rest func(b *strings.Builder)) string {
 	return b.String()
 }
 
-// key appends the per-node sets in node order.
+// key appends the per-node sets in node order, each in ascending (slot)
+// order.
 func (l lists) key(b *strings.Builder) {
-	for _, s := range l {
+	for u := range l.in.g.NumNodes() {
 		b.WriteByte('|')
-		for _, v := range s.sorted() {
-			b.WriteString(strconv.Itoa(int(v)))
-			b.WriteByte(',')
+		row := l.row(graph.NodeID(u))
+		for i, v := range l.in.g.Neighbors(graph.NodeID(u)) {
+			if row.Test(i) {
+				b.WriteString(strconv.Itoa(int(v)))
+				b.WriteByte(',')
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,7 +32,7 @@ type runCore struct {
 	// route every transmission through it when set.
 	inj   *faults.Injector
 	rt    *shardRuntime[shardMsg]
-	nodes []runNode
+	nodes *nodeTable
 
 	mu      sync.Mutex // guards trace and failure only
 	trace   []graph.NodeID
@@ -61,23 +62,34 @@ func newRunCore(in *core.Init, alg Algorithm, opts Options, shards int) *runCore
 	if opts.Adversary != nil {
 		c.inj = faults.NewInjector(opts.Adversary)
 	}
-	// The partitioner is built before the node table: newRunNodes packs the
-	// bit views densely within one shard's nodes and word-aligns the
+	// The partitioner is built before the node table: newNodeTable packs
+	// the bit views densely within one shard's nodes and word-aligns the
 	// boundaries between shards, so it needs the ownership map up front.
 	part := newPartitioner(opts.Partition, n, shards, g.Neighbors)
 	c.rt = newShardRuntime[shardMsg](part, &c.inflight, c.stop, &c.wg, opts.Observer)
-	c.nodes = newRunNodes(in, alg, c.inj != nil, part.shardOf)
-	owned := make([][]*runNode, shards)
-	for u := range c.nodes {
+	c.nodes = newNodeTable(in, alg, c.inj != nil, part.shardOf)
+	// members lists the nodes shard by shard, ascending within a shard:
+	// shard d runs members[start[d]:start[d+1]].
+	start := make([]int, shards+1)
+	for u := range n {
+		start[part.shardOf(graph.NodeID(u))+1]++
+	}
+	for d := range shards {
+		start[d+1] += start[d]
+	}
+	members := make([]graph.NodeID, n)
+	next := slices.Clone(start)
+	for u := range n {
 		d := part.shardOf(graph.NodeID(u))
-		owned[d] = append(owned[d], &c.nodes[u])
+		members[next[d]] = graph.NodeID(u)
+		next[d]++
 	}
 	for i, w := range c.rt.workers {
 		s := &shard{worker: w, run: c}
 		w.handle = s.process
 		w.initial = func() {
-			for _, nd := range owned[i] {
-				nd.act(s)
+			for _, u := range members[start[i]:start[i+1]] {
+				c.nodes.act(s, u)
 			}
 		}
 	}
@@ -211,22 +223,13 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 		return nil, ctxErr
 	}
 	// wg.Wait happens-after every shard goroutine exit, so reading node
-	// views here is race-free. At quiescence both endpoints agree on every
-	// edge, so either view reconstructs the orientation.
+	// views here is race-free.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failure != nil {
 		return nil, c.failure
 	}
-	directed := make([][2]graph.NodeID, 0, g.NumEdges())
-	for _, e := range g.Edges() {
-		if c.nodes[e.U].incomingTo(e.V) {
-			directed = append(directed, [2]graph.NodeID{e.V, e.U})
-		} else {
-			directed = append(directed, [2]graph.NodeID{e.U, e.V})
-		}
-	}
-	final, err := graph.OrientationFromDirected(g, directed)
+	final, err := graph.OrientationFromHeads(g, c.nodes.heads())
 	if err != nil {
 		return nil, fmt.Errorf("dist: reassemble final orientation: %w", err)
 	}
@@ -330,10 +333,9 @@ func (s *shard) process(m shardMsg) {
 	if s.obs != nil && m.Kind == msgData {
 		s.obs.Deliver(m.To, -1, int64(m.Seq))
 	}
-	nd := &s.run.nodes[m.To]
-	if nd.rel != nil {
-		nd.handle(s, m)
+	if t := s.run.nodes; t.rel != nil {
+		t.handle(s, m)
 	} else {
-		nd.receive(s, m.Slot)
+		t.receive(s, m.To, m.Slot)
 	}
 }

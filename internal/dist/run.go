@@ -3,7 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"linkreversal/internal/bitset"
 	"linkreversal/internal/core"
@@ -31,295 +31,298 @@ const (
 	msgNack
 )
 
-// runNode is the per-node protocol state. All views are slot-indexed
-// windows parallel to nbrs (no maps), carved from backing arrays shared
-// across the whole topology, so a million-node run costs a constant number
-// of allocations rather than O(n) maps. The boolean views (incoming, list,
-// acked) are bit-packed — one bit per edge endpoint instead of one byte —
-// which is what makes 10M-node state fit cache and memory; packing is dense
-// within one shard's nodes and word-aligned at shard boundaries, so no two
-// shard goroutines ever write the same word. The protocol rules below hand
-// their messages to the owning shard passed to act/receive/handle.
+// runNode is one node's entry in the static plane's node table: where its
+// slots and its bits start, and NewPR's step count and in/out split.
+// Everything else a node owns lives in the table's run-wide arrays, so the
+// table is a constant number of allocations and 24 bytes per node.
 type runNode struct {
-	id     graph.NodeID
-	alg    Algorithm
-	isDest bool
-	// nbrs is the fixed neighbourhood in G, ascending (shared with the
-	// graph's adjacency storage).
-	nbrs []graph.NodeID
-	// peerSlot[i] is this node's slot in nbrs[i]'s neighbourhood: the Slot a
-	// shardMsg to nbrs[i] must carry so the receiver locates the shared
-	// edge in O(1).
-	peerSlot []int32
-	// incoming bit i is this node's view of edge {id, nbrs[i]}: set if it
-	// points toward id. Views marked incoming are always truthful; views
-	// marked outgoing may lag behind an undelivered shardMsg. The sink
-	// check is a word-at-a-time AllSet scan, so no incremental counter is
-	// needed.
-	incoming bitset.View
-	// list is PR's list[u] as a slot-indexed bitmap parallel to nbrs:
-	// neighbours that reversed toward this node since its last step. Empty
-	// (zero View) for the other variants; nd.alg discriminates.
-	list bitset.View
+	// slot is the node's first slot in the slot-indexed arrays; its slots
+	// follow the graph's row and end where the next entry's begin.
+	slot int
+	// bit is the offset of the node's first bit in the packed views.
+	bit int
 	// count is NewPR's step counter; its parity selects the reversal set.
-	count int
-	// initIn and initOut are NewPR's immutable initial neighbour sets as
-	// slot indices into nbrs.
-	initIn, initOut []int32
-	// rel is the sequence-numbered reliable-delivery state, armed only when
-	// a fault adversary is configured; nil keeps the exact pre-fault path.
-	rel *relState
+	count int32
+	// split is NewPR's number of initial in-neighbours: the node's first
+	// split parity slots reverse on even counts, the rest on odd ones.
+	split int32
 }
 
-// relState is a node's half of the ack/retransmit protocol, slot-indexed
-// like every other view. The protocol keeps at most one unacknowledged
-// payload per directed link: a node reverses the same edge again only
-// after the neighbour reversed it back, which requires the neighbour to
-// have received the previous payload — so a single (seq, acked, retries)
-// cell per link suffices on the send side, and a single high-water mark
+// nodeTable is the static plane's protocol state. Per-slot state is
+// indexed like the graph's rows (a node's slot i is its edge to
+// Neighbors(u)[i]); the boolean views (incoming, list, acked) are
+// bit-packed, one bit per slot instead of one byte, which is what makes
+// 10M-node state fit cache and memory. Packing is dense within one shard's
+// nodes and word-aligned at shard boundaries, so no two shard goroutines
+// ever write the same word. The protocol rules below hand their messages
+// to the owning shard passed to act/receive/handle.
+type nodeTable struct {
+	g    *graph.Graph
+	alg  Algorithm
+	dest graph.NodeID
+	// node has n+1 entries; the last marks where the slots and bits end.
+	node []runNode
+	// peer[s] is the receiver-side slot of slot s: the Slot a shardMsg
+	// over that edge must carry so the receiver finds the shared edge in
+	// O(1).
+	peer []int32
+	// incoming bit i of a node is its view of its slot-i edge: set if the
+	// edge points toward the node. Views marked incoming are always
+	// truthful; views marked outgoing may lag behind an undelivered
+	// shardMsg. The sink check is a word-at-a-time AllSet scan, so no
+	// incremental counter is needed.
+	incoming []uint64
+	// list holds PR's list[u] as a slot bit per neighbour that reversed
+	// toward u since its last step; nil for the other variants.
+	list []uint64
+	// parity holds NewPR's immutable reversal sets as slot indices: each
+	// node's split initial in-neighbours, then its initial out-neighbours.
+	// nil for the other variants.
+	parity []int32
+	// rel is the sequence-numbered reliable-delivery state, armed only when
+	// a fault adversary is configured; nil keeps the exact pre-fault path.
+	rel *relTable
+}
+
+// relTable is the ack/retransmit protocol's state, slot-indexed like
+// every other view. The protocol keeps at most one unacknowledged payload
+// per directed link: a node reverses the same edge again only after the
+// neighbour reversed it back, which requires the neighbour to have
+// received the previous payload — so a single (seq, acked, retries) cell
+// per link suffices on the send side, and a single high-water mark
 // deduplicates on the receive side.
-type relState struct {
-	// sendSeq[i] is the latest payload sequence number sent to nbrs[i]
+type relTable struct {
+	// sendSeq[s] is the latest payload sequence number sent over slot s
 	// (1-based; 0 = nothing sent yet).
 	sendSeq []uint32
-	// recvSeq[i] is the highest payload sequence number received from
-	// nbrs[i]; stale arrivals (duplicates, late retransmissions) are
+	// recvSeq[s] is the highest payload sequence number received over slot
+	// s; stale arrivals (duplicates, late retransmissions) are
 	// re-acknowledged but not re-applied, which is what keeps a late copy
 	// from resurrecting an already-reversed view.
 	recvSeq []uint32
-	// acked bit i reports whether sendSeq[i] has been acknowledged; it
-	// suppresses retransmissions when one copy of a duplicated payload was
-	// delivered and another dropped.
-	acked bitset.View
-	// retries[i] counts retransmissions of sendSeq[i]; it is the Attempt
+	// acked bit i of a node reports whether its slot-i sendSeq has been
+	// acknowledged; it suppresses retransmissions when one copy of a
+	// duplicated payload was delivered and another dropped.
+	acked []uint64
+	// retries[s] counts retransmissions of sendSeq[s]; it is the Attempt
 	// coordinate of the fault injector's decisions, capped by the
 	// fair-loss retry budget.
 	retries []int32
 }
 
-// slotOf returns the index of v in the ascending neighbour list nbrs. It is
-// used only off the hot path (construction and final reassembly); messages
-// carry precomputed slots.
-func slotOf(nbrs []graph.NodeID, v graph.NodeID) int32 {
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	if i == len(nbrs) || nbrs[i] != v {
-		panic(fmt.Sprintf("dist: %d is not a neighbour", v))
-	}
-	return int32(i)
-}
-
-// newRunNodes builds the flat node-state table: one runNode per node, with
-// every per-node view sliced out of a handful of topology-sized backing
-// arrays. The peer-slot table is derived from the core.Init adjacency once,
-// here, which is what lets every delivered message skip the neighbour
-// lookup forever after. With reliable set (a fault adversary is armed),
-// each node additionally gets its slot-indexed ack/retransmit state, carved
-// from more topology-sized arrays.
+// newNodeTable builds the node table of alg on in's topology. The peer
+// slots and the initial views are read once, here, by slot, which is what
+// lets every delivered message skip the neighbour lookup forever after.
+// With reliable set (a fault adversary is armed), the table also gets the
+// slot-indexed ack/retransmit state.
 //
-// The boolean views are packed one bit per edge endpoint into shared word
-// arrays. owner maps a node to the shard that runs it; consecutive nodes
-// with the same owner pack densely into shared words, and the carver
+// owner maps a node to the shard that runs it; consecutive nodes with the
+// same owner pack their bits densely into shared words, and the layout
 // inserts word-alignment padding wherever the owner changes, so two shards
 // never write the same backing word — the shards need no synchronization
 // on the views.
-func newRunNodes(in *core.Init, alg Algorithm, reliable bool, owner func(graph.NodeID) int) []runNode {
+func newNodeTable(in *core.Init, alg Algorithm, reliable bool, owner func(graph.NodeID) int) *nodeTable {
 	g := in.Graph()
 	n := g.NumNodes()
-	dest := in.Destination()
-	initial := in.InitialOrientation()
-	totalDeg := 2 * g.NumEdges()
-
-	// First pass: lay out the bit offsets, padding at ownership changes.
-	bitOffs := make([]int, n+1)
-	bitOff := 0
-	for u := 0; u < n; u++ {
+	slots := 2 * g.NumEdges()
+	t := &nodeTable{
+		g:    g,
+		alg:  alg,
+		dest: in.Destination(),
+		node: make([]runNode, n+1),
+		peer: make([]int32, slots),
+	}
+	slot, bit := 0, 0
+	for u := range n {
 		if u > 0 && owner(graph.NodeID(u)) != owner(graph.NodeID(u-1)) {
-			bitOff = bitset.Align(bitOff)
+			bit = bitset.Align(bit)
 		}
-		bitOffs[u] = bitOff
-		bitOff += len(g.Neighbors(graph.NodeID(u)))
+		t.node[u] = runNode{slot: slot, bit: bit}
+		deg := g.Degree(graph.NodeID(u))
+		slot += deg
+		bit += deg
 	}
-	bitOffs[n] = bitOff
-	words := bitset.Words(bitOff)
-
-	nodes := make([]runNode, n)
-	flatSlots := make([]int32, totalDeg)
-	incomingWords := make([]uint64, words)
-	var listWords []uint64
-	var flatParity []int32
-	if alg == PartialReversal {
-		listWords = make([]uint64, words)
+	t.node[n] = runNode{slot: slot, bit: bit}
+	words := bitset.Words(bit)
+	t.incoming = make([]uint64, words)
+	switch alg {
+	case PartialReversal:
+		t.list = make([]uint64, words)
+	case StaticPartialReversal:
+		t.parity = make([]int32, slots)
 	}
-	if alg == StaticPartialReversal {
-		flatParity = make([]int32, totalDeg)
-	}
-	var flatSendSeq, flatRecvSeq []uint32
-	var ackedWords []uint64
-	var flatRetries []int32
-	var rels []relState
 	if reliable {
-		flatSendSeq = make([]uint32, totalDeg)
-		flatRecvSeq = make([]uint32, totalDeg)
-		ackedWords = make([]uint64, words)
-		flatRetries = make([]int32, totalDeg)
-		rels = make([]relState, n)
+		t.rel = &relTable{
+			sendSeq: make([]uint32, slots),
+			recvSeq: make([]uint32, slots),
+			acked:   make([]uint64, words),
+			retries: make([]int32, slots),
+		}
 	}
-
-	off := 0
-	for u := 0; u < n; u++ {
+	for u := range n {
 		id := graph.NodeID(u)
-		nbrs := g.Neighbors(id)
-		deg := len(nbrs)
-		nd := &nodes[u]
-		nd.id = id
-		nd.alg = alg
-		nd.isDest = id == dest
-		nd.nbrs = nbrs
-		nd.peerSlot = flatSlots[off : off+deg : off+deg]
-		nd.incoming = bitset.Slice(incomingWords, bitOffs[u], deg)
-		for i, v := range nbrs {
-			nd.peerSlot[i] = slotOf(g.Neighbors(v), id)
-			if initial.PointsTo(v, id) {
-				nd.incoming.Set(i)
+		nd := &t.node[u]
+		incoming := t.view(t.incoming, id)
+		if t.parity != nil {
+			nd.split = int32(len(in.InNbrs(id)))
+		}
+		ins, outs := nd.slot, nd.slot+int(nd.split)
+		for i, v := range g.Neighbors(id) {
+			j, _ := slices.BinarySearch(g.Neighbors(v), id)
+			t.peer[nd.slot+i] = int32(j)
+			if in.InitiallyIncoming(id, i) {
+				incoming.Set(i)
+				if t.parity != nil {
+					t.parity[ins] = int32(i)
+					ins++
+				}
+			} else if t.parity != nil {
+				t.parity[outs] = int32(i)
+				outs++
 			}
 		}
-		switch alg {
-		case PartialReversal:
-			nd.list = bitset.Slice(listWords, bitOffs[u], deg)
-		case StaticPartialReversal:
-			in0 := in.InNbrs(id)
-			parity := flatParity[off : off+deg : off+deg]
-			for i, v := range in0 {
-				parity[i] = slotOf(nbrs, v)
-			}
-			for i, v := range in.OutNbrs(id) {
-				parity[len(in0)+i] = slotOf(nbrs, v)
-			}
-			nd.initIn = parity[:len(in0)]
-			nd.initOut = parity[len(in0):]
-		}
-		if reliable {
-			rels[u] = relState{
-				sendSeq: flatSendSeq[off : off+deg : off+deg],
-				recvSeq: flatRecvSeq[off : off+deg : off+deg],
-				acked:   bitset.Slice(ackedWords, bitOffs[u], deg),
-				retries: flatRetries[off : off+deg : off+deg],
-			}
-			nd.rel = &rels[u]
-		}
-		off += deg
 	}
-	return nodes
+	return t
 }
 
-// viewSink reports whether this node believes it is an enabled sink: not
-// the destination, at least one neighbour, and every incident edge
-// incoming in its view. The packed view makes this a word-at-a-time scan
-// — ⌈deg/64⌉ compares instead of a per-slot loop or a maintained counter.
-func (nd *runNode) viewSink() bool {
-	return !nd.isDest && len(nd.nbrs) > 0 && nd.incoming.AllSet()
+// view returns u's bits of the packed array words.
+func (t *nodeTable) view(words []uint64, u graph.NodeID) bitset.View {
+	return bitset.Slice(words, t.node[u].bit, t.degree(u))
 }
 
-// incomingTo returns this node's view of the edge to neighbour v. Used only
-// for the final reassembly after quiescence.
-func (nd *runNode) incomingTo(v graph.NodeID) bool {
-	return nd.incoming.Test(int(slotOf(nd.nbrs, v)))
+// degree returns u's number of slots.
+func (t *nodeTable) degree(u graph.NodeID) int { return t.node[u+1].slot - t.node[u].slot }
+
+// viewSink reports whether u believes it is an enabled sink: not the
+// destination, at least one neighbour, and every incident edge incoming in
+// its view. The packed view makes this a word-at-a-time scan — ⌈deg/64⌉
+// compares instead of a per-slot loop or a maintained counter.
+func (t *nodeTable) viewSink(u graph.NodeID) bool {
+	return u != t.dest && t.degree(u) > 0 && t.view(t.incoming, u).AllSet()
 }
 
-// step performs one reversal step, selecting the reversed slots by the
-// variant's rule. The caller has checked viewSink, so every incident edge
-// truly points toward this node and the reversals below are valid automaton
+// heads returns, per edge, the endpoint it points toward, read from the
+// lower endpoint's view. At quiescence both endpoints agree on every edge.
+func (t *nodeTable) heads() []graph.NodeID {
+	head := make([]graph.NodeID, t.g.NumEdges())
+	for u := range len(t.node) - 1 {
+		id := graph.NodeID(u)
+		incoming := t.view(t.incoming, id)
+		for i, v := range t.g.Neighbors(id) {
+			switch {
+			case v < id:
+			case incoming.Test(i):
+				head[t.g.EdgeAt(id, i)] = id
+			default:
+				head[t.g.EdgeAt(id, i)] = v
+			}
+		}
+	}
+	return head
+}
+
+// step performs one reversal step by u, selecting the reversed slots by
+// the variant's rule. The caller has checked viewSink, so every incident
+// edge truly points toward u and the reversals below are valid automaton
 // transitions. The step is announced before any of its messages is handed
-// to the shard, and all view flags are cleared before the first send — the
-// same step atomicity the map-based implementation had.
-func (nd *runNode) step(s *shard) {
-	switch nd.alg {
+// to the shard, and all view flags are cleared before the first send, so
+// the step takes effect on u's view as a whole before any of its messages
+// leaves.
+func (t *nodeTable) step(s *shard, u graph.NodeID) {
+	deg := t.degree(u)
+	incoming := t.view(t.incoming, u)
+	switch t.alg {
 	case FullReversal:
-		s.announce(nd.id, len(nd.nbrs))
-		nd.incoming.ClearAll()
-		for i := range nd.nbrs {
-			nd.sendReverse(s, int32(i))
+		s.announce(u, deg)
+		incoming.ClearAll()
+		for i := range deg {
+			t.sendReverse(s, u, int32(i))
 		}
 	case PartialReversal:
-		listCount := nd.list.Count()
-		full := listCount == len(nd.nbrs)
-		targets := len(nd.nbrs) - listCount
+		list := t.view(t.list, u)
+		listCount := list.Count()
+		full := listCount == deg
+		targets := deg - listCount
 		if full {
-			targets = len(nd.nbrs)
+			targets = deg
 		}
-		s.announce(nd.id, targets)
+		s.announce(u, targets)
 		if full {
-			nd.incoming.ClearAll()
-			for i := range nd.nbrs {
-				nd.sendReverse(s, int32(i))
+			incoming.ClearAll()
+			for i := range deg {
+				t.sendReverse(s, u, int32(i))
 			}
 		} else {
-			for i := range nd.nbrs {
-				if !nd.list.Test(i) {
-					nd.incoming.Clear(i)
+			for i := range deg {
+				if !list.Test(i) {
+					incoming.Clear(i)
 				}
 			}
-			for i := range nd.nbrs {
-				if !nd.list.Test(i) {
-					nd.sendReverse(s, int32(i))
+			for i := range deg {
+				if !list.Test(i) {
+					t.sendReverse(s, u, int32(i))
 				}
 			}
 		}
-		nd.list.ClearAll()
+		list.ClearAll()
 	case StaticPartialReversal:
-		slots := nd.initIn
+		nd := &t.node[u]
+		split := nd.slot + int(nd.split)
+		slots := t.parity[nd.slot:split]
 		if nd.count%2 == 1 {
-			slots = nd.initOut
+			slots = t.parity[split : nd.slot+deg]
 		}
 		nd.count++
-		s.announce(nd.id, len(slots))
+		s.announce(u, len(slots))
 		for _, i := range slots {
-			nd.incoming.Clear(int(i))
+			incoming.Clear(int(i))
 		}
 		for _, i := range slots {
-			nd.sendReverse(s, i)
+			t.sendReverse(s, u, i)
 		}
 	default:
-		panic(fmt.Sprintf("dist: step on %v", nd.alg))
+		panic(fmt.Sprintf("dist: step on %v", t.alg))
 	}
 }
 
-// act steps while this node believes it is a sink. FullReversal and
+// act steps while u believes it is a sink. FullReversal and
 // PartialReversal steps always produce an outgoing edge, so the loop runs
 // at most once; StaticPartialReversal may take one dummy parity step first.
-func (nd *runNode) act(s *shard) {
-	for nd.viewSink() {
-		nd.step(s)
+func (t *nodeTable) act(s *shard, u graph.NodeID) {
+	for t.viewSink(u) {
+		t.step(s, u)
 	}
 }
 
-// receive applies one reversal announcement from the neighbour at slot and
-// takes any steps it enables. The owning shard calls it with full
+// receive applies to u one reversal announcement from its neighbour at
+// slot and takes any steps it enables. The owning shard calls it with full
 // ownership of the node. Bit sets are idempotent, so duplicated deliveries
 // cannot corrupt the view even without the reliable-delivery layer's
 // sequence-number dedup.
-func (nd *runNode) receive(s *shard, slot int32) {
-	nd.incoming.Set(int(slot))
-	if nd.alg == PartialReversal {
-		nd.list.Set(int(slot))
+func (t *nodeTable) receive(s *shard, u graph.NodeID, slot int32) {
+	t.view(t.incoming, u).Set(int(slot))
+	if t.alg == PartialReversal {
+		t.view(t.list, u).Set(int(slot))
 	}
-	nd.act(s)
+	t.act(s, u)
 }
 
-// sendReverse emits the reversal announcement for the edge at slot i. On a
-// reliable network it is a bare route; with the ack/retransmit layer armed
-// it assigns the link's next sequence number, resets the unacked state and
-// routes the payload through the fault injector via s.send.
-func (nd *runNode) sendReverse(s *shard, i int32) {
-	if nd.rel == nil {
-		s.route(nd.nbrs[i], shardMsg{To: nd.nbrs[i], Slot: nd.peerSlot[i]})
+// sendReverse emits u's reversal announcement for the edge at its slot i.
+// On a reliable network it is a bare route; with the ack/retransmit layer
+// armed it assigns the link's next sequence number, resets the unacked
+// state and routes the payload through the fault injector via s.send.
+func (t *nodeTable) sendReverse(s *shard, u graph.NodeID, i int32) {
+	at := t.node[u].slot + int(i)
+	v := t.g.Neighbors(u)[i]
+	if t.rel == nil {
+		s.route(v, shardMsg{To: v, Slot: t.peer[at]})
 		return
 	}
-	r := nd.rel
-	r.sendSeq[i]++
-	r.acked.Clear(int(i))
-	r.retries[i] = 0
-	s.send(nd.id, i, nd.nbrs[i], nd.peerSlot[i], r.sendSeq[i], 0, msgData)
+	r := t.rel
+	r.sendSeq[at]++
+	t.view(r.acked, u).Clear(int(i))
+	r.retries[at] = 0
+	s.send(u, i, v, t.peer[at], r.sendSeq[at], 0, msgData)
 }
 
 // handle dispatches one delivered transmission under the reliable-delivery
@@ -335,26 +338,30 @@ func (nd *runNode) sendReverse(s *shard, i int32) {
 //     current, still unacknowledged payload; obsolete nacks — the link has
 //     moved on, or an ack from a surviving duplicate confirmed delivery —
 //     are dropped.
-func (nd *runNode) handle(s *shard, m shardMsg) {
-	r := nd.rel
+func (t *nodeTable) handle(s *shard, m shardMsg) {
+	r := t.rel
+	u := m.To
+	at := t.node[u].slot + int(m.Slot)
+	v := t.g.Neighbors(u)[m.Slot]
+	acked := t.view(r.acked, u)
 	switch m.Kind {
 	case msgData:
-		s.send(nd.id, m.Slot, nd.nbrs[m.Slot], nd.peerSlot[m.Slot], m.Seq, 0, msgAck)
-		if m.Seq <= r.recvSeq[m.Slot] {
+		s.send(u, m.Slot, v, t.peer[at], m.Seq, 0, msgAck)
+		if m.Seq <= r.recvSeq[at] {
 			return // stale duplicate or late retransmission: re-acked only
 		}
-		r.recvSeq[m.Slot] = m.Seq
-		nd.receive(s, m.Slot)
+		r.recvSeq[at] = m.Seq
+		t.receive(s, u, m.Slot)
 	case msgAck:
-		if m.Seq == r.sendSeq[m.Slot] {
-			r.acked.Set(int(m.Slot))
+		if m.Seq == r.sendSeq[at] {
+			acked.Set(int(m.Slot))
 		}
 	case msgNack:
-		if m.Seq != r.sendSeq[m.Slot] || r.acked.Test(int(m.Slot)) {
+		if m.Seq != r.sendSeq[at] || acked.Test(int(m.Slot)) {
 			return
 		}
-		r.retries[m.Slot]++
-		s.send(nd.id, m.Slot, nd.nbrs[m.Slot], nd.peerSlot[m.Slot], m.Seq, r.retries[m.Slot], msgData)
+		r.retries[at]++
+		s.send(u, m.Slot, v, t.peer[at], m.Seq, r.retries[at], msgData)
 	}
 }
 

@@ -101,7 +101,7 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 		t.Errorf("FR (%d messages) allocates %.0f more than PR (%d messages); hot path regressed",
 			nb*nb, extra, nb)
 	}
-	if budget := 400.0; frAllocs > budget {
+	if budget := 200.0; frAllocs > budget {
 		t.Errorf("allocs/run = %.0f > %.0f; engine setup cost regressed", frAllocs, budget)
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -17,15 +18,14 @@ func IsAcyclic(o *Orientation) bool {
 // every edge points from an earlier to a later node in the returned slice.
 // The second result is false if the orientation contains a cycle.
 func TopologicalOrder(o *Orientation) ([]NodeID, bool) {
-	n := o.g.NumNodes()
-	outdeg := make([]int, n)
-	for u := 0; u < n; u++ {
-		outdeg[u] = o.OutDegree(NodeID(u))
-	}
+	g := o.g
+	n := g.NumNodes()
 	// Process nodes sink-first, then reverse: a node is ready once all its
 	// out-edges lead to already-processed nodes.
+	outdeg := make([]int, n)
 	queue := make([]NodeID, 0, n)
-	for u := 0; u < n; u++ {
+	for u := range n {
+		outdeg[u] = o.OutDegree(NodeID(u))
 		if outdeg[u] == 0 {
 			queue = append(queue, NodeID(u))
 		}
@@ -35,10 +35,12 @@ func TopologicalOrder(o *Orientation) ([]NodeID, bool) {
 		u := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		order = append(order, u)
-		for _, v := range o.InNeighbors(u) {
-			outdeg[v]--
-			if outdeg[v] == 0 {
-				queue = append(queue, v)
+		for s := g.off[u]; s < g.off[u+1]; s++ {
+			if v := g.nbr[s]; o.in(u, s) {
+				outdeg[v]--
+				if outdeg[v] == 0 {
+					queue = append(queue, v)
+				}
 			}
 		}
 	}
@@ -67,12 +69,16 @@ func FindCycle(o *Orientation) []NodeID {
 	for i := range parent {
 		parent[i] = -1
 	}
+	g := o.g
 	var cycle []NodeID
 	var dfs func(u NodeID) bool
 	dfs = func(u NodeID) bool {
 		color[u] = gray
-		for _, v := range o.OutNeighbors(u) {
-			switch color[v] {
+		for s := g.off[u]; s < g.off[u+1]; s++ {
+			if o.in(u, s) {
+				continue
+			}
+			switch v := g.nbr[s]; color[v] {
 			case white:
 				parent[v] = u
 				if dfs(v) {
@@ -109,18 +115,20 @@ func CanReach(o *Orientation, u, target NodeID) bool {
 	if u == target {
 		return true
 	}
-	n := o.g.NumNodes()
-	visited := make([]bool, n)
+	g := o.g
+	visited := make([]bool, g.NumNodes())
 	stack := []NodeID{u}
 	visited[u] = true
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range o.OutNeighbors(x) {
-			if v == target {
-				return true
+		for s := g.off[x]; s < g.off[x+1]; s++ {
+			if o.in(x, s) {
+				continue
 			}
-			if !visited[v] {
+			if v := g.nbr[s]; v == target {
+				return true
+			} else if !visited[v] {
 				visited[v] = true
 				stack = append(stack, v)
 			}
@@ -129,20 +137,22 @@ func CanReach(o *Orientation, u, target NodeID) bool {
 	return false
 }
 
-// NodesReaching returns the set of nodes that have a directed path to
-// target (including target itself), computed by a reverse BFS in O(V+E).
-func NodesReaching(o *Orientation, target NodeID) map[NodeID]bool {
-	reach := make(map[NodeID]bool, o.g.NumNodes())
-	if !o.g.ValidNode(target) {
+// NodesReaching reports, per node, whether it has a directed path to
+// target (target itself included), computed by a reverse BFS in O(V+E).
+// The slice is indexed by node; it is all false if target is not a node.
+func NodesReaching(o *Orientation, target NodeID) []bool {
+	g := o.g
+	reach := make([]bool, g.NumNodes())
+	if !g.ValidNode(target) {
 		return reach
 	}
 	reach[target] = true
-	queue := []NodeID{target}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range o.InNeighbors(u) {
-			if !reach[v] {
+	queue := make([]NodeID, 1, g.NumNodes())
+	queue[0] = target
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for s := g.off[u]; s < g.off[u+1]; s++ {
+			if v := g.nbr[s]; o.in(u, s) && !reach[v] {
 				reach[v] = true
 				queue = append(queue, v)
 			}
@@ -154,8 +164,7 @@ func NodesReaching(o *Orientation, target NodeID) map[NodeID]bool {
 // IsDestinationOriented reports whether every node has a directed path to
 // dest. This is the goal condition of all link-reversal algorithms.
 func IsDestinationOriented(o *Orientation, dest NodeID) bool {
-	reach := NodesReaching(o, dest)
-	return len(reach) == o.g.NumNodes()
+	return !slices.Contains(NodesReaching(o, dest), false)
 }
 
 // BadNodes returns the nodes with no directed path to dest, in ascending
@@ -163,8 +172,8 @@ func IsDestinationOriented(o *Orientation, dest NodeID) bool {
 func BadNodes(o *Orientation, dest NodeID) []NodeID {
 	reach := NodesReaching(o, dest)
 	var bad []NodeID
-	for u := 0; u < o.g.NumNodes(); u++ {
-		if !reach[NodeID(u)] {
+	for u, ok := range reach {
+		if !ok {
 			bad = append(bad, NodeID(u))
 		}
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -101,13 +102,14 @@ func TestCanReachAndDestinationOriented(t *testing.T) {
 func TestNodesReaching(t *testing.T) {
 	g := mustGraph(t, 4, [2]NodeID{0, 1}, [2]NodeID{1, 2}, [2]NodeID{2, 3})
 	o := NewOrientation(g)
-	reach := NodesReaching(o, 3)
-	if len(reach) != 4 {
-		t.Errorf("all 4 nodes should reach 3 in a directed chain, got %d", len(reach))
+	if reach := NodesReaching(o, 3); !slices.Equal(reach, []bool{true, true, true, true}) {
+		t.Errorf("all 4 nodes should reach 3 in a directed chain, got %v", reach)
 	}
-	reach = NodesReaching(o, 0)
-	if len(reach) != 1 || !reach[0] {
+	if reach := NodesReaching(o, 0); !slices.Equal(reach, []bool{true, false, false, false}) {
 		t.Errorf("only 0 reaches 0, got %v", reach)
+	}
+	if reach := NodesReaching(o, 4); !slices.Equal(reach, make([]bool, 4)) {
+		t.Errorf("no node reaches a non-node, got %v", reach)
 	}
 }
 

@@ -6,12 +6,24 @@
 // assigns exactly one direction to every edge of G. The sets nbrs(u),
 // in-nbrs(u) and out-nbrs(u) are defined once, against the *initial*
 // orientation, and never change afterwards.
+//
+// # Memory layout
+//
+// A Graph keeps its adjacency in compressed sparse rows: node u's slots
+// are one contiguous range of two flat arrays, the neighbours in ascending
+// order and, parallel to them, the index of the edge to each. Neighbors
+// returns u's row itself. An Orientation stores one head per edge, the
+// endpoint the edge points toward, so the direction of the edge at a slot
+// is one read through that slot's edge ID, and the walks of analysis.go
+// visit every slot once without allocating per node. Finding the edge
+// between two given nodes binary-searches the shorter of their rows. No
+// lookup goes through a map.
 package graph
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node. IDs are dense: a graph with n nodes uses IDs
@@ -46,33 +58,27 @@ var (
 type Graph struct {
 	n     int
 	edges []Edge
-	// adj[u] lists the neighbours of u in ascending order.
-	adj [][]NodeID
-	// edgeIndex maps a normalized edge to its position in edges.
-	edgeIndex map[Edge]int
+	// off[u]..off[u+1]-1 are u's slots in nbr and eid (n+1 entries).
+	off []int
+	// nbr[s] is the neighbour at slot s; each row is ascending.
+	nbr []NodeID
+	// eid[s] is the index in edges of the edge at slot s.
+	eid []int32
 }
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
 type Builder struct {
 	n     int
 	edges []Edge
-	seen  map[Edge]struct{}
 	err   error
 }
 
 // NewBuilder returns a Builder for a graph with n nodes (IDs 0..n-1).
-func NewBuilder(n int) *Builder {
-	if n < 0 {
-		n = 0
-	}
-	return &Builder{
-		n:    n,
-		seen: make(map[Edge]struct{}),
-	}
-}
+func NewBuilder(n int) *Builder { return &Builder{n: max(n, 0)} }
 
 // AddEdge records the undirected edge {a, b}. Errors are sticky: after the
 // first failure, subsequent calls are no-ops and Build reports the error.
+// Build, not AddEdge, finds duplicate edges.
 func (b *Builder) AddEdge(a, c NodeID) *Builder {
 	if b.err != nil {
 		return b
@@ -85,39 +91,87 @@ func (b *Builder) AddEdge(a, c NodeID) *Builder {
 		b.err = fmt.Errorf("%w: node %d", ErrSelfLoop, a)
 		return b
 	}
-	e := NormalizedEdge(a, c)
-	if _, dup := b.seen[e]; dup {
-		b.err = fmt.Errorf("%w: {%d,%d}", ErrDuplicateEdge, e.U, e.V)
-		return b
-	}
-	b.seen[e] = struct{}{}
-	b.edges = append(b.edges, e)
+	b.edges = append(b.edges, NormalizedEdge(a, c))
 	return b
 }
 
-// Build finalizes the graph. It returns the first error recorded by AddEdge,
-// if any.
+// Build finalizes the graph. It returns the first error in AddEdge order:
+// every recorded edge precedes a sticky range or self-loop error, so that
+// is the first repeated edge if there is one, else the sticky error.
 func (b *Builder) Build() (*Graph, error) {
+	g := &Graph{n: b.n, edges: slices.Clone(b.edges)}
+	g.buildRows()
+	if e, ok := g.firstDuplicate(); ok {
+		return nil, fmt.Errorf("%w: {%d,%d}", ErrDuplicateEdge, e.U, e.V)
+	}
 	if b.err != nil {
 		return nil, b.err
 	}
-	g := &Graph{
-		n:         b.n,
-		edges:     make([]Edge, len(b.edges)),
-		adj:       make([][]NodeID, b.n),
-		edgeIndex: make(map[Edge]int, len(b.edges)),
-	}
-	copy(g.edges, b.edges)
-	for i, e := range g.edges {
-		g.edgeIndex[e] = i
-		g.adj[e.U] = append(g.adj[e.U], e.V)
-		g.adj[e.V] = append(g.adj[e.V], e.U)
-	}
-	for u := range g.adj {
-		nbrs := g.adj[u]
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-	}
 	return g, nil
+}
+
+// buildRows lays out the rows in O(n + m), without comparisons. Row u keeps
+// its lower neighbours before its higher ones, split at mid[u]. The edges
+// are scattered into the higher parts in insertion order; one sweep over
+// the rows in ascending order then writes every lower part from the higher
+// parts, and a second rewrites every higher part from the lower parts.
+// Each sweep appends to a part in ascending order of the row it reads, so
+// both parts come out sorted, and copies of one edge keep their insertion
+// order.
+func (g *Graph) buildRows() {
+	n := g.n
+	g.off = make([]int, n+1)
+	mid := make([]int, n)
+	for _, e := range g.edges {
+		g.off[e.U+1]++
+		g.off[e.V+1]++
+		mid[e.V]++
+	}
+	for u := range n {
+		g.off[u+1] += g.off[u]
+		mid[u] += g.off[u]
+	}
+	g.nbr = make([]NodeID, 2*len(g.edges))
+	g.eid = make([]int32, 2*len(g.edges))
+	at := slices.Clone(mid) // the next free slot of each part being written
+	for i, e := range g.edges {
+		g.nbr[at[e.U]], g.eid[at[e.U]] = e.V, int32(i)
+		at[e.U]++
+	}
+	copy(at, g.off)
+	for w := range n {
+		for s := mid[w]; s < g.off[w+1]; s++ {
+			v := g.nbr[s]
+			g.nbr[at[v]], g.eid[at[v]] = NodeID(w), g.eid[s]
+			at[v]++
+		}
+	}
+	copy(at, mid)
+	for w := range n {
+		for s := g.off[w]; s < mid[w]; s++ {
+			v := g.nbr[s]
+			g.nbr[at[v]], g.eid[at[v]] = NodeID(w), g.eid[s]
+			at[v]++
+		}
+	}
+}
+
+// firstDuplicate returns the first edge, in insertion order, that repeats
+// an earlier one. Copies of an edge sit next to each other in its rows, in
+// insertion order.
+func (g *Graph) firstDuplicate() (Edge, bool) {
+	first := int32(-1)
+	for u := range g.n {
+		for s := g.off[u] + 1; s < g.off[u+1]; s++ {
+			if g.nbr[s] == g.nbr[s-1] && (first < 0 || g.eid[s] < first) {
+				first = g.eid[s]
+			}
+		}
+	}
+	if first < 0 {
+		return Edge{}, false
+	}
+	return g.edges[first], true
 }
 
 // MustBuild is Build for statically known-good graphs; it panics on error.
@@ -144,13 +198,13 @@ func (g *Graph) Edges() []Edge {
 }
 
 // Neighbors returns the neighbours of u in ascending order. The returned
-// slice is shared and must not be modified by callers; use CopyNeighbors for
-// a private copy.
+// slice is shared and capacity-limited, and must not be modified by
+// callers; use CopyNeighbors for a private copy.
 func (g *Graph) Neighbors(u NodeID) []NodeID {
-	if int(u) < 0 || int(u) >= g.n {
+	if !g.ValidNode(u) {
 		return nil
 	}
-	return g.adj[u]
+	return g.nbr[g.off[u]:g.off[u+1]:g.off[u+1]]
 }
 
 // CopyNeighbors returns a fresh copy of the neighbours of u.
@@ -166,16 +220,35 @@ func (g *Graph) Degree(u NodeID) int { return len(g.Neighbors(u)) }
 
 // HasEdge reports whether {a, b} is an edge of G.
 func (g *Graph) HasEdge(a, b NodeID) bool {
-	_, ok := g.edgeIndex[NormalizedEdge(a, b)]
+	_, ok := g.EdgeIndex(a, b)
 	return ok
 }
 
 // EdgeIndex returns the dense index of edge {a,b} in [0, NumEdges), suitable
 // for parallel per-edge arrays. The second result is false if the edge does
-// not exist.
+// not exist. It binary-searches the shorter of the two rows.
 func (g *Graph) EdgeIndex(a, b NodeID) (int, bool) {
-	i, ok := g.edgeIndex[NormalizedEdge(a, b)]
-	return i, ok
+	if !g.ValidNode(a) || !g.ValidNode(b) {
+		return 0, false
+	}
+	if g.off[a+1]-g.off[a] > g.off[b+1]-g.off[b] {
+		a, b = b, a
+	}
+	row := g.off[a]
+	if i, ok := slices.BinarySearch(g.nbr[row:g.off[a+1]], b); ok {
+		return int(g.eid[row+i]), true
+	}
+	return 0, false
+}
+
+// EdgeAt returns the index in Edges of the edge at u's i-th slot, the one
+// to Neighbors(u)[i].
+func (g *Graph) EdgeAt(u NodeID, i int) int { return int(g.eid[g.off[u]:g.off[u+1]][i]) }
+
+// Equal reports whether g and h have the same node count and the same edge
+// list in the same order, so that their slots and edge indices coincide.
+func (g *Graph) Equal(h *Graph) bool {
+	return g == h || g.n == h.n && slices.Equal(g.edges, h.edges)
 }
 
 // ValidNode reports whether u is a node of g.
@@ -193,7 +266,7 @@ func (g *Graph) Connected() bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(u) {
 			if !visited[v] {
 				visited[v] = true
 				count++

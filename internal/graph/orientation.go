@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -98,6 +99,24 @@ func OrientationFromDirected(g *Graph, directed [][2]NodeID) (*Orientation, erro
 	return o, nil
 }
 
+// OrientationFromHeads creates the orientation of g in which edge i of
+// g.Edges() points toward head[i]. Every head must be an endpoint of its
+// edge. The orientation takes ownership of head.
+func OrientationFromHeads(g *Graph, head []NodeID) (*Orientation, error) {
+	if len(head) != g.NumEdges() {
+		return nil, fmt.Errorf("graph: got %d heads, want %d", len(head), g.NumEdges())
+	}
+	o := &Orientation{g: g, toward: head, indeg: make([]int, g.NumNodes())}
+	for i, e := range g.edges {
+		h := head[i]
+		if h != e.U && h != e.V {
+			return nil, fmt.Errorf("%w: {%d,%d} cannot point toward %d", ErrNoSuchEdge, e.U, e.V, h)
+		}
+		o.indeg[h]++
+	}
+	return o, nil
+}
+
 // Graph returns the underlying undirected graph.
 func (o *Orientation) Graph() *Graph { return o.g }
 
@@ -113,6 +132,10 @@ func (o *Orientation) Dir(u, v NodeID) (Direction, bool) {
 	}
 	return Out, true
 }
+
+// IncomingAt reports whether the edge at u's i-th slot, the one to
+// g.Neighbors(u)[i], points toward u.
+func (o *Orientation) IncomingAt(u NodeID, i int) bool { return o.toward[o.g.EdgeAt(u, i)] == u }
 
 // PointsTo reports whether the edge {u,v} is currently directed u→v.
 // It returns false if {u,v} is not an edge.
@@ -177,17 +200,9 @@ func (o *Orientation) IsSource(u NodeID) bool {
 // Sinks returns all current sink nodes in ascending order, excluding nodes
 // listed in exclude (typically the destination).
 func (o *Orientation) Sinks(exclude ...NodeID) []NodeID {
-	skip := make(map[NodeID]struct{}, len(exclude))
-	for _, u := range exclude {
-		skip[u] = struct{}{}
-	}
 	var out []NodeID
-	for u := 0; u < o.g.NumNodes(); u++ {
-		id := NodeID(u)
-		if _, s := skip[id]; s {
-			continue
-		}
-		if o.IsSink(id) {
+	for u := range o.g.NumNodes() {
+		if id := NodeID(u); o.IsSink(id) && !slices.Contains(exclude, id) {
 			out = append(out, id)
 		}
 	}
@@ -196,26 +211,28 @@ func (o *Orientation) Sinks(exclude ...NodeID) []NodeID {
 
 // InNeighbors returns the nodes with edges currently directed toward u,
 // in ascending order.
-func (o *Orientation) InNeighbors(u NodeID) []NodeID {
+func (o *Orientation) InNeighbors(u NodeID) []NodeID { return o.neighbors(u, true) }
+
+// OutNeighbors returns the nodes u currently points to, in ascending order.
+func (o *Orientation) OutNeighbors(u NodeID) []NodeID { return o.neighbors(u, false) }
+
+// neighbors walks u's slots and returns, in ascending order, the
+// neighbours whose edge points toward u (in) or away from it.
+func (o *Orientation) neighbors(u NodeID, in bool) []NodeID {
+	if !o.g.ValidNode(u) {
+		return nil
+	}
 	var out []NodeID
-	for _, v := range o.g.Neighbors(u) {
-		if o.PointsTo(v, u) {
-			out = append(out, v)
+	for s := o.g.off[u]; s < o.g.off[u+1]; s++ {
+		if o.in(u, s) == in {
+			out = append(out, o.g.nbr[s])
 		}
 	}
 	return out
 }
 
-// OutNeighbors returns the nodes u currently points to, in ascending order.
-func (o *Orientation) OutNeighbors(u NodeID) []NodeID {
-	var out []NodeID
-	for _, v := range o.g.Neighbors(u) {
-		if o.PointsTo(u, v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+// in reports whether the edge at u's absolute slot s points toward u.
+func (o *Orientation) in(u NodeID, s int) bool { return o.toward[o.g.eid[s]] == u }
 
 // Clone returns a deep copy sharing the immutable underlying Graph.
 func (o *Orientation) Clone() *Orientation {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	lr "linkreversal"
+	"linkreversal/internal/core"
 	"linkreversal/internal/sched"
 )
 
@@ -105,6 +106,43 @@ func TestRunRejectsCyclicInitial(t *testing.T) {
 	}
 	if _, err := lr.Run(g, cyc, 0, lr.Config{}); err == nil {
 		t.Error("cyclic initial orientation accepted")
+	}
+}
+
+// TestForeignOrientationRejected: an initial orientation of a different
+// graph is refused with core.ErrForeignOrientation by every entry point
+// that builds an Init, instead of being read through the wrong graph's
+// edges; an orientation of a second, identically built graph is accepted.
+func TestForeignOrientationRejected(t *testing.T) {
+	g1 := lr.NewGraphBuilder(3).AddEdge(0, 1).AddEdge(1, 2).MustBuild()
+	g2 := lr.NewGraphBuilder(3).AddEdge(0, 2).AddEdge(2, 1).MustBuild()
+	foreign := lr.DefaultOrientation(g2)
+	if _, err := lr.Run(g1, foreign, 0, lr.Config{}); !errors.Is(err, core.ErrForeignOrientation) {
+		t.Errorf("Run: err = %v, want ErrForeignOrientation", err)
+	}
+	topo := &lr.Topology{Name: "foreign", Graph: g1, Initial: foreign, Dest: 0}
+	if _, err := lr.RunDistributedWith(context.Background(), topo, lr.DistPR, lr.DistOptions{}); !errors.Is(err, core.ErrForeignOrientation) {
+		t.Errorf("RunDistributedWith: err = %v, want ErrForeignOrientation", err)
+	}
+	if _, err := lr.ReplayExecution(g1, foreign, 0, lr.PR, &lr.Execution{}); !errors.Is(err, core.ErrForeignOrientation) {
+		t.Errorf("ReplayExecution: err = %v, want ErrForeignOrientation", err)
+	}
+
+	twin := lr.DefaultOrientation(lr.NewGraphBuilder(3).AddEdge(0, 1).AddEdge(1, 2).MustBuild())
+	rep, err := lr.Run(g1, twin, 0, lr.Config{})
+	if err != nil {
+		t.Fatalf("Run on a twin graph's orientation: %v", err)
+	}
+	if !rep.DestinationOriented {
+		t.Error("Run on a twin graph's orientation did not repair")
+	}
+	topo.Initial = twin
+	drep, err := lr.RunDistributedWith(context.Background(), topo, lr.DistPR, lr.DistOptions{})
+	if err != nil {
+		t.Fatalf("RunDistributedWith on a twin graph's orientation: %v", err)
+	}
+	if !drep.Final.Equal(rep.Final) {
+		t.Error("distributed and sequential repairs of the twin orientation disagree")
 	}
 }
 
