@@ -1,5 +1,6 @@
-// Command lrbench runs the experiment suite E1–E12 and prints the tables
-// recorded in EXPERIMENTS.md.
+// Command lrbench runs the experiment suite E1–E12 and prints its tables.
+// The tables of the small parameter set are committed as BENCH_dist.json,
+// written by `go run ./cmd/lrbench -quick -json` with GOMAXPROCS=4.
 //
 // Usage:
 //

@@ -44,21 +44,29 @@
 // a legal sequential execution. Quiescence is detected by counting
 // in-flight tokens in batches, one rule for both planes: each shard starts
 // with one token; each cross-shard batch carries one, added before the
-// batch is sent while the sender still holds its own; and a shard retires
-// the token it holds once the batch's local cascade has run dry and its
-// outboxes are flushed. The count reaches zero only when no message is
-// pending anywhere, so every view is exact and "no node believes it is a
-// sink" implies global quiescence. A DynamicNetwork control-plane
-// message enters as a one-message batch whose token the control plane
-// counts before injecting it; DynamicNetwork.injectLocked is the one
-// function that does both, for every topology mutation and for
-// AwaitQuiescence's erasures and pokes, all under the network's one lock.
+// batch is sent while the sender still holds its own — a batch may leave
+// mid-cascade or when the cascade ends, and takes its token either way;
+// and a shard retires the token it holds once the batch's local cascade
+// has run dry and its outboxes are flushed. The count reaches zero only
+// when no message is pending anywhere, so every view is exact and "no
+// node believes it is a sink" implies global quiescence. A
+// DynamicNetwork control-plane message enters as a one-message batch whose
+// token the control plane counts before injecting it;
+// DynamicNetwork.injectLocked is the one function that does both, for
+// every topology mutation and for AwaitQuiescence's erasures and pokes,
+// all under the network's one lock.
 //
 // The transport owes these arguments two things only: every message is
 // delivered, and each receiver gets its messages in the order they were
 // put for it. Each shard is one goroutine with an inbox, an unbounded
 // locked list of batches: a put appends and never blocks, and the shard
-// takes every waiting batch at once and runs them in arrival order.
+// takes every waiting batch at once and runs them in arrival order. A
+// shard runs its local cascade one generation at a time, in FIFO order,
+// and sends its cross-shard messages while the cascade still runs: every
+// 256 local deliveries it flushes each outbox whose receiver has handled
+// every earlier batch from it, and the rest when the cascade ends, so the
+// shards of one repair work at once. One outbox leaves as one batch and
+// batches keep put order, so both orders hold.
 //
 // # Safety and liveness under network faults
 //

@@ -259,6 +259,9 @@ func dynChurnScript(c dynConfig, seed int64) (string, error) {
 	if err := net.AwaitQuiescence(); err != nil {
 		return "", err
 	}
+	if err := unreadAtRest(net.rt); err != nil {
+		return "", err
+	}
 	s := net.Snapshot()
 	return out + "| " + orientationString(s, 15), nil
 }

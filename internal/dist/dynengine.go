@@ -54,7 +54,8 @@ func (d *DynamicNetwork) startShards() {
 
 // process is the dynamic plane's message handler: it runs m on its target
 // state. Appends to the run-queue during the handler (same-shard
-// transmissions, requeues) are fine: the runtime drains by index.
+// transmissions, requeues) are fine: they join the next generation the
+// runtime drains.
 func (s *dynShard) process(m dynMsg) {
 	(*s.net.states.Load())[m.To].handle(s, m)
 }

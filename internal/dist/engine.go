@@ -22,7 +22,6 @@ type runCore struct {
 	inflight    tokens
 	steps       atomic.Int64
 	reversals   atomic.Int64
-	messages    atomic.Int64
 	acks        atomic.Int64
 	retransmits atomic.Int64
 
@@ -112,7 +111,6 @@ func (c *runCore) record(u graph.NodeID, targets int) {
 	}
 	steps := c.steps.Add(1)
 	c.reversals.Add(int64(targets))
-	c.messages.Add(int64(targets))
 	if steps > c.stepLimit {
 		c.fail(fmt.Errorf("%w: %d steps", ErrStepLimit, steps))
 	}
@@ -169,11 +167,12 @@ func (c *runCore) judgeSend(from, to graph.NodeID, seq uint32, attempt int32, ki
 // transport counters of the runtime. Callers must ensure the run has
 // quiesced (or all goroutines exited).
 func (c *runCore) snapshot() Stats {
+	reversals := int(c.reversals.Load())
 	s := Stats{
-		Messages:       int(c.messages.Load()),
+		Messages:       reversals, // one announcement per reversed edge
 		Batches:        int(c.rt.batches.Load()),
 		Steps:          int(c.steps.Load()),
-		TotalReversals: int(c.reversals.Load()),
+		TotalReversals: reversals,
 		Acks:           int(c.acks.Load()),
 		Retransmits:    int(c.retransmits.Load()),
 		Remote:         int(c.rt.remote.Load()),
@@ -209,21 +208,11 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 	// One sink per shard; the shards pick theirs up from opts.
 	opts.Observer.Attach(shards)
 	c := newRunCore(in, alg, opts, shards)
-	c.rt.start()
-
-	var ctxErr error
-	select {
-	case <-c.quiet:
-	case <-ctx.Done():
-		ctxErr = ctx.Err()
+	if err := c.run(ctx); err != nil {
+		return nil, err
 	}
-	close(c.stop)
-	c.wg.Wait()
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-	// wg.Wait happens-after every shard goroutine exit, so reading node
-	// views here is race-free.
+	// run's wg.Wait happens-after every shard goroutine exit, so reading
+	// node views here is race-free.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failure != nil {
@@ -242,6 +231,21 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 		res.Shards = opts.Observer.ShardStats()
 	}
 	return res, nil
+}
+
+// run starts the shards and waits for quiescence or the end of ctx, then
+// stops every shard goroutine and returns ctx's error, if any.
+func (c *runCore) run(ctx context.Context) error {
+	c.rt.start()
+	var err error
+	select {
+	case <-c.quiet:
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	close(c.stop)
+	c.wg.Wait()
+	return err
 }
 
 // shardMsg is one transmission in transit between nodes, normally a

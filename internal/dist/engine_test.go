@@ -20,8 +20,8 @@ import (
 // Both planes clamp Shards to the (initial) node count, so every topology
 // of up to perNodeShards nodes runs one node per shard — each node on its
 // own goroutine with its own inbox — and larger ones run perNodeShards
-// shards, which keeps the dense per-shard outbox tables (n² pointers at
-// one node per shard) affordable.
+// shards, which keeps the dense per-shard outbox and unread tables (n²
+// slots each at one node per shard) affordable.
 const perNodeShards = 2048
 
 // perNodeName labels the per-node configuration in subtest names.
@@ -270,7 +270,8 @@ var agreeVariants = []Options{
 
 // requireSequentialFinal runs alg on in under opts and requires the final
 // orientation and reversal count of the sequential oracle (sequentialFinal)
-// — the check that does not trust any part of the runtime under test.
+// — the check that does not trust any part of the runtime under test — and
+// one message per reversed edge, as Stats.Messages is defined for Run.
 func requireSequentialFinal(t *testing.T, in *core.Init, alg Algorithm, opts Options, want *graph.Orientation, wantRev int) {
 	t.Helper()
 	res, err := RunWith(context.Background(), in, alg, opts)
@@ -282,6 +283,9 @@ func requireSequentialFinal(t *testing.T, in *core.Init, alg Algorithm, opts Opt
 	}
 	if res.Stats.TotalReversals != wantRev {
 		t.Errorf("%v/%+v: %d reversals, sequential automaton %d", alg, opts, res.Stats.TotalReversals, wantRev)
+	}
+	if res.Stats.Messages != res.Stats.TotalReversals {
+		t.Errorf("%v/%+v: %d messages, want one per reversed edge (%d)", alg, opts, res.Stats.Messages, res.Stats.TotalReversals)
 	}
 }
 

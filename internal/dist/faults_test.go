@@ -63,6 +63,10 @@ func TestFaultyRunsMatchFaultFree(t *testing.T) {
 							t.Errorf("adversarial reversals %d != fault-free %d",
 								res.Stats.TotalReversals, ref.Stats.TotalReversals)
 						}
+						if res.Stats.Messages != res.Stats.TotalReversals {
+							t.Errorf("messages %d != reversals %d: retransmissions are not messages",
+								res.Stats.Messages, res.Stats.TotalReversals)
+						}
 						if res.Stats.Messages > 0 && res.Stats.Acks == 0 {
 							t.Error("traffic flowed but no acknowledgements were sent")
 						}

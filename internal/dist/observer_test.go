@@ -138,6 +138,32 @@ func TestObserverShardSums(t *testing.T) {
 	}
 }
 
+// TestRepairOverlapsShards pins the two transport rules on a repair: a PR
+// repair of a 64×64 grid on two block shards, where one shard's cascade
+// produces the boundary messages. Its first boundary messages must leave
+// while that cascade runs, so the run sends at least two batches, and the
+// run-queue must hold one generation of the cascade, a grid wavefront,
+// not the whole of it (about 4,000 messages).
+func TestRepairOverlapsShards(t *testing.T) {
+	in := workload.Grid(64, 64).MustInit()
+	opts := Options{Shards: 2, Partition: PartitionBlock, RecordTrace: TraceOff, Observer: obs.New()}
+	res, err := RunWith(context.Background(), in, PartialReversal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peaks := make([]int64, 0, len(res.Shards))
+	for _, s := range res.Shards {
+		peaks = append(peaks, s.RunQueuePeak)
+		if s.RunQueuePeak >= 128 {
+			t.Errorf("shard %d: run-queue generation peaked at %d, want < 128", s.Shard, s.RunQueuePeak)
+		}
+	}
+	t.Logf("%d batches; run-queue peaks by shard (control plane last): %v", res.Stats.Batches, peaks)
+	if res.Stats.Batches < 2 {
+		t.Errorf("%d cross-shard batches, want ≥ 2: the boundary messages waited for the end of the cascade", res.Stats.Batches)
+	}
+}
+
 // TestObserverEventsRecorded checks the flight recorder catches the
 // protocol: a BadChain FR run is all reversals and deliveries, and with
 // Sample=1 and a large ring every one of them is retained up to ring

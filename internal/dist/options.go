@@ -133,8 +133,9 @@ type Options struct {
 	// Shards is the number of shard goroutines, clamped to the node count;
 	// 0 means GOMAXPROCS. Shards ≥ n gives one node per shard: every node
 	// runs on its own goroutine with its own inbox, the finest-grained
-	// asynchrony the runtime offers. Each shard keeps one outbox slot per
-	// shard, so that setting costs n² pointers (8 MB at 1k nodes).
+	// asynchrony the runtime offers. Each shard keeps one outbox slot and
+	// one unread-batch count per shard, so that setting costs n² pointers
+	// and n² counts (12 MB at 1k nodes).
 	Shards int
 	// Partition selects the node-to-shard assignment; 0 means
 	// PartitionBlock.

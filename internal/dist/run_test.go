@@ -61,8 +61,8 @@ func TestRunQuiescesOnAllTopologies(t *testing.T) {
 					if !graph.IsDestinationOriented(res.Final, topo.Dest) {
 						t.Error("final orientation is not destination oriented")
 					}
-					if res.Stats.Messages < res.Stats.TotalReversals {
-						t.Errorf("messages %d < reversals %d", res.Stats.Messages, res.Stats.TotalReversals)
+					if res.Stats.Messages != res.Stats.TotalReversals {
+						t.Errorf("messages %d != reversals %d", res.Stats.Messages, res.Stats.TotalReversals)
 					}
 					// Batches counts transport handoffs; with a fault
 					// adversary those include acks, retransmissions and

@@ -12,13 +12,14 @@ import (
 // tokens is the in-flight token count both planes detect quiescence by.
 // The rule is counted in batches, not messages: each shard starts with one
 // token; each cross-shard batch carries one, added before the batch is sent
-// while the sending shard still holds its own; and a shard retires the
-// token it holds once the batch's local cascade has run dry and its
-// outboxes are flushed. Intra-shard messages, fault-plane duplicates and
-// holdback requeues ride on the token of the shard that runs them. The
-// count therefore reaches zero only when no message exists anywhere and no
-// shard is mid-cascade, and onZero runs at that crossing, in the goroutine
-// whose retirement caused it.
+// while the sending shard still holds its own — whether the batch leaves
+// mid-cascade or at the end of it; and a shard retires the token it holds
+// once the batch's local cascade has run dry and its outboxes are flushed.
+// Intra-shard messages, fault-plane duplicates and holdback requeues ride
+// on the token of the shard that runs them. The count therefore reaches
+// zero only when no message exists anywhere and no shard is mid-cascade,
+// and onZero runs at that crossing, in the goroutine whose retirement
+// caused it.
 type tokens struct {
 	n      atomic.Int64
 	onZero func()
@@ -44,6 +45,10 @@ func (t *tokens) idle() bool { return t.n.Load() == 0 }
 // recycled at whatever capacity the traffic grew them to.
 type batch[M any] struct {
 	msgs []M
+	// unread is the sender's count of its batches the receiver has not yet
+	// handled (worker.unread); the receiver lowers it once it has handled
+	// msgs. nil for a control-plane batch, which no shard waits on.
+	unread *atomic.Int32
 }
 
 // inbox is a shard's ingress: the batches other shards and the control
@@ -89,7 +94,10 @@ func (in *inbox[M]) take(buf []*batch[M]) []*batch[M] {
 
 // drainStopCheck is how many local deliveries a shard processes between
 // polls of the stop channel. It bounds cancellation latency during long
-// intra-shard cascades without paying a select per message.
+// intra-shard cascades without paying a select per message, and it is the
+// cadence of the mid-cascade flush: at each poll after a drain's first,
+// the outboxes whose receivers have handled every earlier batch go out
+// (worker.flush).
 const drainStopCheck = 256
 
 // shardRuntime is the worker pool both planes run on. Nodes are
@@ -97,9 +105,11 @@ const drainStopCheck = 256
 // state outright and delivers intra-shard messages through a plain slice
 // run-queue with no channel or lock on the path. Only cross-shard traffic
 // touches the transport: it accumulates in per-destination outboxes and
-// travels as pooled batches through each receiver's inbox. Each shard is
-// one goroutine; one node per shard gives every node its own goroutine
-// and inbox — per-node asynchrony.
+// travels as pooled batches through each receiver's inbox, leaving while
+// the sender's cascade still runs whenever the receiver has caught up, so
+// the shards of one repair overlap. Each shard is one goroutine; one node
+// per shard gives every node its own goroutine and inbox — per-node
+// asynchrony.
 //
 // A plane supplies its message type M and, per shard, the handler of one
 // delivered message and the shard's initial acts (worker.handle and
@@ -120,17 +130,29 @@ type shardRuntime[M any] struct {
 }
 
 // worker is one shard of a shardRuntime. Its fields are owned by the shard
-// goroutine, except the inbox, which senders put into.
+// goroutine, except the inbox, which senders put into, and the unread
+// counts, which receivers lower.
 type worker[M any] struct {
 	rt *shardRuntime[M]
 	id int
 	// local is the run-queue of intra-shard deliveries, appended by route
-	// and consumed in FIFO order by drain. Its backing array is reused
-	// across drains.
-	local []M
+	// and by the planes' requeues. drain runs it one generation at a time:
+	// it swaps the queue out for spare, runs that generation in order while
+	// the next one collects in local, and keeps the generation's array as
+	// the next spare. Generation after generation is exactly FIFO, and the
+	// two backing arrays stay as large as the widest generation, not the
+	// whole cascade.
+	local, spare []M
 	// out[d] is the outbox of messages bound for shard d — a pooled batch,
-	// taken lazily on first write and handed off whole at flush.
-	out []*batch[M]
+	// taken lazily on first write and handed off whole at flush. pending
+	// lists the shards whose outbox is non-empty, so a flush visits those
+	// alone, not a table as long as the shard count.
+	out     []*batch[M]
+	pending []int
+	// unread[d] counts the batches this shard has put for shard d that d
+	// has not yet handled: raised at put, lowered by the receiver. It is
+	// the clock of the mid-cascade flush, and zero at rest.
+	unread []atomic.Int32
 	// in receives the batches bound for this shard.
 	in *inbox[M]
 	// obs is this shard's telemetry sink, nil unless the plane's Observer
@@ -156,11 +178,12 @@ func newShardRuntime[M any](part partitioner, tok *tokens, stop chan struct{}, w
 	rt.pool.New = func() any { return new(batch[M]) }
 	for i := range rt.workers {
 		rt.workers[i] = &worker[M]{
-			rt:  rt,
-			id:  i,
-			out: make([]*batch[M], part.shards),
-			in:  newInbox[M](),
-			obs: o.Shard(i), // nil when no observer is armed
+			rt:     rt,
+			id:     i,
+			out:    make([]*batch[M], part.shards),
+			unread: make([]atomic.Int32, part.shards),
+			in:     newInbox[M](),
+			obs:    o.Shard(i), // nil when no observer is armed
 		}
 	}
 	return rt
@@ -182,6 +205,7 @@ func (rt *shardRuntime[M]) getBatch() *batch[M] { return rt.pool.Get().(*batch[M
 
 func (rt *shardRuntime[M]) recycle(b *batch[M]) {
 	b.msgs = b.msgs[:0]
+	b.unread = nil
 	rt.pool.Put(b)
 }
 
@@ -207,21 +231,18 @@ func (w *worker[M]) route(to graph.NodeID, m M) {
 		if b == nil {
 			b = w.rt.getBatch()
 			w.out[d] = b
+			w.pending = append(w.pending, d)
 		}
 		b.msgs = append(b.msgs, m)
 		return
 	}
 	w.local = append(w.local, m)
-	if w.obs != nil {
-		w.obs.RunQueue(len(w.local))
-	}
 }
 
 // loop is the shard goroutine: run the shard's initial acts, then serve
 // incoming batches until shutdown. Each wake-up takes every waiting batch
-// and runs them in arrival order. The start token is retired after the
-// initial cascade, each batch's token after that batch is fully processed —
-// at which point the batch buffer goes back to the pool.
+// and runs them in arrival order (receive). The start token is retired
+// after the initial cascade.
 func (w *worker[M]) loop() {
 	defer w.rt.wg.Done()
 	// With an observer armed, the worker's wall clock is split into busy
@@ -256,48 +277,91 @@ func (w *worker[M]) loop() {
 			w.obs.Mailbox(len(taken))
 		}
 		for _, b := range taken {
-			for _, m := range b.msgs {
-				w.handle(m)
-			}
-			w.rt.recycle(b)
-			if !w.drain() {
+			if !w.receive(b) {
 				return
 			}
-			w.rt.tokens.done()
 		}
 		clear(taken) // the slice goes back to the inbox as its next queue
 	}
 }
 
-// drain runs the local queue to exhaustion — deliveries may enqueue
-// further local messages, so the length is re-read every iteration — and
-// then flushes the outboxes. It reports false if the runtime stopped, in
-// which case the shard goroutine must exit immediately.
-func (w *worker[M]) drain() bool {
-	for i := 0; i < len(w.local); i++ {
-		if i%drainStopCheck == 0 && w.rt.stopped() {
-			return false
-		}
-		w.handle(w.local[i])
+// receive runs one batch taken from the inbox: its messages in order, then
+// the local cascade they start. Once the messages are handled, the
+// sender's unread count drops, so its next flush may send this shard a new
+// batch, and the buffer goes back to the pool; the batch's token is
+// retired after the drain. It reports false if the runtime stopped.
+func (w *worker[M]) receive(b *batch[M]) bool {
+	for _, m := range b.msgs {
+		w.handle(m)
 	}
-	w.local = w.local[:0]
-	w.flush()
+	if b.unread != nil {
+		b.unread.Add(-1)
+	}
+	w.rt.recycle(b)
+	if !w.drain() {
+		return false
+	}
+	w.rt.tokens.done()
 	return true
 }
 
-// flush sends every non-empty outbox to its destination shard as a single
-// batch. The batch's in-flight token is added before the put, so the
-// count can never reach zero while a batch exists; the receiving shard
-// retires the token after fully processing the batch and returns the
-// buffer to the pool. The transport counters fold in once per flush, never
-// per message.
-func (w *worker[M]) flush() {
+// drain runs the local queue to exhaustion, one generation at a time —
+// deliveries may enqueue further local messages, which form the next
+// generation — and then flushes every outbox. It polls the stop channel
+// before the first delivery and after every drainStopCheck deliveries,
+// and at each of those later polls flushes the outboxes whose receivers
+// have caught up, so a long cascade's cross-shard messages leave while it
+// runs; a shorter one sends them all at its end. It reports false if the
+// runtime stopped, in which case the shard goroutine must exit
+// immediately.
+func (w *worker[M]) drain() bool {
+	for n := 0; len(w.local) > 0; {
+		gen := w.local
+		w.local = w.spare[:0]
+		if w.obs != nil {
+			w.obs.RunQueue(len(gen))
+		}
+		for _, m := range gen {
+			if n%drainStopCheck == 0 {
+				if w.rt.stopped() {
+					return false
+				}
+				if n > 0 {
+					w.flush(false)
+				}
+			}
+			n++
+			w.handle(m)
+		}
+		w.spare = gen
+	}
+	w.flush(true)
+	return true
+}
+
+// flush sends non-empty outboxes to their destination shards, each as a
+// single batch: every one of them when all is set (the end of a drain),
+// otherwise only those whose receiver has handled every earlier batch from
+// this shard. The clock keeps a busy receiver from being sent a stream of
+// small batches — its messages collect into one larger batch instead — and
+// one outbox leaving as one batch, in put order, keeps each receiver's
+// messages in the order they were routed. The batch's in-flight token is
+// added before the put, so the count can never reach zero while a batch
+// exists; the receiving shard retires the token after fully processing
+// the batch and returns the buffer to the pool. The transport counters
+// fold in once per flush, never per message.
+func (w *worker[M]) flush(all bool) {
 	batches, msgs := 0, 0
-	for d, b := range w.out {
-		if b == nil {
+	held := w.pending[:0]
+	for _, d := range w.pending {
+		if !all && w.unread[d].Load() != 0 {
+			held = append(held, d)
 			continue
 		}
+		b := w.out[d]
 		w.rt.tokens.add(1)
+		w.unread[d].Add(1)
+		b.unread = &w.unread[d]
 		batches++
 		msgs += len(b.msgs)
 		if w.obs != nil {
@@ -306,6 +370,7 @@ func (w *worker[M]) flush() {
 		w.rt.workers[d].in.put(b)
 		w.out[d] = nil // the receiving shard owns the batch now
 	}
+	w.pending = held
 	if batches > 0 {
 		w.rt.batches.Add(int64(batches))
 		w.rt.remote.Add(int64(msgs))

@@ -1,6 +1,7 @@
-// Package experiments regenerates every table of EXPERIMENTS.md: one
-// function per experiment E1–E12, each returning a trace.Table with the rows
-// reported there. Parameters are explicit so benchmarks can scale them.
+// Package experiments computes the experiment suite E1–E12: one function
+// per experiment, each returning a trace.Table. Parameters are explicit so
+// benchmarks can scale them. BENCH_dist.json holds the tables of the small
+// parameter set, as `go run ./cmd/lrbench -quick -json` writes them.
 package experiments
 
 import (
@@ -20,8 +21,7 @@ import (
 	"linkreversal/internal/workload"
 )
 
-// Suite bundles the experiment parameters; zero value = the defaults used
-// in EXPERIMENTS.md.
+// Suite bundles the experiment parameters (Defaults returns the full set).
 type Suite struct {
 	// Sizes for the acyclicity/invariant sweeps (graph node counts).
 	Sizes []int
@@ -40,7 +40,8 @@ type Suite struct {
 	Faults *faults.Adversary
 }
 
-// Defaults returns the parameter set recorded in EXPERIMENTS.md.
+// Defaults returns the full parameter set, which lrbench runs without
+// -quick.
 func Defaults() Suite {
 	return Suite{
 		Sizes:       []int{8, 16, 32, 64},

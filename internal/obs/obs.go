@@ -119,7 +119,7 @@ type ShardStats struct {
 	Retransmits  int64 `json:"retransmits"`
 	Batches      int64 `json:"batches"`      // cross-shard batches flushed
 	BatchMsgs    int64 `json:"batch_msgs"`   // cross-shard messages inside those batches (fill = BatchMsgs/Batches)
-	RunQueuePeak int64 `json:"runq_peak"`    // intra-shard run-queue depth high-water
+	RunQueuePeak int64 `json:"runq_peak"`    // largest intra-shard run-queue generation
 	MailboxPeak  int64 `json:"mailbox_peak"` // most batches waiting in the inbox at a wake-up
 	BusyNS       int64 `json:"busy_ns"`      // worker nanos spent processing
 	IdleNS       int64 `json:"idle_ns"`      // worker nanos spent waiting for input
@@ -442,7 +442,9 @@ func (s *Shard) Batch(n int) {
 	s.batchMsgs.Add(int64(n))
 }
 
-// RunQueue raises the intra-shard run-queue depth high-water mark.
+// RunQueue raises the high-water mark of the intra-shard run-queue's
+// generations: the runtime reports each generation's length once, when it
+// starts running it.
 func (s *Shard) RunQueue(depth int) {
 	if s == nil {
 		return

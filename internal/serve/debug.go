@@ -161,7 +161,7 @@ func renderShardMetrics(w io.Writer, o *obs.Observer) {
 		func(s obs.ShardStats) int64 { return s.Events })
 	counter("lrd_shard_events_sampled_total", "Protocol events retained after deterministic sampling.",
 		func(s obs.ShardStats) int64 { return s.Sampled })
-	gauge("lrd_shard_runq_peak", "High-water mark of the shard's local run-queue.",
+	gauge("lrd_shard_runq_peak", "Largest generation of the shard's local run-queue so far.",
 		func(s obs.ShardStats) float64 { return float64(s.RunQueuePeak) })
 	gauge("lrd_shard_mailbox_peak", "Most batches waiting in the shard's inbox when it woke.",
 		func(s obs.ShardStats) float64 { return float64(s.MailboxPeak) })

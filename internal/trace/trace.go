@@ -1,6 +1,8 @@
 // Package trace provides execution metrics and plain-text/CSV/JSON table
 // rendering for the experiment harness. Tables are the unit of output for
-// every experiment in EXPERIMENTS.md: one Table per paper claim.
+// every experiment of the suite E1–E12 (internal/experiments): one Table
+// per paper claim. BENCH_dist.json holds the tables of
+// `go run ./cmd/lrbench -quick -json`.
 package trace
 
 import (
@@ -170,12 +172,12 @@ func F(v float64) Cell { return Cell{s: strconv.FormatFloat(v, 'f', 2, 64)} }
 // String returns the rendered cell value.
 func (c Cell) String() string { return c.s }
 
-// Table is a simple column-aligned table with a title, matching the layout
-// of the experiment outputs recorded in EXPERIMENTS.md. Scenario and Seed
-// optionally record the run's provenance — the fault scenario and the PRNG
-// seed every row is replayable from — and travel with the JSON rendering,
-// so an archived benchmark artifact identifies its own reproduction
-// coordinates.
+// Table is a simple column-aligned table with a title: one experiment's
+// output, as lrbench prints it and BENCH_dist.json records it. Scenario
+// and Seed optionally record the run's provenance — the fault scenario and
+// the PRNG seed every row is replayable from — and travel with the JSON
+// rendering, so an archived benchmark artifact identifies its own
+// reproduction coordinates.
 type Table struct {
 	Title    string
 	Columns  []string
