@@ -290,6 +290,37 @@ func BenchmarkDistMillion(b *testing.B) {
 	}
 }
 
+// BenchmarkResultCheck compares the two ways to check a repair's result on
+// a repaired 1000×1000 grid: graph.DestinationDAG, the one Kahn pass that
+// RunDistributedWith, Run and the hunter's oracle call, against the
+// IsAcyclic and IsDestinationOriented calls it replaced, each a walk over
+// every node and slot.
+func BenchmarkResultCheck(b *testing.B) {
+	topo := lr.Grid(1000, 1000)
+	rep, err := lr.RunDistributedWith(context.Background(), topo, lr.DistPR,
+		lr.DistOptions{RecordTrace: lr.DistTraceOff})
+	if err != nil {
+		b.Fatal(err)
+	}
+	final := rep.Final
+	b.Run("one-pass", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if acyclic, oriented := graph.DestinationDAG(final, topo.Dest); !acyclic || !oriented {
+				b.Fatal("repaired grid fails the check")
+			}
+		}
+	})
+	b.Run("two-calls", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if !graph.IsAcyclic(final) || !graph.IsDestinationOriented(final, topo.Dest) {
+				b.Fatal("repaired grid fails the check")
+			}
+		}
+	})
+}
+
 // BenchmarkE9Rounds measures greedy-round executions on both worst-case
 // chains (parallel-time experiment E9).
 func BenchmarkE9Rounds(b *testing.B) {

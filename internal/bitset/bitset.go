@@ -15,7 +15,8 @@
 // Neither shape synchronizes. Views carved from the same backing array may
 // share boundary words, so two views written by different goroutines race
 // unless the carver word-aligns the boundary between their owners — which
-// is exactly what newNodeTable does at shard-ownership boundaries.
+// is exactly what newNodeTable lays out at shard-ownership boundaries, so
+// each shard can fill and run its own nodes' views.
 package bitset
 
 import "math/bits"

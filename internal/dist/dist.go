@@ -16,7 +16,11 @@
 //     shard goroutines (default GOMAXPROCS) and cross-shard traffic
 //     travels in batches. Shards ≥ n gives one node per shard, so every
 //     node runs on its own goroutine with its own inbox: per-node
-//     asynchrony.
+//     asynchrony. RunWith only lays out the run's node table, with each
+//     shard's bit views word-aligned; each shard fills its own nodes'
+//     entries (peer slots, initial views, NewPR's parity sets) when its
+//     goroutine starts, before its first step, and counts its own steps
+//     and messages, which RunWith adds up once the shards have exited.
 //
 //   - DynamicNetwork runs the height-based (Gafni–Bertsekas pair) protocol
 //     over a topology that changes at runtime: links are added and failed,

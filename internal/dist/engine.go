@@ -3,9 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
-	"sync/atomic"
 
 	"linkreversal/internal/core"
 	"linkreversal/internal/faults"
@@ -13,17 +11,13 @@ import (
 )
 
 // runCore is one RunWith invocation: the run's nodes on a shardRuntime of
-// shardMsg, and the accounting their shards share. The hot-path counters —
-// statistics and the in-flight tokens that detect quiescence — are plain
-// atomics, so steps on different shards never serialize through a lock.
-// Only the optional trace (and the failure slot) sit behind mu: when
+// shardMsg, and what their shards share. The in-flight tokens that detect
+// quiescence are an atomic count; the statistics are plain fields of each
+// shard, folded once the shards have exited, so a step touches no shared
+// word. Only the optional trace (and the failure slot) sit behind mu: when
 // Options.RecordTrace is off, the mutex is never taken after construction.
 type runCore struct {
-	inflight    tokens
-	steps       atomic.Int64
-	reversals   atomic.Int64
-	acks        atomic.Int64
-	retransmits atomic.Int64
+	inflight tokens
 
 	stepLimit   int64
 	recordTrace bool
@@ -32,6 +26,9 @@ type runCore struct {
 	inj   *faults.Injector
 	rt    *shardRuntime[shardMsg]
 	nodes *nodeTable
+	// shards are the static plane's views of rt's workers; snapshot adds
+	// up their counters.
+	shards []*shard
 
 	mu      sync.Mutex // guards trace and failure only
 	trace   []graph.NodeID
@@ -44,7 +41,8 @@ type runCore struct {
 }
 
 // newRunCore builds the run of alg on in's topology over shards shards;
-// RunWith starts it.
+// RunWith starts it. Only the node table's layout is built here: each
+// shard fills its own nodes' entries when its goroutine starts.
 func newRunCore(in *core.Init, alg Algorithm, opts Options, shards int) *runCore {
 	g := in.Graph()
 	n := g.NumNodes()
@@ -66,54 +64,21 @@ func newRunCore(in *core.Init, alg Algorithm, opts Options, shards int) *runCore
 	// boundaries between shards, so it needs the ownership map up front.
 	part := newPartitioner(opts.Partition, n, shards, g.Neighbors)
 	c.rt = newShardRuntime[shardMsg](part, &c.inflight, c.stop, &c.wg, opts.Observer)
-	c.nodes = newNodeTable(in, alg, c.inj != nil, part.shardOf)
-	// members lists the nodes shard by shard, ascending within a shard:
-	// shard d runs members[start[d]:start[d+1]].
-	start := make([]int, shards+1)
-	for u := range n {
-		start[part.shardOf(graph.NodeID(u))+1]++
-	}
-	for d := range shards {
-		start[d+1] += start[d]
-	}
-	members := make([]graph.NodeID, n)
-	next := slices.Clone(start)
-	for u := range n {
-		d := part.shardOf(graph.NodeID(u))
-		members[next[d]] = graph.NodeID(u)
-		next[d]++
-	}
+	nodes, members := newNodeTable(in, alg, c.inj != nil, part)
+	c.nodes = nodes
+	c.shards = make([]*shard, shards)
 	for i, w := range c.rt.workers {
 		s := &shard{worker: w, run: c}
+		c.shards[i] = s
 		w.handle = s.process
 		w.initial = func() {
-			for _, u := range members[start[i]:start[i+1]] {
+			c.nodes.fill(in, members[i])
+			for _, u := range members[i] {
 				c.nodes.act(s, u)
 			}
 		}
 	}
 	return c
-}
-
-// record marks the beginning of a step by node u that reverses the edges to
-// targets neighbours: it appends the step to the global linearization (when
-// trace recording is on) and updates the statistics. No in-flight token is
-// taken per message (see tokens). The caller must hand the step's messages
-// to the transport only after record returns: recording before sending is
-// what makes the trace a legal sequential execution — any later step
-// enabled by one of these reversals happens after its message is delivered,
-// hence after this append.
-func (c *runCore) record(u graph.NodeID, targets int) {
-	if c.recordTrace {
-		c.mu.Lock()
-		c.trace = append(c.trace, u)
-		c.mu.Unlock()
-	}
-	steps := c.steps.Add(1)
-	c.reversals.Add(int64(targets))
-	if steps > c.stepLimit {
-		c.fail(fmt.Errorf("%w: %d steps", ErrStepLimit, steps))
-	}
 }
 
 // fail records the first failure and forces the run to unblock.
@@ -132,51 +97,20 @@ func (c *runCore) fail(err error) {
 // plane crosses zero at most once.
 func (c *runCore) unblock() { c.quietOnce.Do(func() { close(c.quiet) }) }
 
-// countSend records the reliability-layer cost of one transmission before
-// it is judged by the injector: retransmitted payloads and acknowledgements
-// are counted here so the Stats are exact regardless of the transmission's
-// fate.
-func (c *runCore) countSend(kind msgKind, attempt int32) {
-	switch {
-	case kind == msgAck:
-		c.acks.Add(1)
-	case kind == msgData && attempt > 0:
-		c.retransmits.Add(1)
-	}
-}
-
-// judgeSend is the accounting half of a faulty transmission: it counts
-// the reliability traffic and consults the injector. dropped reports the
-// transmission was lost; notify that the shard must route a loss
-// notification back to the sender (payload drops only — lost acks are
-// silently gone, the payload's own retransmission path recovers). The fate
-// carries the duplication and holdback of delivered transmissions.
-func (c *runCore) judgeSend(from, to graph.NodeID, seq uint32, attempt int32, kind msgKind) (f faults.Fate, dropped, notify bool) {
-	c.countSend(kind, attempt)
-	f = c.inj.Judge(
-		faults.Link{From: from, To: to},
-		faults.Msg{Seq: uint64(seq), Attempt: int(attempt), Ack: kind == msgAck},
-	)
-	if f.Drop {
-		return f, true, kind != msgAck
-	}
-	return f, false, false
-}
-
-// snapshot assembles the Stats from the atomic counters and the
-// transport counters of the runtime. Callers must ensure the run has
-// quiesced (or all goroutines exited).
+// snapshot assembles the Stats from the shards' counters, the transport
+// counters of the runtime and the injector's. Callers must ensure all
+// shard goroutines have exited.
 func (c *runCore) snapshot() Stats {
-	reversals := int(c.reversals.Load())
-	s := Stats{
-		Messages:       reversals, // one announcement per reversed edge
-		Batches:        int(c.rt.batches.Load()),
-		Steps:          int(c.steps.Load()),
-		TotalReversals: reversals,
-		Acks:           int(c.acks.Load()),
-		Retransmits:    int(c.retransmits.Load()),
-		Remote:         int(c.rt.remote.Load()),
+	var s Stats
+	for _, sh := range c.shards {
+		s.Steps += int(sh.steps)
+		s.TotalReversals += int(sh.reversals)
+		s.Acks += int(sh.acks)
+		s.Retransmits += int(sh.retransmits)
 	}
+	s.Messages = s.TotalReversals // one announcement per reversed edge
+	s.Batches = int(c.rt.batches.Load())
+	s.Remote = int(c.rt.remote.Load())
 	if c.inj != nil {
 		fs := c.inj.Snapshot()
 		s.Drops, s.Dups, s.Held = fs.Drops, fs.Dups, fs.Held
@@ -274,43 +208,71 @@ type shardMsg struct {
 }
 
 // shard is the static plane's view of one runtime worker: the protocol
-// rules of run.go hand it their steps and messages. nodes' views are read
-// by RunWith only after the WaitGroup drained.
+// rules of run.go hand it their steps and messages. Its counters are its
+// share of the run's Stats; only the shard goroutine writes them, and
+// runCore.snapshot reads them after the WaitGroup drained, as RunWith
+// reads the nodes' views.
 type shard struct {
 	*worker[shardMsg]
 	run *runCore
+
+	steps, reversals, acks, retransmits int64
 }
 
-// announce records one step by a node of this shard. When trace recording
-// is on, steps are appended to the shared trace under the core mutex before
-// any of their messages moves (the run-queue and outboxes are drained only
-// after announce returns), which is what makes the trace a legal
-// sequential execution.
+// announce records one step by a node of this shard that reverses the
+// edges to targets neighbours: it counts the step against the run's step
+// budget and, when trace recording is on, appends it to the shared trace
+// under the core mutex. No in-flight token is taken per message (see
+// tokens). The step's messages move only after announce returns (the
+// run-queue and outboxes are drained later): recording before sending is
+// what makes the trace a legal sequential execution — any later step
+// enabled by one of these reversals happens after its message is
+// delivered, hence after this append.
 func (s *shard) announce(u graph.NodeID, targets int) {
-	s.run.record(u, targets)
+	c := s.run
+	if c.recordTrace {
+		c.mu.Lock()
+		c.trace = append(c.trace, u)
+		c.mu.Unlock()
+	}
+	s.steps++
+	s.reversals += int64(targets)
+	if s.steps > c.stepLimit {
+		c.fail(fmt.Errorf("%w: %d steps", ErrStepLimit, s.steps))
+	}
 	if s.obs != nil {
 		s.obs.Step(u, targets)
 	}
 }
 
-// send routes one transmission through the fault injector (judgeSend):
-// dropped payloads become loss notifications back to the sender — which is
-// always a node this shard owns, so the nack lands in the local run-queue
-// — and surviving copies (plus duplicates) are routed with their holdback.
-// Batch-token quiescence already covers all of this traffic, so no extra
-// tokens are needed.
+// send routes one transmission through the fault injector. It first
+// counts the reliability-layer cost — retransmitted payloads and
+// acknowledgements — so the Stats are exact whatever the transmission's
+// fate. A dropped payload becomes a loss notification back to the sender,
+// which is always a node this shard owns, so the nack lands in the local
+// run-queue; a lost ack is silently gone, the payload's own retransmission
+// path recovers. Surviving copies (plus duplicates) are routed with their
+// holdback. Batch-token quiescence already covers all of this traffic, so
+// no extra tokens are needed.
 func (s *shard) send(from graph.NodeID, fromSlot int32, to graph.NodeID, toSlot int32, seq uint32, attempt int32, kind msgKind) {
-	f, dropped, notify := s.run.judgeSend(from, to, seq, attempt, kind)
-	if s.obs != nil {
-		switch {
-		case kind == msgAck:
+	switch {
+	case kind == msgAck:
+		s.acks++
+		if s.obs != nil {
 			s.obs.Ack(from, to, int64(seq))
-		case kind == msgData && attempt > 0:
+		}
+	case kind == msgData && attempt > 0:
+		s.retransmits++
+		if s.obs != nil {
 			s.obs.Retransmit(from, to, int64(seq))
 		}
 	}
-	if dropped {
-		if notify {
+	f := s.run.inj.Judge(
+		faults.Link{From: from, To: to},
+		faults.Msg{Seq: uint64(seq), Attempt: int(attempt), Ack: kind == msgAck},
+	)
+	if f.Drop {
+		if kind != msgAck {
 			s.local = append(s.local, shardMsg{To: from, Slot: fromSlot, Seq: seq, Kind: msgNack})
 			if s.obs != nil {
 				s.obs.Nack(from, to, int64(seq))

@@ -92,9 +92,9 @@ const (
 	// the internal/core automata — the cross-check used by the verification
 	// suites.
 	TraceRecorded Trace = iota + 1
-	// TraceOff disables trace recording: steps touch only atomic counters,
-	// removing the last lock from the hot path, and no O(steps) trace slice
-	// is retained — which is what makes million-node runs fit in memory.
+	// TraceOff disables trace recording: a step touches only its own
+	// shard's counters, removing the last lock and the last shared write
+	// from the hot path, and no O(steps) trace slice is retained — which is what makes million-node runs fit in memory.
 	// Result.Trace is nil; the final orientation and Stats are unaffected
 	// (link reversal is confluent, so they are functions of the input
 	// alone). What is lost is replayability: without the trace there is
@@ -118,8 +118,11 @@ func (t Trace) String() string {
 var ErrBadOption = errors.New("dist: invalid option")
 
 // stepLimitSlack is the additive slack of RunWith's runaway-step budget
-// 200·n² + slack. Exceeding the budget aborts the run with ErrStepLimit;
-// it indicates an engine bug, not a property of the algorithms.
+// 200·n² + slack. Each shard holds its own step count to the budget, so a
+// runaway shard trips it as before, while a run whose steps spread over
+// several shards may take up to that many budgets before one of them
+// does. Exceeding the budget aborts the run with ErrStepLimit; it
+// indicates an engine bug, not a property of the algorithms.
 const stepLimitSlack = 200
 
 // Options tunes RunWith. The zero value runs GOMAXPROCS shards with block

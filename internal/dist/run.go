@@ -110,18 +110,19 @@ type relTable struct {
 	retries []int32
 }
 
-// newNodeTable builds the node table of alg on in's topology. The peer
-// slots and the initial views are read once, here, by slot, which is what
-// lets every delivered message skip the neighbour lookup forever after.
-// With reliable set (a fault adversary is armed), the table also gets the
-// slot-indexed ack/retransmit state.
+// newNodeTable lays out the node table of alg on in's topology for part's
+// shards and lists each shard's members, ascending. It sets every node's
+// first slot and first bit and allocates the run-wide arrays; the entries
+// themselves are filled by fill, one shard at a time. With reliable set (a
+// fault adversary is armed), the table also gets the slot-indexed
+// ack/retransmit state.
 //
-// owner maps a node to the shard that runs it; consecutive nodes with the
-// same owner pack their bits densely into shared words, and the layout
-// inserts word-alignment padding wherever the owner changes, so two shards
-// never write the same backing word — the shards need no synchronization
+// Consecutive nodes of one shard pack their bits densely into shared
+// words, and the layout inserts word-alignment padding wherever the owner
+// changes, so two shards never write the same backing word — neither when
+// they fill their entries nor when they run — and need no synchronization
 // on the views.
-func newNodeTable(in *core.Init, alg Algorithm, reliable bool, owner func(graph.NodeID) int) *nodeTable {
+func newNodeTable(in *core.Init, alg Algorithm, reliable bool, part partitioner) (*nodeTable, [][]graph.NodeID) {
 	g := in.Graph()
 	n := g.NumNodes()
 	slots := 2 * g.NumEdges()
@@ -132,11 +133,17 @@ func newNodeTable(in *core.Init, alg Algorithm, reliable bool, owner func(graph.
 		node: make([]runNode, n+1),
 		peer: make([]int32, slots),
 	}
-	slot, bit := 0, 0
+	// start[d+1] counts shard d's nodes, then becomes where its members
+	// end in all.
+	start := make([]int, part.shards+1)
+	slot, bit, prev := 0, 0, 0
 	for u := range n {
-		if u > 0 && owner(graph.NodeID(u)) != owner(graph.NodeID(u-1)) {
+		d := part.shardOf(graph.NodeID(u))
+		if u > 0 && d != prev {
 			bit = bitset.Align(bit)
 		}
+		prev = d
+		start[d+1]++
 		t.node[u] = runNode{slot: slot, bit: bit}
 		deg := g.Degree(graph.NodeID(u))
 		slot += deg
@@ -159,9 +166,33 @@ func newNodeTable(in *core.Init, alg Algorithm, reliable bool, owner func(graph.
 			retries: make([]int32, slots),
 		}
 	}
+	for d := range part.shards {
+		start[d+1] += start[d]
+	}
+	all := make([]graph.NodeID, n)
+	members := make([][]graph.NodeID, part.shards)
+	for d := range members {
+		members[d] = all[start[d]:start[d]:start[d+1]]
+	}
 	for u := range n {
-		id := graph.NodeID(u)
-		nd := &t.node[u]
+		d := part.shardOf(graph.NodeID(u))
+		members[d] = append(members[d], graph.NodeID(u))
+	}
+	return t, members
+}
+
+// fill sets up the entries of members, which one shard owns: their peer
+// slots, initial views and NewPR parity sets, read once, by slot, which is
+// what lets every delivered message skip the neighbour lookup forever
+// after. Each shard fills its own members at the start of its goroutine,
+// before its initial acts. It needs no barrier with the other shards: a
+// shard reads only its own nodes' entries (a send reads the sender's peer
+// slot) and takes no batch from its inbox before its initial cascade has
+// drained, and the views are word-aligned at shard boundaries.
+func (t *nodeTable) fill(in *core.Init, members []graph.NodeID) {
+	g := t.g
+	for _, id := range members {
+		nd := &t.node[id]
 		incoming := t.view(t.incoming, id)
 		if t.parity != nil {
 			nd.split = int32(len(in.InNbrs(id)))
@@ -182,7 +213,6 @@ func newNodeTable(in *core.Init, alg Algorithm, reliable bool, owner func(graph.
 			}
 		}
 	}
-	return t
 }
 
 // view returns u's bits of the packed array words.

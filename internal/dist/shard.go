@@ -122,7 +122,11 @@ type shardRuntime[M any] struct {
 	stop    chan struct{}
 	wg      *sync.WaitGroup
 	// pool recycles flushed batch buffers: senders take, receivers return.
-	pool sync.Pool
+	// It is allocated on its own because the Go runtime lists every pool
+	// until two collections after its last use: a pool inside the runtime
+	// would keep the finished run — workers, node table and all — alive
+	// for one more collection.
+	pool *sync.Pool
 	// remote and batches are the transport counters behind Stats.Remote
 	// and Stats.Batches: cross-shard messages and the batches carrying
 	// them, folded in once per flush.
@@ -160,7 +164,8 @@ type worker[M any] struct {
 	// disarmed hot path costs one predictable branch.
 	obs *obs.Shard
 	// handle runs one delivered message; initial runs the shard's initial
-	// acts. The plane sets both before start.
+	// acts, once, after which loop drops it. The plane sets both before
+	// start.
 	handle  func(M)
 	initial func()
 }
@@ -175,7 +180,7 @@ func newShardRuntime[M any](part partitioner, tok *tokens, stop chan struct{}, w
 		stop:    stop,
 		wg:      wg,
 	}
-	rt.pool.New = func() any { return new(batch[M]) }
+	rt.pool = &sync.Pool{New: func() any { return new(batch[M]) }}
 	for i := range rt.workers {
 		rt.workers[i] = &worker[M]{
 			rt:     rt,
@@ -253,6 +258,9 @@ func (w *worker[M]) loop() {
 		mark = time.Now()
 	}
 	w.initial()
+	// Dropping initial lets what it captured, such as the static plane's
+	// core.Init, be collected while the run goes on.
+	w.initial = nil
 	if !w.drain() {
 		return
 	}

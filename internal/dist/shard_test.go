@@ -3,10 +3,12 @@ package dist
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"linkreversal/internal/workload"
 )
@@ -289,6 +291,36 @@ func TestUnreadZeroAtRest(t *testing.T) {
 					t.Errorf("%s/%v/%s: %v", topo.Name, alg, engineName(opts), err)
 				}
 			}
+		}
+	}
+}
+
+// TestFinishedRunNotPinned requires one collection to free a finished
+// run's node table once its caller drops the run. The Go runtime lists
+// every sync.Pool until two collections after its last use, so a batch
+// pool stored inside the runtime kept the whole run reachable — workers,
+// their closures, the node table — for one more collection.
+func TestFinishedRunNotPinned(t *testing.T) {
+	in := workload.Grid(24, 24).MustInit()
+	for _, opts := range testEngines(t) {
+		opts.Partition = PartitionHash // most edges cross shards
+		opts, err := opts.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := func() weak.Pointer[nodeTable] {
+			c := newRunCore(in, PartialReversal, opts, min(opts.Shards, in.Graph().NumNodes()))
+			if err := c.run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if c.rt.batches.Load() == 0 {
+				t.Fatalf("%s: no batch crossed shards, so the pool was never used", engineName(opts))
+			}
+			return weak.Make(c.nodes)
+		}()
+		runtime.GC()
+		if nodes.Value() != nil {
+			t.Errorf("%s: a finished run's node table survived a collection", engineName(opts))
 		}
 	}
 }

@@ -54,6 +54,42 @@ func TopologicalOrder(o *Orientation) ([]NodeID, bool) {
 	return order, true
 }
 
+// DestinationDAG reports whether o is acyclic and whether every node has a
+// directed path to dest: IsAcyclic and IsDestinationOriented, answered by
+// one Kahn pass. An acyclic orientation is destination-oriented exactly
+// when dest is its only sink, since a walk along out-edges that cannot
+// revisit a node ends at a sink. So only a cyclic orientation pays for the
+// reverse reachability search.
+func DestinationDAG(o *Orientation, dest NodeID) (acyclic, oriented bool) {
+	g := o.g
+	n := g.NumNodes()
+	outdeg := make([]int32, n)
+	ready := make([]NodeID, 0, n)
+	for u := range n {
+		if outdeg[u] = int32(g.off[u+1] - g.off[u] - o.indeg[u]); outdeg[u] == 0 {
+			ready = append(ready, NodeID(u))
+		}
+	}
+	oriented = n == 0 || len(ready) == 1 && ready[0] == dest
+	done := 0
+	for len(ready) > 0 {
+		u := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		done++
+		for s := g.off[u]; s < g.off[u+1]; s++ {
+			if v := g.nbr[s]; o.in(u, s) {
+				if outdeg[v]--; outdeg[v] == 0 {
+					ready = append(ready, v)
+				}
+			}
+		}
+	}
+	if done < n {
+		return false, IsDestinationOriented(o, dest)
+	}
+	return true, oriented
+}
+
 // FindCycle returns one directed cycle as a node sequence (first node
 // repeated at the end), or nil if the orientation is acyclic. Useful for
 // diagnostics when an acyclicity invariant is violated.

@@ -112,13 +112,16 @@ func (r *refGraph) bad(dest NodeID) []NodeID {
 // FuzzGraphReference checks the CSR graph and its orientation against
 // refGraph: Build's errors, the rows, every edge lookup (out-of-range
 // nodes included), and every orientation query after a fuzzed initial
-// orientation and a fuzzed sequence of reversals.
+// orientation and a fuzzed sequence of reversals, DestinationDAG's two
+// answers among them.
 func FuzzGraphReference(f *testing.F) {
 	f.Add(uint8(4), []byte{1, 2, 2, 3, 3, 4, 1, 3}, []byte{5}, []byte{1, 3, 3, 4})
 	f.Add(uint8(5), []byte{1, 2, 3, 4, 2, 1, 5, 3}, []byte{}, []byte{})
 	f.Add(uint8(3), []byte{1, 2, 2, 3, 3, 3}, []byte{1}, []byte{2, 3})
 	f.Add(uint8(3), []byte{1, 2, 1, 5}, []byte{}, []byte{})
 	f.Add(uint8(6), []byte{6, 1, 1, 6, 2, 6, 3, 6, 6, 2}, []byte{255}, []byte{6, 1, 2, 6, 0, 7})
+	// The cycle 0→2→1→0 with 0→3: cyclic, yet every node reaches 3.
+	f.Add(uint8(4), []byte{1, 2, 2, 3, 1, 4, 1, 3}, []byte{3}, []byte{})
 	f.Fuzz(func(t *testing.T, rawN uint8, rawPairs, orient, reversals []byte) {
 		n := int(rawN) % 24
 		node := func(b byte) NodeID { return NodeID(int(b)%(n+2) - 1) } // -1..n
@@ -194,6 +197,7 @@ func FuzzGraphReference(f *testing.F) {
 				ref.head[e] = e.U + e.V - ref.head[e]
 			}
 		}
+		acyclic := ref.acyclic()
 		for _, u := range nodes {
 			in, out := ref.nbrs(u, true), ref.nbrs(u, false)
 			if got := o.InNeighbors(u); !slices.Equal(got, in) || (got == nil) != (in == nil) {
@@ -232,9 +236,12 @@ func FuzzGraphReference(f *testing.F) {
 			if got := IsDestinationOriented(o, u); got != (len(bad) == 0) {
 				t.Fatalf("IsDestinationOriented(%d) = %v, reference bad nodes %v", u, got, bad)
 			}
+			if a, d := DestinationDAG(o, u); a != acyclic || d != (len(bad) == 0) {
+				t.Fatalf("DestinationDAG(%d) = %v,%v, reference acyclic %v, bad nodes %v on %v", u, a, d, acyclic, bad, o)
+			}
 		}
-		if got := IsAcyclic(o); got != ref.acyclic() {
-			t.Fatalf("IsAcyclic = %v, reference %v on %v", got, ref.acyclic(), o)
+		if got := IsAcyclic(o); got != acyclic {
+			t.Fatalf("IsAcyclic = %v, reference %v on %v", got, acyclic, o)
 		}
 	})
 }

@@ -226,9 +226,11 @@ func stop(err error) bool {
 }
 
 // evaluate runs one candidate, scores it, and checks every oracle;
-// breaches are shrunk and recorded immediately.
+// breaches are shrunk and recorded immediately. It arms no flight
+// recorder: only a reproducer carries events, and the shrinker records
+// them on the run it confirms.
 func (h *Hunter) evaluate(ctx context.Context, cand Candidate, preset bool) (*Evaluated, error) {
-	opts, o := observed(cand)
+	opts := cand.options()
 	res, err := dist.RunWith(ctx, h.in, h.cfg.Alg, opts)
 	if err != nil {
 		return nil, err
@@ -244,7 +246,7 @@ func (h *Hunter) evaluate(ctx context.Context, cand Candidate, preset bool) (*Ev
 		Preset:    preset,
 	}
 	if len(breaches) > 0 {
-		rep := h.shrink(ctx, cand, res, breaches, o.Tail(reproTail))
+		rep := h.shrink(ctx, cand, res, breaches)
 		h.report.Reproducers = append(h.report.Reproducers, rep)
 	}
 	return ev, nil

@@ -151,6 +151,34 @@ func TestSeededMutantOracleFindsBreach(t *testing.T) {
 	}
 }
 
+// TestShrinkTailWithoutReduction: a breach that is already minimal gets
+// no confirming run from the shrinker, and evaluate arms no flight
+// recorder, so the tail must come from one observed re-run of the
+// candidate as evaluated.
+func TestShrinkTailWithoutReduction(t *testing.T) {
+	h, err := New(Config{
+		Topo:   TopoSpec{Kind: "bad-chain", N: minTopoN},
+		Alg:    dist.FullReversal,
+		Oracle: Oracle{WorkFactor: 0.01},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.evaluate(context.Background(), Candidate{Genome: Genome{Seed: 7}}, true); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.report.Reproducers) != 1 {
+		t.Fatalf("got %d reproducers, want 1", len(h.report.Reproducers))
+	}
+	r := h.report.Reproducers[0]
+	if r.ShrinkRuns != 0 || r.Topo.N != minTopoN {
+		t.Errorf("shrinker confirmed a reduction: %d runs, N = %d", r.ShrinkRuns, r.Topo.N)
+	}
+	if len(r.Events) == 0 || len(r.Events) > reproTail {
+		t.Errorf("artifact carries %d flight-recorder events, want 1..%d", len(r.Events), reproTail)
+	}
+}
+
 // TestReplayCleanUnderHealthyOracle: the same minimal reproducer checked
 // against the *untightened* oracle is clean — the breach was the mutant
 // constant, not the implementation.

@@ -81,13 +81,13 @@ func (o Oracle) Check(in *core.Init, alg dist.Algorithm, adv *faults.Adversary, 
 
 	// Termination: the final orientation must be acyclic and
 	// destination-oriented — Theorems 4.3/5.5 plus the routing goal itself.
-	if !graph.IsAcyclic(res.Final) {
+	if acyclic, oriented := graph.DestinationDAG(res.Final, in.Destination()); !acyclic {
 		breaches = append(breaches, Breach{
 			Oracle: "termination",
 			Detail: fmt.Sprintf("final orientation has a cycle through %v", graph.FindCycle(res.Final)),
 			Step:   -1,
 		})
-	} else if !graph.IsDestinationOriented(res.Final, in.Destination()) {
+	} else if !oriented {
 		breaches = append(breaches, Breach{
 			Oracle: "termination",
 			Detail: fmt.Sprintf("final orientation is not oriented toward destination %d", in.Destination()),

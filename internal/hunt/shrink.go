@@ -80,11 +80,15 @@ func Replay(ctx context.Context, o Oracle, rep Reproducer) ([]Breach, error) {
 // schedule knobs and the retry budget, then halve the topology — keeping
 // each reduction only if a fresh run still breaches. Every confirming run
 // costs one execution; the budget caps the total. The returned artifact
-// describes the last configuration whose breach was confirmed.
-func (h *Hunter) shrink(ctx context.Context, cand Candidate, res *dist.Result, breaches []Breach, tail []obs.Event) Reproducer {
+// describes the last configuration whose breach was confirmed, with the
+// flight-recorder tail of the run that confirmed it. When no reduction
+// confirmed, the candidate as evaluated is that configuration, and one
+// observed re-run of it, outside the budget, supplies the tail.
+func (h *Hunter) shrink(ctx context.Context, cand Candidate, res *dist.Result, breaches []Breach) Reproducer {
 	spec := h.cfg.Topo
 	runs := 0
 	lastIn, lastRes, lastBreaches := h.in, res, breaches
+	var tail []obs.Event
 
 	check := func(s TopoSpec, c Candidate) bool {
 		if runs >= h.cfg.ShrinkBudget || ctx.Err() != nil {
@@ -175,6 +179,13 @@ func (h *Hunter) shrink(ctx context.Context, cand Candidate, res *dist.Result, b
 			break
 		}
 		spec = t
+	}
+
+	if tail == nil {
+		opts, o := observed(cand)
+		if _, err := dist.RunWith(ctx, lastIn, h.cfg.Alg, opts); err == nil {
+			tail = o.Tail(reproTail)
+		}
 	}
 
 	return Reproducer{

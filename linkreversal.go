@@ -397,14 +397,15 @@ func Run(g *Graph, initial *Orientation, dest NodeID, cfg Config) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
+	acyclic, oriented := graph.DestinationDAG(a.Orientation(), dest)
 	rep := &Report{
 		Algorithm:           cfg.Algorithm,
 		Scheduler:           cfg.Scheduler,
 		Steps:               res.Steps,
 		TotalReversals:      res.TotalReversals,
 		Quiesced:            res.Quiesced,
-		Acyclic:             graph.IsAcyclic(a.Orientation()),
-		DestinationOriented: graph.IsDestinationOriented(a.Orientation(), dest),
+		Acyclic:             acyclic,
+		DestinationOriented: oriented,
 		Final:               a.Orientation().Clone(),
 	}
 	if np, ok := a.(*core.NewPR); ok {
@@ -601,6 +602,7 @@ func RunDistributedWith(ctx context.Context, topo *Topology, alg DistAlgorithm, 
 	if err != nil {
 		return nil, err
 	}
+	acyclic, oriented := graph.DestinationDAG(res.Final, topo.Dest)
 	return &DistReport{
 		Algorithm:           alg,
 		Messages:            res.Stats.Messages,
@@ -613,8 +615,8 @@ func RunDistributedWith(ctx context.Context, topo *Topology, alg DistAlgorithm, 
 		Retransmits:         res.Stats.Retransmits,
 		Acks:                res.Stats.Acks,
 		Remote:              res.Stats.Remote,
-		Acyclic:             graph.IsAcyclic(res.Final),
-		DestinationOriented: graph.IsDestinationOriented(res.Final, topo.Dest),
+		Acyclic:             acyclic,
+		DestinationOriented: oriented,
 		Final:               res.Final,
 		Shards:              res.Shards,
 	}, nil
@@ -677,13 +679,14 @@ func ReplayExecution(g *Graph, initial *Orientation, dest NodeID, alg Algorithm,
 	if err != nil {
 		return nil, err
 	}
+	acyclic, oriented := graph.DestinationDAG(a.Orientation(), dest)
 	return &Report{
 		Algorithm:           alg,
 		Steps:               steps,
 		TotalReversals:      a.TotalReversals(),
 		Quiesced:            a.Quiescent(),
-		Acyclic:             graph.IsAcyclic(a.Orientation()),
-		DestinationOriented: graph.IsDestinationOriented(a.Orientation(), dest),
+		Acyclic:             acyclic,
+		DestinationOriented: oriented,
 		Final:               a.Orientation().Clone(),
 	}, nil
 }
