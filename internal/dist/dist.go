@@ -76,20 +76,20 @@
 //
 // With Options.Adversary set, a seeded fault injector (internal/faults)
 // sits between senders and receivers and may drop, duplicate, or hold back
-// any transmission. Reversal announcements then carry per-directed-link
-// sequence numbers: the receiver applies only fresh sequence numbers (so a
-// late duplicate can never resurrect a view the receiver has since
-// reversed — the one-sided-error argument survives duplication and
-// reordering) and acknowledges every arrival; a dropped payload surfaces
-// to its sender as a loss notification, which triggers a retransmission
-// unless an acknowledgement already confirmed delivery. The injector's
-// fair-loss bound caps how many times the same payload can be dropped
-// (Adversary.RetryBudget), so every reversal announcement is eventually
-// applied exactly once and liveness is preserved. The fault traffic —
-// duplicate copies, acknowledgements, loss notifications and held-back
-// messages — travels in the same batches and run-queues as the payloads,
-// so the batch tokens cover it and the count cannot reach zero while the
-// adversary still holds traffic.
+// any transmission. Both planes recover loss by one rule,
+// faults.Injector.Send: the sender retransmits a dropped payload at once,
+// until an attempt survives, and the injector's fair-loss bound
+// (Adversary.RetryBudget) caps how many attempts it may drop. So every
+// payload is delivered. Reversal announcements also carry
+// per-directed-link sequence numbers, and the receiver applies only fresh
+// ones, so a duplicate or held-back copy can never resurrect a view the
+// receiver has since reversed: the one-sided-error argument survives
+// duplication and reordering, and every announcement is applied exactly
+// once. Receivers acknowledge every copy; acks are counted traffic that
+// no state reads. Duplicate copies, acks and held-back messages travel in
+// the same batches and run-queues as the payloads, so the batch tokens
+// cover them and the count cannot reach zero while the adversary still
+// holds traffic.
 //
 // In DynamicNetwork the same one-sided-error argument holds for heights:
 // a node's stored copy of a neighbour's height is a lower bound within the
@@ -103,12 +103,11 @@
 // FIFO delivery guarantees no stale high view survives the reset. Height
 // announcements are idempotent under the generation-aware merge, so a
 // fault adversary's duplicates and delays are absorbed structurally, and
-// loss is repaired by immediate sender-side retransmission under the
-// injector's fair-loss bound. The two planes thus run different
-// reliability layers on purpose: a reversal notice must apply exactly
-// once, which needs the static plane's seq/ack/nack protocol, while a
-// height announcement may apply any number of times, so the dynamic plane
-// needs no acknowledgements.
+// loss is repaired by the same immediate retransmission as on the static
+// plane. The planes differ only in how a copy that arrives twice is made
+// harmless: a reversal notice must apply exactly once, which the static
+// plane's sequence numbers ensure, while a height announcement may apply
+// any number of times.
 package dist
 
 import (
@@ -230,18 +229,19 @@ type Stats struct {
 	// TotalReversals is the number of individual edge reversals.
 	TotalReversals int
 	// Drops is the number of transmissions the fault adversary lost
-	// (payloads and acknowledgements); 0 on a reliable network.
+	// (payload attempts and acknowledgements); 0 on a reliable network.
 	Drops int
 	// Dups is the number of extra copies the fault adversary delivered.
 	Dups int
 	// Held is the number of transmissions the fault adversary held back
 	// behind later traffic (delay/reorder).
 	Held int
-	// Retransmits is the number of payload retransmissions triggered by
-	// loss notifications.
+	// Retransmits is the number of payload retransmissions: one per
+	// dropped payload attempt, each sent at once by its sender.
 	Retransmits int
-	// Acks is the number of acknowledgements sent by the reliable-delivery
-	// layer; 0 unless an adversary armed it.
+	// Acks is the number of acknowledgements receivers sent, one per
+	// delivered payload copy; 0 unless an adversary is armed. They are
+	// counted traffic only: no state reads an ack.
 	Acks int
 	// Remote is the number of transmissions that crossed a shard boundary
 	// — the partition-quality metric a topology-aware Options.Partition is

@@ -61,11 +61,12 @@ func (s *dynShard) process(m dynMsg) {
 }
 
 // transmit sends m on behalf of st, routing height announcements through
-// the fault injector: a dropped transmission is retransmitted immediately
-// (the fair-loss bound terminates the loop, and announcements are
-// idempotent, so no acks are needed), duplicate copies are routed back to
-// back, and holdbacks ride in the message for the receiver to requeue.
-// Control traffic bypasses the adversary: the control plane's view of the
+// the fault injector's loss rule: a dropped transmission is retransmitted
+// at once until one attempt survives under the fair-loss bound (faults
+// Injector.Send), duplicate copies are routed back to back, and holdbacks
+// ride in the message for the receiver to requeue. Announcements are
+// idempotent, so a copy that arrives twice needs no deduplication. Control
+// traffic bypasses the adversary: the control plane's view of the
 // topology must stay authoritative.
 func (s *dynShard) transmit(st *dynState, m dynMsg) {
 	net := s.net
@@ -74,19 +75,16 @@ func (s *dynShard) transmit(st *dynState, m dynMsg) {
 		return
 	}
 	st.seq++
-	link := faults.Link{From: st.id, To: m.To}
-	for attempt := 0; ; attempt++ {
-		f := net.inj.Judge(link, faults.Msg{Seq: st.seq, Attempt: attempt})
-		if f.Drop {
-			net.retrans.Add(1)
+	retries, f := net.inj.Send(faults.Link{From: st.id, To: m.To}, st.seq)
+	if retries > 0 {
+		net.retrans.Add(int64(retries))
+		for range retries {
 			s.obs.Retransmit(st.id, m.To, int64(st.seq))
-			continue
 		}
-		m.Hold = uint8(f.Hold)
-		for c := 0; c <= f.Extra; c++ {
-			s.route(m.To, m)
-		}
-		return
+	}
+	m.Hold = uint8(f.Hold)
+	for range 1 + f.Extra {
+		s.route(m.To, m)
 	}
 }
 

@@ -97,6 +97,17 @@ func (c *runCore) fail(err error) {
 // plane crosses zero at most once.
 func (c *runCore) unblock() { c.quietOnce.Do(func() { close(c.quiet) }) }
 
+// release drops a finished run's node table and run-queue arrays. A shard
+// goroutine can still be on its way out after wg.Done, its stack keeping c
+// reachable, and would otherwise carry them into the caller's next run,
+// where a collection would set the heap goal from both runs' tables.
+func (c *runCore) release() {
+	for _, w := range c.rt.workers {
+		w.local, w.spare = nil, nil
+	}
+	c.nodes = nil
+}
+
 // snapshot assembles the Stats from the shards' counters, the transport
 // counters of the runtime and the injector's. Callers must ensure all
 // shard goroutines have exited.
@@ -142,6 +153,7 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 	// One sink per shard; the shards pick theirs up from opts.
 	opts.Observer.Attach(shards)
 	c := newRunCore(in, alg, opts, shards)
+	defer c.release()
 	if err := c.run(ctx); err != nil {
 		return nil, err
 	}
@@ -193,12 +205,10 @@ func (c *runCore) run(ctx context.Context) error {
 //
 // Seq, Kind and Hold belong to the reliable-delivery layer and stay zero on
 // a reliable network: Seq is the per-directed-link sequence number of the
-// payload (or the payload being acked/nacked), Kind the transmission class,
+// payload (or of the payload being acked), Kind the transmission class,
 // and Hold the remaining number of delivery opportunities that may overtake
 // this message (the fault adversary's logical-time holdback; the shard
-// re-enqueues the message and decrements Hold until it reaches zero). For
-// msgNack, To is the original sender and Slot its *sender-side* slot of
-// the lossy link.
+// re-enqueues the message and decrements Hold until it reaches zero).
 type shardMsg struct {
 	To   graph.NodeID
 	Slot int32
@@ -245,44 +255,44 @@ func (s *shard) announce(u graph.NodeID, targets int) {
 	}
 }
 
-// send routes one transmission through the fault injector. It first
-// counts the reliability-layer cost — retransmitted payloads and
-// acknowledgements — so the Stats are exact whatever the transmission's
-// fate. A dropped payload becomes a loss notification back to the sender,
-// which is always a node this shard owns, so the nack lands in the local
-// run-queue; a lost ack is silently gone, the payload's own retransmission
-// path recovers. Surviving copies (plus duplicates) are routed with their
-// holdback. Batch-token quiescence already covers all of this traffic, so
-// no extra tokens are needed.
-func (s *shard) send(from graph.NodeID, fromSlot int32, to graph.NodeID, toSlot int32, seq uint32, attempt int32, kind msgKind) {
-	switch {
-	case kind == msgAck:
-		s.acks++
-		if s.obs != nil {
-			s.obs.Ack(from, to, int64(seq))
-		}
-	case kind == msgData && attempt > 0:
-		s.retransmits++
-		if s.obs != nil {
+// send routes one reversal announcement through the fault injector's
+// loss rule: each dropped attempt is retransmitted at once, until one
+// survives under the fair-loss bound. It counts the retransmissions, so
+// the Stats are exact whatever the fates, and routes the surviving
+// copies (plus duplicates) with their holdback. Batch-token quiescence
+// already covers all of this traffic, so no extra tokens are needed.
+func (s *shard) send(from, to graph.NodeID, toSlot int32, seq uint32) {
+	retries, f := s.run.inj.Send(faults.Link{From: from, To: to}, uint64(seq))
+	s.retransmits += int64(retries)
+	if s.obs != nil {
+		for range retries {
 			s.obs.Retransmit(from, to, int64(seq))
 		}
 	}
-	f := s.run.inj.Judge(
-		faults.Link{From: from, To: to},
-		faults.Msg{Seq: uint64(seq), Attempt: int(attempt), Ack: kind == msgAck},
-	)
-	if f.Drop {
-		if kind != msgAck {
-			s.local = append(s.local, shardMsg{To: from, Slot: fromSlot, Seq: seq, Kind: msgNack})
-			if s.obs != nil {
-				s.obs.Nack(from, to, int64(seq))
-			}
-		}
-		return
+	s.emit(shardMsg{To: to, Slot: toSlot, Seq: seq, Kind: msgData}, f)
+}
+
+// ack acknowledges one delivered copy of the payload seq to its sender,
+// through the fault injector. Nothing reads an ack when it arrives: acks
+// are counted traffic (Stats.Acks, their share of the fault counters and
+// of Remote), and a dropped one is simply gone.
+func (s *shard) ack(from, to graph.NodeID, toSlot int32, seq uint32) {
+	s.acks++
+	if s.obs != nil {
+		s.obs.Ack(from, to, int64(seq))
 	}
-	m := shardMsg{To: to, Slot: toSlot, Seq: seq, Kind: kind, Hold: uint8(f.Hold)}
-	for c := 0; c <= f.Extra; c++ {
-		s.route(to, m)
+	f := s.run.inj.Judge(faults.Link{From: from, To: to}, faults.Msg{Seq: uint64(seq), Ack: true})
+	if !f.Drop {
+		s.emit(shardMsg{To: to, Slot: toSlot, Seq: seq, Kind: msgAck}, f)
+	}
+}
+
+// emit routes the 1+f.Extra copies of m that survived the adversary, each
+// carrying f's holdback.
+func (s *shard) emit(m shardMsg, f faults.Fate) {
+	m.Hold = uint8(f.Hold)
+	for range 1 + f.Extra {
+		s.route(m.To, m)
 	}
 }
 
@@ -299,7 +309,7 @@ func (s *shard) process(m shardMsg) {
 	if s.obs != nil && m.Kind == msgData {
 		s.obs.Deliver(m.To, -1, int64(m.Seq))
 	}
-	if t := s.run.nodes; t.rel != nil {
+	if t := s.run.nodes; t.recvSeq != nil {
 		t.handle(s, m)
 	} else {
 		t.receive(s, m.To, m.Slot)

@@ -9,6 +9,7 @@ import (
 
 	"linkreversal/internal/automaton"
 	"linkreversal/internal/faults"
+	"linkreversal/internal/graph"
 	"linkreversal/internal/workload"
 )
 
@@ -231,6 +232,55 @@ func TestAdversarialTraceReplaysSequentially(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestDynamicLossRetransmitsEachDrop pins the dynamic plane's share of the
+// loss rule: only height announcements are judged, and each dropped
+// attempt is retransmitted once, so after a churn script under a lossy
+// preset the snapshot's Drops and Retransmits are equal and non-zero, on
+// both test layouts.
+func TestDynamicLossRetransmitsEachDrop(t *testing.T) {
+	const side = 8
+	id := func(i, j int) graph.NodeID { return graph.NodeID(i*side + j) }
+	for _, mk := range []func(int64) *faults.Adversary{faults.Lossy, faults.Flaky} {
+		adv := mk(5)
+		for _, c := range []dynConfig{
+			{name: perNodeName, opts: DynOptions{Shards: perNodeShards, Adversary: adv}},
+			{name: "sharded", opts: DynOptions{Shards: 3, Partition: testPartition(t), Adversary: adv}},
+		} {
+			c := c
+			t.Run(adv.Scenario+"/"+c.name, func(t *testing.T) {
+				t.Parallel()
+				net, err := NewDynamicNetworkWith(workload.Grid(side, side), c.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer net.Stop()
+				// Cut the grid between columns 3 and 4 on every row but the
+				// last, detour the destination's row through a chord, and
+				// fail one of the destination's two links.
+				for i := range side - 1 {
+					if err := net.FailLink(id(i, 3), id(i, 4)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := net.AddLink(id(0, side-1), id(1, 0)); err != nil {
+					t.Fatal(err)
+				}
+				if err := net.FailLink(id(0, 0), id(0, 1)); err != nil {
+					t.Fatal(err)
+				}
+				if err := net.AwaitQuiescence(); err != nil {
+					t.Fatal(err)
+				}
+				s := net.ReadSnapshot()
+				if s.Drops == 0 || s.Drops != s.Retransmits {
+					t.Errorf("drops %d, retransmits %d (messages %d): want equal and non-zero",
+						s.Drops, s.Retransmits, s.Messages)
+				}
+			})
 		}
 	}
 }

@@ -151,9 +151,10 @@ type Options struct {
 	RecordTrace Trace
 	// Adversary injects seeded network faults (loss, duplication, delay,
 	// reorder) between senders and receivers; nil means a reliable network
-	// and the exact pre-fault hot path. A non-nil adversary also arms the
-	// sequence-numbered ack/retransmit protocol that restores liveness
-	// under loss; see internal/faults and the package documentation.
+	// and the exact pre-fault hot path. Under an adversary a dropped
+	// announcement is retransmitted at once, and sequence numbers make
+	// each one apply exactly once; see internal/faults and the package
+	// documentation.
 	Adversary *faults.Adversary
 	// Observer, when non-nil, arms the engine-deep observability layer:
 	// per-shard telemetry counters (Result.Shards) and the protocol flight

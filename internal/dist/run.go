@@ -19,16 +19,8 @@ const (
 	// the shared edge, which now points toward the receiver.
 	msgData msgKind = iota
 	// msgAck acknowledges receipt of the data payload Seq on the link at
-	// Slot; it lets the sender clear its unacked state and suppresses
-	// retransmissions of payloads whose other copies were dropped.
+	// Slot. It is counted traffic only: no state reads it on arrival.
 	msgAck
-	// msgNack is a loss notification from the network layer to the
-	// *sender* of a dropped payload — the event-driven stand-in for a
-	// retransmission timeout (the adversary controls all timing, so an RTO
-	// that fires exactly when the payload was lost is simply the adversary
-	// scheduling the timer adversarially tight). Nacks travel reliably:
-	// they model a local timer, not a network message.
-	msgNack
 )
 
 // runNode is one node's entry in the static plane's node table: where its
@@ -50,7 +42,7 @@ type runNode struct {
 
 // nodeTable is the static plane's protocol state. Per-slot state is
 // indexed like the graph's rows (a node's slot i is its edge to
-// Neighbors(u)[i]); the boolean views (incoming, list, acked) are
+// Neighbors(u)[i]); the boolean views (incoming, list) are
 // bit-packed, one bit per slot instead of one byte, which is what makes
 // 10M-node state fit cache and memory. Packing is dense within one shard's
 // nodes and word-aligned at shard boundaries, so no two shard goroutines
@@ -79,35 +71,16 @@ type nodeTable struct {
 	// node's split initial in-neighbours, then its initial out-neighbours.
 	// nil for the other variants.
 	parity []int32
-	// rel is the sequence-numbered reliable-delivery state, armed only when
-	// a fault adversary is configured; nil keeps the exact pre-fault path.
-	rel *relTable
-}
-
-// relTable is the ack/retransmit protocol's state, slot-indexed like
-// every other view. The protocol keeps at most one unacknowledged payload
-// per directed link: a node reverses the same edge again only after the
-// neighbour reversed it back, which requires the neighbour to have
-// received the previous payload — so a single (seq, acked, retries) cell
-// per link suffices on the send side, and a single high-water mark
-// deduplicates on the receive side.
-type relTable struct {
-	// sendSeq[s] is the latest payload sequence number sent over slot s
-	// (1-based; 0 = nothing sent yet).
-	sendSeq []uint32
-	// recvSeq[s] is the highest payload sequence number received over slot
-	// s; stale arrivals (duplicates, late retransmissions) are
-	// re-acknowledged but not re-applied, which is what keeps a late copy
-	// from resurrecting an already-reversed view.
-	recvSeq []uint32
-	// acked bit i of a node reports whether its slot-i sendSeq has been
-	// acknowledged; it suppresses retransmissions when one copy of a
-	// duplicated payload was delivered and another dropped.
-	acked []uint64
-	// retries[s] counts retransmissions of sendSeq[s]; it is the Attempt
-	// coordinate of the fault injector's decisions, capped by the
-	// fair-loss retry budget.
-	retries []int32
+	// sendSeq[s] and recvSeq[s] are the reliable-delivery layer's latest
+	// payload sequence number sent and highest received over slot s
+	// (1-based; 0 = none), armed only when a fault adversary is configured;
+	// nil keeps the exact pre-fault path. A node reverses the same edge
+	// again only after the neighbour reversed it back, which requires the
+	// neighbour to have received the previous payload, so one high-water
+	// mark per link deduplicates on the receive side: a stale copy
+	// (duplicate or held back) is acknowledged but not re-applied, which
+	// keeps it from resurrecting an already-reversed view.
+	sendSeq, recvSeq []uint32
 }
 
 // newNodeTable lays out the node table of alg on in's topology for part's
@@ -115,7 +88,7 @@ type relTable struct {
 // first slot and first bit and allocates the run-wide arrays; the entries
 // themselves are filled by fill, one shard at a time. With reliable set (a
 // fault adversary is armed), the table also gets the slot-indexed
-// ack/retransmit state.
+// sequence numbers.
 //
 // Consecutive nodes of one shard pack their bits densely into shared
 // words, and the layout inserts word-alignment padding wherever the owner
@@ -159,12 +132,7 @@ func newNodeTable(in *core.Init, alg Algorithm, reliable bool, part partitioner)
 		t.parity = make([]int32, slots)
 	}
 	if reliable {
-		t.rel = &relTable{
-			sendSeq: make([]uint32, slots),
-			recvSeq: make([]uint32, slots),
-			acked:   make([]uint64, words),
-			retries: make([]int32, slots),
-		}
+		t.sendSeq, t.recvSeq = make([]uint32, slots), make([]uint32, slots)
 	}
 	for d := range part.shards {
 		start[d+1] += start[d]
@@ -338,61 +306,39 @@ func (t *nodeTable) receive(s *shard, u graph.NodeID, slot int32) {
 }
 
 // sendReverse emits u's reversal announcement for the edge at its slot i.
-// On a reliable network it is a bare route; with the ack/retransmit layer
-// armed it assigns the link's next sequence number, resets the unacked
-// state and routes the payload through the fault injector via s.send.
+// On a reliable network it is a bare route; with the reliable-delivery
+// layer armed it assigns the link's next sequence number and sends the
+// payload through the fault injector via s.send.
 func (t *nodeTable) sendReverse(s *shard, u graph.NodeID, i int32) {
 	at := t.node[u].slot + int(i)
 	v := t.g.Neighbors(u)[i]
-	if t.rel == nil {
+	if t.sendSeq == nil {
 		s.route(v, shardMsg{To: v, Slot: t.peer[at]})
 		return
 	}
-	r := t.rel
-	r.sendSeq[at]++
-	t.view(r.acked, u).Clear(int(i))
-	r.retries[at] = 0
-	s.send(u, i, v, t.peer[at], r.sendSeq[at], 0, msgData)
+	t.sendSeq[at]++
+	s.send(u, v, t.peer[at], t.sendSeq[at])
 }
 
-// handle dispatches one delivered transmission under the reliable-delivery
-// layer (the shard calls it instead of receive when an adversary is armed;
-// holdbacks are resolved before this point).
-//
-//   - Fresh payloads are acknowledged and applied; stale ones (duplicates,
-//     late retransmissions) are re-acknowledged only — a late copy must not
-//     resurrect a view the receiver has since reversed, which is what keeps
-//     every step a legal sequential automaton transition.
-//   - Acks clear the link's unacked state.
-//   - Nacks (loss notifications) trigger a retransmission of the still
-//     current, still unacknowledged payload; obsolete nacks — the link has
-//     moved on, or an ack from a surviving duplicate confirmed delivery —
-//     are dropped.
+// handle delivers one transmission under the reliable-delivery layer (the
+// shard calls it instead of receive when an adversary is armed; holdbacks
+// are resolved before this point). Acks end here. Every payload copy is
+// acknowledged, and only a fresh sequence number is applied: a stale copy
+// (a duplicate, or one held back behind a later payload) must not
+// resurrect a view the receiver has since reversed, which is what keeps
+// every step a legal sequential automaton transition.
 func (t *nodeTable) handle(s *shard, m shardMsg) {
-	r := t.rel
+	if m.Kind == msgAck {
+		return
+	}
 	u := m.To
 	at := t.node[u].slot + int(m.Slot)
-	v := t.g.Neighbors(u)[m.Slot]
-	acked := t.view(r.acked, u)
-	switch m.Kind {
-	case msgData:
-		s.send(u, m.Slot, v, t.peer[at], m.Seq, 0, msgAck)
-		if m.Seq <= r.recvSeq[at] {
-			return // stale duplicate or late retransmission: re-acked only
-		}
-		r.recvSeq[at] = m.Seq
-		t.receive(s, u, m.Slot)
-	case msgAck:
-		if m.Seq == r.sendSeq[at] {
-			acked.Set(int(m.Slot))
-		}
-	case msgNack:
-		if m.Seq != r.sendSeq[at] || acked.Test(int(m.Slot)) {
-			return
-		}
-		r.retries[at]++
-		s.send(u, m.Slot, v, t.peer[at], m.Seq, r.retries[at], msgData)
+	s.ack(u, t.g.Neighbors(u)[m.Slot], t.peer[at], m.Seq)
+	if m.Seq <= t.recvSeq[at] {
+		return // stale copy: acknowledged only
 	}
+	t.recvSeq[at] = m.Seq
+	t.receive(s, u, m.Slot)
 }
 
 // Run executes alg on in's topology with the default Options (GOMAXPROCS

@@ -324,3 +324,27 @@ func TestFinishedRunNotPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedRunPinsNoTable checks what RunWith's release leaves to a
+// shard goroutine that is late to exit: with the finished runCore itself
+// still reachable, the node table must be collectable.
+func TestReleasedRunPinsNoTable(t *testing.T) {
+	in := workload.Grid(24, 24).MustInit()
+	for _, opts := range testEngines(t) {
+		opts, err := opts.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newRunCore(in, PartialReversal, opts, min(opts.Shards, in.Graph().NumNodes()))
+		if err := c.run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		nodes := weak.Make(c.nodes)
+		c.release()
+		runtime.GC()
+		if nodes.Value() != nil {
+			t.Errorf("%s: a released run's node table survived a collection", engineName(opts))
+		}
+		runtime.KeepAlive(c)
+	}
+}

@@ -19,11 +19,11 @@
 // Loss would break liveness (and quiescence detection) outright, so the
 // Injector enforces a fair-loss bound: a transmission whose Attempt has
 // reached the adversary's RetryBudget is never dropped, no matter what the
-// Policy says. Together with the dist layer's sequence-numbered
-// ack/retransmit protocol this guarantees every payload is eventually
-// delivered after at most RetryBudget retransmissions. Holdback values are
-// finite and decrement at every delivery opportunity, so delayed messages
-// cannot be postponed forever either.
+// Policy says. Both dist planes send every payload through Injector.Send,
+// which retransmits a dropped attempt at once until one survives, so every
+// payload is delivered after at most RetryBudget retransmissions.
+// Holdback values are finite and decrement at every delivery opportunity,
+// so delayed messages cannot be postponed forever either.
 package faults
 
 import (
@@ -51,22 +51,22 @@ type Msg struct {
 	// retransmission of the same payload.
 	Attempt int
 	// Ack reports whether this transmission is an acknowledgement rather
-	// than a payload. Dropped acks are never retransmitted (the payload's
-	// retransmission path already restores them), so policies may treat
-	// them more harshly.
+	// than a payload. Dropped acks are never retransmitted (no state reads
+	// an ack), so the fair-loss bound does not cover them and policies may
+	// treat them more harshly.
 	Ack bool
 }
 
 // Fate is a policy's verdict on one transmission.
 type Fate struct {
-	// Drop loses the transmission. For payloads the sender receives a loss
-	// notification and retransmits (see the dist ack/retransmit protocol);
-	// dropped acks are silently gone. When Drop is set, Extra and Hold are
-	// ignored.
+	// Drop loses the transmission. A dropped payload is retransmitted at
+	// once as the next attempt (Injector.Send); a dropped ack is silently
+	// gone. When Drop is set, Extra and Hold are ignored.
 	Drop bool
 	// Extra is the number of duplicate copies delivered in addition to the
-	// original (0 = no duplication). Receivers deduplicate by sequence
-	// number, so duplicates exercise the protocol without changing it.
+	// original (0 = no duplication). Receivers absorb them (by sequence
+	// number on the static plane, by idempotent merge on the dynamic one),
+	// so duplicates exercise the protocol without changing it.
 	Extra int
 	// Hold is the number of times the transmission is requeued at the back
 	// of its receiver's queue before delivery — the logical-time holdback
@@ -283,7 +283,8 @@ func New(p Policy, seed int64) *Adversary {
 }
 
 // Lossy is the loss preset: 15% probabilistic drop on every link, data and
-// acks alike. Liveness comes entirely from the ack/retransmit protocol.
+// acks alike. Liveness comes entirely from retransmitting each dropped
+// payload at once under the fair-loss bound (Injector.Send).
 func Lossy(seed int64) *Adversary {
 	return &Adversary{Policy: Drop{P: 0.15}, Seed: seed, Scenario: "lossy"}
 }
@@ -427,6 +428,21 @@ func (in *Injector) Judge(link Link, m Msg) Fate {
 		in.held.Add(1)
 	}
 	return f
+}
+
+// Send transmits one payload: it judges attempts 0, 1, … of (link, seq)
+// in order until one is not dropped, and returns the number of dropped
+// attempts — each of which its sender retransmitted at once — and the
+// surviving attempt's fate. The fair-loss bound ends the loop at the retry
+// budget. This is the one loss-recovery rule of both dist planes.
+func (in *Injector) Send(link Link, seq uint64) (retries int, f Fate) {
+	for {
+		f = in.Judge(link, Msg{Seq: seq, Attempt: retries})
+		if !f.Drop {
+			return retries, f
+		}
+		retries++
+	}
 }
 
 // Snapshot returns the counters accumulated so far. Callers must ensure

@@ -118,6 +118,51 @@ func TestFairLossBound(t *testing.T) {
 	}
 }
 
+// TestSend pins the loss-recovery rule: Send retransmits a dropped payload
+// at once until an attempt survives, the fair-loss bound ends the loop at
+// the retry budget, every dropped attempt is counted once, and the fate it
+// returns is the surviving attempt's Judge verdict.
+func TestSend(t *testing.T) {
+	l := Link{From: 0, To: 1}
+	all := NewInjector(&Adversary{Policy: Drop{P: 1}, Seed: 3, RetryBudget: 4})
+	before := all.Snapshot().Drops
+	retries, f := all.Send(l, 1)
+	if retries != 4 || f.Drop {
+		t.Errorf("Drop{P: 1} with budget 4: retries %d, fate %+v; want 4 and a delivery", retries, f)
+	}
+	if got := all.Snapshot().Drops - before; got != 4 {
+		t.Errorf("Send counted %d drops, want 4", got)
+	}
+
+	first := NewInjector(&Adversary{Policy: DropFirst{K: 2}, Seed: 1})
+	for seq := uint64(1); seq <= 10; seq++ {
+		if retries, f := first.Send(l, seq); retries != 2 || f.Drop {
+			t.Fatalf("DropFirst{K: 2} seq %d: retries %d, fate %+v; want 2 and a delivery", seq, retries, f)
+		}
+	}
+
+	never := NewInjector(&Adversary{Policy: Chain{Duplicate{P: 0.5}, Delay{P: 0.5}}, Seed: 2})
+	for seq := uint64(1); seq <= 50; seq++ {
+		if retries, _ := never.Send(l, seq); retries != 0 {
+			t.Fatalf("a policy that never drops: seq %d took %d retries", seq, retries)
+		}
+	}
+
+	sent := NewInjector(Adversarial(9))
+	for seq := uint64(1); seq <= 200; seq++ {
+		retries, f := sent.Send(l, seq)
+		fresh := NewInjector(Adversarial(9))
+		for a := range retries {
+			if !fresh.Judge(l, Msg{Seq: seq, Attempt: a}).Drop {
+				t.Fatalf("seq %d: attempt %d survives Judge but Send retried past it", seq, a)
+			}
+		}
+		if want := fresh.Judge(l, Msg{Seq: seq, Attempt: retries}); f != want {
+			t.Fatalf("seq %d attempt %d: Send fate %+v, Judge fate %+v", seq, retries, f, want)
+		}
+	}
+}
+
 // TestChainMerging checks fate composition: drops win, duplication
 // accumulates, holdbacks add up, and clamping bounds hostile values.
 func TestChainMerging(t *testing.T) {

@@ -20,7 +20,8 @@ const (
 	// parity-fixing steps that reverse nothing.
 	FitnessSteps
 	// FitnessRetrans maximizes payload retransmissions — the cost the
-	// fault adversary extracts from the ack/retransmit liveness protocol.
+	// fault adversary extracts by dropping payloads, each of which its
+	// sender retransmits at once.
 	FitnessRetrans
 	// FitnessSkew maximizes work imbalance: the peak per-node cost over the
 	// mean across active nodes (WorkProfile.Skew). Finds schedules that

@@ -46,9 +46,8 @@ const (
 	EvDeliver
 	// EvAck: the reliable-delivery layer acknowledged a message.
 	EvAck
-	// EvNack: the adversary dropped a send and the ledger was told (Arg = seq).
-	EvNack
-	// EvRetransmit: a sender-side retransmission was scheduled (Arg = seq).
+	// EvRetransmit: the adversary dropped a payload and its sender
+	// retransmitted it at once, one event per dropped attempt (Arg = seq).
 	EvRetransmit
 	// EvEpochPublish: the control plane published an epoch snapshot (Arg = epoch).
 	EvEpochPublish
@@ -65,7 +64,7 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"reversal", "deliver", "ack", "nack", "retransmit",
+	"reversal", "deliver", "ack", "retransmit",
 	"epoch-publish", "reflect", "partition-detect", "link-up", "link-down",
 }
 
@@ -110,11 +109,16 @@ type Event struct {
 // ShardStats is an atomic snapshot of one shard's telemetry counters.
 // Shard -1 is the control-plane sink (epoch publication, erasure).
 type ShardStats struct {
-	Shard        int   `json:"shard"`
-	Steps        int64 `json:"steps"`     // reversal steps committed by nodes on this shard
-	Reversals    int64 `json:"reversals"` // individual link reversals within those steps
-	Delivered    int64 `json:"delivered"` // protocol messages delivered to this shard's nodes
-	Acks         int64 `json:"acks"`
+	Shard     int   `json:"shard"`
+	Steps     int64 `json:"steps"`     // reversal steps committed by nodes on this shard
+	Reversals int64 `json:"reversals"` // individual link reversals within those steps
+	Delivered int64 `json:"delivered"` // protocol messages delivered to this shard's nodes
+	Acks      int64 `json:"acks"`
+	// Nacks is always 0: a dropped payload is retransmitted at once, so no
+	// loss notification reaches a node.
+	//
+	// Deprecated: kept only because bench/ reads it; delete it with the
+	// next change to bench/.
 	Nacks        int64 `json:"nacks"`
 	Retransmits  int64 `json:"retransmits"`
 	Batches      int64 `json:"batches"`      // cross-shard batches flushed
@@ -237,7 +241,6 @@ func (o *Observer) ShardStats() []ShardStats {
 			Reversals:    s.reversals.Load(),
 			Delivered:    s.delivered.Load(),
 			Acks:         s.acks.Load(),
-			Nacks:        s.nacks.Load(),
 			Retransmits:  s.retrans.Load(),
 			Batches:      s.batches.Load(),
 			BatchMsgs:    s.batchMsgs.Load(),
@@ -356,7 +359,7 @@ type Shard struct {
 	ring   *ring
 
 	steps, reversals, delivered atomic.Int64
-	acks, nacks, retrans        atomic.Int64
+	acks, retrans               atomic.Int64
 	batches, batchMsgs          atomic.Int64
 	runqPeak, mailboxPeak       atomic.Int64
 	busyNS, idleNS              atomic.Int64
@@ -415,16 +418,7 @@ func (s *Shard) Ack(node, peer graph.NodeID, seq int64) {
 	s.note(EvAck, node, peer, seq)
 }
 
-// Nack records an adversary drop reported back to the sender's ledger.
-func (s *Shard) Nack(node, peer graph.NodeID, seq int64) {
-	if s == nil {
-		return
-	}
-	s.nacks.Add(1)
-	s.note(EvNack, node, peer, seq)
-}
-
-// Retransmit records a sender-side retransmission.
+// Retransmit records one retransmission of a dropped payload.
 func (s *Shard) Retransmit(node, peer graph.NodeID, seq int64) {
 	if s == nil {
 		return

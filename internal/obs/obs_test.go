@@ -34,7 +34,6 @@ func TestNilSafety(t *testing.T) {
 	s.Step(1, 2)
 	s.Deliver(1, 2, 3)
 	s.Ack(1, 2, 3)
-	s.Nack(1, 2, 3)
 	s.Retransmit(1, 2, 3)
 	s.Batch(7)
 	s.RunQueue(7)
@@ -67,7 +66,6 @@ func TestCountersAndEvents(t *testing.T) {
 	s.Step(5, 3)
 	s.Deliver(5, 4, 9)
 	s.Ack(5, 4, 1)
-	s.Nack(5, 4, 2)
 	s.Retransmit(5, 4, 2)
 	s.Batch(7)
 	s.RunQueue(5)
@@ -87,10 +85,10 @@ func TestCountersAndEvents(t *testing.T) {
 	st := stats[1]
 	want := ShardStats{
 		Shard: 1, Steps: 1, Reversals: 3, Delivered: 1,
-		Acks: 1, Nacks: 1, Retransmits: 1, Batches: 1,
+		Acks: 1, Retransmits: 1, Batches: 1,
 		BatchMsgs: 7, RunQueuePeak: 5, MailboxPeak: 2,
 		BusyNS: int64(3 * time.Millisecond), IdleNS: int64(5 * time.Millisecond),
-		Events: 5, Sampled: 5,
+		Events: 4, Sampled: 4,
 	}
 	if st != want {
 		t.Errorf("shard 1 stats\n got %+v\nwant %+v", st, want)
@@ -100,8 +98,8 @@ func TestCountersAndEvents(t *testing.T) {
 	}
 
 	events := o.Events(0)
-	if len(events) != 6 {
-		t.Fatalf("events = %d, want 6 (5 on shard 1, 1 on ctl)", len(events))
+	if len(events) != 5 {
+		t.Fatalf("events = %d, want 5 (4 on shard 1, 1 on ctl)", len(events))
 	}
 	// The control-plane event decodes with its full coordinates.
 	var pub *Event

@@ -151,8 +151,6 @@ func renderShardMetrics(w io.Writer, o *obs.Observer) {
 		func(s obs.ShardStats) int64 { return s.BatchMsgs })
 	counter("lrd_shard_acks_total", "Acknowledgements sent by the shard's nodes.",
 		func(s obs.ShardStats) int64 { return s.Acks })
-	counter("lrd_shard_nacks_total", "Loss notifications surfaced to the shard's nodes.",
-		func(s obs.ShardStats) int64 { return s.Nacks })
 	counter("lrd_shard_retransmits_total", "Payload retransmissions originated by the shard.",
 		func(s obs.ShardStats) int64 { return s.Retransmits })
 	counter("lrd_shard_batches_total", "Cross-shard batches shipped by the shard.",

@@ -459,7 +459,7 @@ func TestMetricsExposition(t *testing.T) {
 	wantFamilies := []string{
 		"lrd_shard_steps_total", "lrd_shard_reversals_total", "lrd_shard_delivered_total",
 		"lrd_shard_remote_total", "lrd_shard_acks_total",
-		"lrd_shard_nacks_total", "lrd_shard_retransmits_total", "lrd_shard_batches_total",
+		"lrd_shard_retransmits_total", "lrd_shard_batches_total",
 		"lrd_shard_events_total", "lrd_shard_events_sampled_total",
 		"lrd_shard_runq_peak", "lrd_shard_mailbox_peak",
 		"lrd_shard_batch_fill_ratio",

@@ -15,8 +15,9 @@
 //     sharded worker pool that batches cross-shard traffic (one node per
 //     shard gives per-node asynchrony; see DistOptions), optionally under
 //     a seeded network adversary that drops, duplicates, delays and
-//     reorders messages while a sequence-numbered ack/retransmit protocol
-//     keeps the run live (see NetworkAdversary and the fault presets).
+//     reorders messages while immediate retransmission keeps the run live
+//     and sequence numbers apply each reversal once (see NetworkAdversary
+//     and the fault presets).
 //   - VerifySimulation: drive the paper's simulation relations
 //     PR → OneStepPR → NewPR (Theorems 5.2/5.4) to quiescence and report
 //     any violation.
@@ -488,7 +489,7 @@ type DistOptions = dist.Options
 type EngineObserver = obs.Observer
 
 // EngineEvent is one decoded flight-recorder entry: a protocol event
-// (reversal, delivery, ack/nack, retransmit, epoch publication,
+// (reversal, delivery, ack, retransmit, epoch publication,
 // reference-level reflect, partition detect, link churn) stamped with the
 // observer's logical clock.
 type EngineEvent = obs.Event
@@ -539,7 +540,8 @@ type (
 )
 
 // LossyNetwork is the loss preset: 15% of all transmissions dropped;
-// liveness comes entirely from the ack/retransmit protocol.
+// liveness comes entirely from retransmitting each dropped payload at once
+// under the fair-loss bound.
 func LossyNetwork(seed int64) *NetworkAdversary { return faults.Lossy(seed) }
 
 // FlakyNetwork is the mixed preset: moderate loss, duplication and delay
@@ -564,7 +566,8 @@ type DistReport struct {
 	TotalReversals int
 	// Drops, Dups, Held, Retransmits and Acks report the network
 	// adversary's interference and the reliable-delivery traffic that
-	// neutralized it.
+	// neutralized it: one retransmission per dropped payload attempt, one
+	// ack per delivered payload copy.
 	Drops       int
 	Dups        int
 	Held        int
