@@ -2,6 +2,7 @@ package linkreversal_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	lr "linkreversal"
@@ -37,6 +38,45 @@ func TestRepairAllocs(t *testing.T) {
 	}
 	if large >= 200 {
 		t.Errorf("Grid(64, 64) allocates %.0f ≥ 200 per repair", large)
+	}
+}
+
+// TestRepairBytesPerNode pins how many bytes a PR repair allocates per
+// node on top of the topology it is given: the Init, the node table, the
+// batches and run-queues, the final orientation and the result check. The
+// repair builds no per-slot array beyond the node table's own (the graph
+// stores each slot's twin, and the Init builds its neighbour sets only for
+// NewPR and the invariant checks), which keeps a grid repair near 120 bytes
+// per node; a per-run twin array and eagerly built sets would add about 70.
+func TestRepairBytesPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	const bound = 140
+	topo := lr.Grid(128, 128)
+	opts := lr.DistOptions{Shards: 2, Partition: lr.DistPartitionBlock, RecordTrace: lr.DistTraceOff}
+	run := func() {
+		rep, err := lr.RunDistributedWith(context.Background(), topo, lr.DistPR, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Acyclic || !rep.DestinationOriented {
+			t.Fatalf("acyclic=%v destination-oriented=%v", rep.Acyclic, rep.DestinationOriented)
+		}
+	}
+	run() // warm-up
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(topo.Graph.NumNodes())
+	t.Logf("Grid(128, 128) PR repair: %.0f bytes/node", perNode)
+	if perNode >= bound {
+		t.Errorf("a PR repair of Grid(128, 128) allocates %.0f bytes/node, want < %d", perNode, bound)
 	}
 }
 

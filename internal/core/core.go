@@ -36,6 +36,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"linkreversal/internal/graph"
 )
@@ -60,20 +61,24 @@ var (
 // planar embedding used by Invariant 4.1.
 //
 // The neighbour sets share one flat array laid out like the graph's rows:
-// node u's range starts at off[u] and holds in-nbrs(u) up to split[u] and
-// out-nbrs(u) after it, each ascending.
+// node u's range starts at g.RowStart(u) and holds in-nbrs(u), then
+// out-nbrs(u), each ascending; the split is u's initial in-degree. NewPR
+// and the invariant and simulation checks read the sets, and a run of any
+// other variant never does, so the array is built the first time they are
+// asked for. An Init is safe for concurrent use.
 type Init struct {
 	g       *graph.Graph
 	dest    graph.NodeID
 	initial *graph.Orientation
 	emb     *graph.Embedding
-	nbrs    []graph.NodeID
-	off     []int // n+1 entries
-	split   []int
+
+	nbrsOnce sync.Once
+	nbrs     []graph.NodeID
 }
 
 // NewInit validates the inputs (destination in range, an acyclic initial
-// orientation of g) and precomputes the immutable per-node sets.
+// orientation of g) and keeps a copy of the initial orientation, from which
+// the per-node sets are derived when first asked for.
 func NewInit(g *graph.Graph, initial *graph.Orientation, dest graph.NodeID) (*Init, error) {
 	if !g.ValidNode(dest) {
 		return nil, fmt.Errorf("%w: %d", ErrBadDestination, dest)
@@ -87,33 +92,30 @@ func NewInit(g *graph.Graph, initial *graph.Orientation, dest graph.NodeID) (*In
 	if err != nil {
 		return nil, ErrCyclicInitial
 	}
-	n := g.NumNodes()
-	in := &Init{
-		g:       g,
-		dest:    dest,
-		initial: initial.Clone(),
-		emb:     emb,
-		nbrs:    make([]graph.NodeID, 2*g.NumEdges()),
-		off:     make([]int, n+1),
-		split:   make([]int, n),
-	}
-	for u := range n {
-		id := graph.NodeID(u)
-		nbrs := g.Neighbors(id)
-		in.off[u+1] = in.off[u] + len(nbrs)
-		in.split[u] = in.off[u] + initial.InDegree(id)
-		i, o := in.off[u], in.split[u]
-		for j, v := range nbrs {
-			if initial.IncomingAt(id, j) {
-				in.nbrs[i] = v
-				i++
-			} else {
-				in.nbrs[o] = v
-				o++
+	return &Init{g: g, dest: dest, initial: initial.Clone(), emb: emb}, nil
+}
+
+// sets returns the flat array of the initial in-/out-neighbour sets,
+// building it on the first call.
+func (in *Init) sets() []graph.NodeID {
+	in.nbrsOnce.Do(func() {
+		in.nbrs = make([]graph.NodeID, 2*in.g.NumEdges())
+		for u := range in.g.NumNodes() {
+			id := graph.NodeID(u)
+			i := in.g.RowStart(id)
+			o := i + in.InDegree(id)
+			for j, v := range in.g.Neighbors(id) {
+				if in.initial.IncomingAt(id, j) {
+					in.nbrs[i] = v
+					i++
+				} else {
+					in.nbrs[o] = v
+					o++
+				}
 			}
 		}
-	}
-	return in, nil
+	})
+	return in.nbrs
 }
 
 // DefaultInit builds an Init from the canonical low→high orientation of g.
@@ -135,18 +137,27 @@ func (in *Init) Embedding() *graph.Embedding { return in.emb }
 
 // InNbrs returns in-nbrs(u) in G'_init, ascending, or nil if it is empty.
 // Callers must not modify the slice.
-func (in *Init) InNbrs(u graph.NodeID) []graph.NodeID { return in.part(in.off[u], in.split[u]) }
+func (in *Init) InNbrs(u graph.NodeID) []graph.NodeID {
+	lo := in.g.RowStart(u)
+	return in.part(lo, lo+in.InDegree(u))
+}
 
 // OutNbrs returns out-nbrs(u) in G'_init, ascending, or nil if it is empty.
 // Callers must not modify the slice.
-func (in *Init) OutNbrs(u graph.NodeID) []graph.NodeID { return in.part(in.split[u], in.off[u+1]) }
+func (in *Init) OutNbrs(u graph.NodeID) []graph.NodeID {
+	lo := in.g.RowStart(u)
+	return in.part(lo+in.InDegree(u), lo+in.g.Degree(u))
+}
 
-// part returns nbrs[lo:hi], capacity-limited, or nil if it is empty.
+// InDegree returns |in-nbrs(u)|, u's in-degree in G'_init.
+func (in *Init) InDegree(u graph.NodeID) int { return in.initial.InDegree(u) }
+
+// part returns the sets' [lo, hi), capacity-limited, or nil if it is empty.
 func (in *Init) part(lo, hi int) []graph.NodeID {
 	if lo == hi {
 		return nil
 	}
-	return in.nbrs[lo:hi:hi]
+	return in.sets()[lo:hi:hi]
 }
 
 // InitiallyIncoming reports whether the edge at u's i-th slot, the one to

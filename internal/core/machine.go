@@ -189,12 +189,12 @@ type lists struct {
 }
 
 func newLists(in *Init) lists {
-	return lists{in: in, bits: make([]uint64, bitset.Words(len(in.nbrs)))}
+	return lists{in: in, bits: make([]uint64, bitset.Words(2*in.g.NumEdges()))}
 }
 
 // row returns the bits of l[u].
 func (l lists) row(u graph.NodeID) bitset.View {
-	return bitset.Slice(l.bits, l.in.off[u], l.in.off[u+1]-l.in.off[u])
+	return bitset.Slice(l.bits, l.in.g.RowStart(u), l.in.g.Degree(u))
 }
 
 // add puts the neighbour v of u into l[u].

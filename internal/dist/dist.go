@@ -18,9 +18,11 @@
 //     node runs on its own goroutine with its own inbox: per-node
 //     asynchrony. RunWith only lays out the run's node table, with each
 //     shard's bit views word-aligned; each shard fills its own nodes'
-//     entries (peer slots, initial views, NewPR's parity sets) when its
-//     goroutine starts, before its first step, and counts its own steps
-//     and messages, which RunWith adds up once the shards have exited.
+//     entries (initial views, NewPR's parity sets) when its goroutine
+//     starts, before its first step, and counts its own steps and
+//     messages, which RunWith adds up once the shards have exited. A
+//     message names the receiver's slot of the shared edge, the twin the
+//     graph stores beside the sender's slot.
 //
 //   - DynamicNetwork runs the height-based (Gafni–Bertsekas pair) protocol
 //     over a topology that changes at runtime: links are added and failed,

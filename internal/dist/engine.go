@@ -197,11 +197,14 @@ func (c *runCore) run(ctx context.Context) error {
 // shardMsg is one transmission in transit between nodes, normally a
 // reversal announcement: some neighbour of To reversed the shared edge,
 // which now points toward To. Slot is the *receiver-side* neighbour slot of
-// the sender — the index i with To's nbrs[i] == sender — precomputed once
-// at construction, so applying the message is a pair of slice writes with
-// no lookup of any kind. For the height-based variants it plays the role
-// of the height announcement, and for list-based PR it additionally means
-// "add the neighbour at Slot to your list".
+// the sender — the index i with To's nbrs[i] == sender, the twin the graph
+// stores for the sender's slot — so applying the message is a pair of
+// slice writes with no lookup of any kind. For the height-based variants it
+// plays the role of the height announcement, and for list-based PR it
+// additionally means "add the neighbour at Slot to your list". To is an
+// int32 like Slot, which keeps the message at 16 bytes; the graph's edge
+// indices are int32 already, so a connected graph whose node IDs overflowed
+// it would have overflowed them first.
 //
 // Seq, Kind and Hold belong to the reliable-delivery layer and stay zero on
 // a reliable network: Seq is the per-directed-link sequence number of the
@@ -210,7 +213,7 @@ func (c *runCore) run(ctx context.Context) error {
 // this message (the fault adversary's logical-time holdback; the shard
 // re-enqueues the message and decrements Hold until it reaches zero).
 type shardMsg struct {
-	To   graph.NodeID
+	To   int32
 	Slot int32
 	Seq  uint32
 	Kind msgKind
@@ -269,7 +272,7 @@ func (s *shard) send(from, to graph.NodeID, toSlot int32, seq uint32) {
 			s.obs.Retransmit(from, to, int64(seq))
 		}
 	}
-	s.emit(shardMsg{To: to, Slot: toSlot, Seq: seq, Kind: msgData}, f)
+	s.emit(shardMsg{To: int32(to), Slot: toSlot, Seq: seq, Kind: msgData}, f)
 }
 
 // ack acknowledges one delivered copy of the payload seq to its sender,
@@ -283,7 +286,7 @@ func (s *shard) ack(from, to graph.NodeID, toSlot int32, seq uint32) {
 	}
 	f := s.run.inj.Judge(faults.Link{From: from, To: to}, faults.Msg{Seq: uint64(seq), Ack: true})
 	if !f.Drop {
-		s.emit(shardMsg{To: to, Slot: toSlot, Seq: seq, Kind: msgAck}, f)
+		s.emit(shardMsg{To: int32(to), Slot: toSlot, Seq: seq, Kind: msgAck}, f)
 	}
 }
 
@@ -292,7 +295,7 @@ func (s *shard) ack(from, to graph.NodeID, toSlot int32, seq uint32) {
 func (s *shard) emit(m shardMsg, f faults.Fate) {
 	m.Hold = uint8(f.Hold)
 	for range 1 + f.Extra {
-		s.route(m.To, m)
+		s.route(graph.NodeID(m.To), m)
 	}
 }
 
@@ -307,11 +310,11 @@ func (s *shard) process(m shardMsg) {
 		return
 	}
 	if s.obs != nil && m.Kind == msgData {
-		s.obs.Deliver(m.To, -1, int64(m.Seq))
+		s.obs.Deliver(graph.NodeID(m.To), -1, int64(m.Seq))
 	}
 	if t := s.run.nodes; t.recvSeq != nil {
 		t.handle(s, m)
 	} else {
-		t.receive(s, m.To, m.Slot)
+		t.receive(s, graph.NodeID(m.To), m.Slot)
 	}
 }

@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"linkreversal/internal/bitset"
 	"linkreversal/internal/core"
@@ -54,10 +53,6 @@ type nodeTable struct {
 	dest graph.NodeID
 	// node has n+1 entries; the last marks where the slots and bits end.
 	node []runNode
-	// peer[s] is the receiver-side slot of slot s: the Slot a shardMsg
-	// over that edge must carry so the receiver finds the shared edge in
-	// O(1).
-	peer []int32
 	// incoming bit i of a node is its view of its slot-i edge: set if the
 	// edge points toward the node. Views marked incoming are always
 	// truthful; views marked outgoing may lag behind an undelivered
@@ -104,7 +99,6 @@ func newNodeTable(in *core.Init, alg Algorithm, reliable bool, part partitioner)
 		alg:  alg,
 		dest: in.Destination(),
 		node: make([]runNode, n+1),
-		peer: make([]int32, slots),
 	}
 	// start[d+1] counts shard d's nodes, then becomes where its members
 	// end in all.
@@ -149,26 +143,21 @@ func newNodeTable(in *core.Init, alg Algorithm, reliable bool, part partitioner)
 	return t, members
 }
 
-// fill sets up the entries of members, which one shard owns: their peer
-// slots, initial views and NewPR parity sets, read once, by slot, which is
-// what lets every delivered message skip the neighbour lookup forever
-// after. Each shard fills its own members at the start of its goroutine,
-// before its initial acts. It needs no barrier with the other shards: a
-// shard reads only its own nodes' entries (a send reads the sender's peer
-// slot) and takes no batch from its inbox before its initial cascade has
-// drained, and the views are word-aligned at shard boundaries.
+// fill sets up the entries of members, which one shard owns: their
+// initial views and NewPR parity sets, read once, by slot. Each shard
+// fills its own members at the start of its goroutine, before its initial
+// acts. It needs no barrier with the other shards: a shard reads only its
+// own nodes' entries and takes no batch from its inbox before its initial
+// cascade has drained, and the views are word-aligned at shard boundaries.
 func (t *nodeTable) fill(in *core.Init, members []graph.NodeID) {
-	g := t.g
 	for _, id := range members {
 		nd := &t.node[id]
 		incoming := t.view(t.incoming, id)
 		if t.parity != nil {
-			nd.split = int32(len(in.InNbrs(id)))
+			nd.split = int32(in.InDegree(id))
 		}
 		ins, outs := nd.slot, nd.slot+int(nd.split)
-		for i, v := range g.Neighbors(id) {
-			j, _ := slices.BinarySearch(g.Neighbors(v), id)
-			t.peer[nd.slot+i] = int32(j)
+		for i := range t.degree(id) {
 			if in.InitiallyIncoming(id, i) {
 				incoming.Set(i)
 				if t.parity != nil {
@@ -305,19 +294,21 @@ func (t *nodeTable) receive(s *shard, u graph.NodeID, slot int32) {
 	t.act(s, u)
 }
 
-// sendReverse emits u's reversal announcement for the edge at its slot i.
-// On a reliable network it is a bare route; with the reliable-delivery
-// layer armed it assigns the link's next sequence number and sends the
-// payload through the fault injector via s.send.
+// sendReverse emits u's reversal announcement for the edge at its slot i,
+// addressed to the edge's twin slot in the neighbour's row. On a reliable
+// network it is a bare route; with the reliable-delivery layer armed it
+// assigns the link's next sequence number and sends the payload through
+// the fault injector via s.send.
 func (t *nodeTable) sendReverse(s *shard, u graph.NodeID, i int32) {
-	at := t.node[u].slot + int(i)
 	v := t.g.Neighbors(u)[i]
+	twin := int32(t.g.TwinAt(u, int(i)))
 	if t.sendSeq == nil {
-		s.route(v, shardMsg{To: v, Slot: t.peer[at]})
+		s.route(v, shardMsg{To: int32(v), Slot: twin})
 		return
 	}
+	at := t.node[u].slot + int(i)
 	t.sendSeq[at]++
-	s.send(u, v, t.peer[at], t.sendSeq[at])
+	s.send(u, v, twin, t.sendSeq[at])
 }
 
 // handle delivers one transmission under the reliable-delivery layer (the
@@ -331,9 +322,9 @@ func (t *nodeTable) handle(s *shard, m shardMsg) {
 	if m.Kind == msgAck {
 		return
 	}
-	u := m.To
+	u := graph.NodeID(m.To)
 	at := t.node[u].slot + int(m.Slot)
-	s.ack(u, t.g.Neighbors(u)[m.Slot], t.peer[at], m.Seq)
+	s.ack(u, t.g.Neighbors(u)[m.Slot], int32(t.g.TwinAt(u, int(m.Slot))), m.Seq)
 	if m.Seq <= t.recvSeq[at] {
 		return // stale copy: acknowledged only
 	}

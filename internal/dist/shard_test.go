@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 	"weak"
 
 	"linkreversal/internal/workload"
@@ -346,5 +347,14 @@ func TestReleasedRunPinsNoTable(t *testing.T) {
 			t.Errorf("%s: a released run's node table survived a collection", engineName(opts))
 		}
 		runtime.KeepAlive(c)
+	}
+}
+
+// TestShardMsgIs16Bytes pins the static plane's message at 16 bytes: the
+// batches and run-queues hold messages by value, so every byte is paid once
+// per message in flight.
+func TestShardMsgIs16Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(shardMsg{}); size != 16 {
+		t.Errorf("shardMsg is %d bytes, want 16", size)
 	}
 }

@@ -400,8 +400,8 @@ func (in *Injector) Judge(link Link, m Msg) Fate {
 		cls |= 1
 	}
 	h = mix(h, cls)
-	r := &Rand{state: h}
-	f := in.policy.Judge(r, link, m)
+	r := Rand{state: h}
+	f := judge(in.policy, &r, link, m)
 	if f.Drop && !m.Ack && m.Attempt >= in.budget {
 		// Fair-loss bound: the adversary has exhausted its drop budget for
 		// this payload; the transmission goes through.
@@ -427,6 +427,36 @@ func (in *Injector) Judge(link Link, m Msg) Fate {
 	if f.Hold > 0 {
 		in.held.Add(1)
 	}
+	return f
+}
+
+// judge asks p for its fate with the stream r. The built-in policies are
+// called by their concrete types, a Chain's parts in turn, so r does not
+// escape and Judge keeps it on its stack. A policy of any other type gets
+// a heap copy of r, as an interface call would make, and its draws are
+// carried back so a chain's later parts continue the same stream.
+func judge(p Policy, r *Rand, link Link, m Msg) Fate {
+	switch p := p.(type) {
+	case Drop:
+		return p.Judge(r, link, m)
+	case DropFirst:
+		return p.Judge(r, link, m)
+	case Duplicate:
+		return p.Judge(r, link, m)
+	case Delay:
+		return p.Judge(r, link, m)
+	case Reorder:
+		return p.Judge(r, link, m)
+	case Chain:
+		var f Fate
+		for _, q := range p {
+			f = f.merge(judge(q, r, link, m))
+		}
+		return f
+	}
+	heap := &Rand{state: r.state}
+	f := p.Judge(heap, link, m)
+	r.state = heap.state
 	return f
 }
 

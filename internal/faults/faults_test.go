@@ -186,6 +186,35 @@ func TestChainMerging(t *testing.T) {
 	}
 }
 
+// wrapped is a policy of a type Judge does not know, so it is judged
+// through the Policy interface.
+type wrapped struct{ p Policy }
+
+func (w wrapped) Judge(r *Rand, link Link, m Msg) Fate { return w.p.Judge(r, link, m) }
+
+// TestForeignPolicyKeepsStream checks that a policy of a type Judge does
+// not know draws from the same stream as a built-in one: wrapping a chain,
+// or each of its parts, changes no fate, so the draws a wrapped part makes
+// reach the parts after it.
+func TestForeignPolicyKeepsStream(t *testing.T) {
+	parts := Chain{Drop{P: 0.3}, Duplicate{P: 0.4, Extra: 2}, Delay{P: 0.5, Bound: 6}}
+	each := make(Chain, len(parts))
+	for i, p := range parts {
+		each[i] = wrapped{p}
+	}
+	want := NewInjector(&Adversary{Policy: parts, Seed: 9})
+	for _, p := range []Policy{wrapped{parts}, each} {
+		in := NewInjector(&Adversary{Policy: p, Seed: 9})
+		for seq := uint64(1); seq <= 300; seq++ {
+			for _, m := range []Msg{{Seq: seq}, {Seq: seq, Attempt: 1}, {Seq: seq, Ack: true}} {
+				if f, w := in.Judge(Link{From: 4, To: 2}, m), want.Judge(Link{From: 4, To: 2}, m); f != w {
+					t.Fatalf("%#v, %+v: fate %+v, built-in chain %+v", p, m, f, w)
+				}
+			}
+		}
+	}
+}
+
 // TestDelayBounds checks that Delay holds are within [1, Bound] and Reorder
 // always uses holdback 1.
 func TestDelayBounds(t *testing.T) {

@@ -60,26 +60,47 @@ func TopologicalOrder(o *Orientation) ([]NodeID, bool) {
 // when dest is its only sink, since a walk along out-edges that cannot
 // revisit a node ends at a sink. So only a cyclic orientation pays for the
 // reverse reachability search.
+//
+// The pass takes ready nodes in a forward sweep over node IDs, so its
+// reads follow the rows; only a node that becomes ready behind the sweep
+// waits on a stack, which is popped first. On an orientation whose edges
+// all point toward lower IDs, such as a repaired grid's, nothing is ever
+// pushed.
 func DestinationDAG(o *Orientation, dest NodeID) (acyclic, oriented bool) {
 	g := o.g
 	n := g.NumNodes()
+	// outdeg[u] counts u's out-edges to unprocessed nodes; -1 marks u
+	// processed.
 	outdeg := make([]int32, n)
-	ready := make([]NodeID, 0, n)
+	sinks := 0
 	for u := range n {
 		if outdeg[u] = int32(g.off[u+1] - g.off[u] - o.indeg[u]); outdeg[u] == 0 {
-			ready = append(ready, NodeID(u))
+			sinks++
 		}
 	}
-	oriented = n == 0 || len(ready) == 1 && ready[0] == dest
-	done := 0
-	for len(ready) > 0 {
-		u := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
+	oriented = n == 0 || sinks == 1 && g.ValidNode(dest) && outdeg[dest] == 0
+	var behind []NodeID
+	done, cursor := 0, 0
+	for {
+		var u int
+		if k := len(behind); k > 0 {
+			u = int(behind[k-1])
+			behind = behind[:k-1]
+		} else {
+			for cursor < n && outdeg[cursor] != 0 {
+				cursor++
+			}
+			if cursor == n {
+				break
+			}
+			u = cursor
+		}
+		outdeg[u] = -1
 		done++
 		for s := g.off[u]; s < g.off[u+1]; s++ {
-			if v := g.nbr[s]; o.in(u, s) {
-				if outdeg[v]--; outdeg[v] == 0 {
-					ready = append(ready, v)
+			if v := g.nbr[s]; o.in(NodeID(u), s) {
+				if outdeg[v]--; outdeg[v] == 0 && int(v) < cursor {
+					behind = append(behind, v)
 				}
 			}
 		}

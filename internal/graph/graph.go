@@ -11,13 +11,15 @@
 //
 // A Graph keeps its adjacency in compressed sparse rows: node u's slots
 // are one contiguous range of two flat arrays, the neighbours in ascending
-// order and, parallel to them, the index of the edge to each. Neighbors
-// returns u's row itself. An Orientation stores one head per edge, the
-// endpoint the edge points toward, so the direction of the edge at a slot
-// is one read through that slot's edge ID, and the walks of analysis.go
-// visit every slot once without allocating per node. Finding the edge
-// between two given nodes binary-searches the shorter of their rows. No
-// lookup goes through a map.
+// order and, parallel to them, one 8-byte record per slot holding the
+// index of the edge to that neighbour and the slot's twin, the position of
+// the same edge in the neighbour's row. Neighbors returns u's row itself.
+// An Orientation stores one head per edge, the endpoint the edge points
+// toward, so the direction of the edge at a slot is one read through that
+// slot's edge ID, and the walks of analysis.go visit every slot once
+// without allocating per node. Crossing an edge from one end's slot to the
+// other's reads the twin; only finding the edge between two given nodes
+// binary-searches the shorter of their rows. No lookup goes through a map.
 package graph
 
 import (
@@ -58,13 +60,19 @@ var (
 type Graph struct {
 	n     int
 	edges []Edge
-	// off[u]..off[u+1]-1 are u's slots in nbr and eid (n+1 entries).
+	// off[u]..off[u+1]-1 are u's slots in nbr and slot (n+1 entries).
 	off []int
 	// nbr[s] is the neighbour at slot s; each row is ascending.
 	nbr []NodeID
-	// eid[s] is the index in edges of the edge at slot s.
-	eid []int32
+	// slot[s] is the edge at slot s and the slot's twin.
+	slot []slotEdge
 }
+
+// slotEdge is one slot's record of its edge: the edge's index in edges,
+// and twin, the index of the same edge in the neighbour's row. The two
+// share one record because buildRows writes them together, at a position
+// scattered across the rows.
+type slotEdge struct{ eid, twin int32 }
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
 type Builder struct {
@@ -99,7 +107,9 @@ func (b *Builder) AddEdge(a, c NodeID) *Builder {
 // every recorded edge precedes a sticky range or self-loop error, so that
 // is the first repeated edge if there is one, else the sticky error.
 func (b *Builder) Build() (*Graph, error) {
-	g := &Graph{n: b.n, edges: slices.Clone(b.edges)}
+	// The graph shares the recorded edges: AddEdge only ever appends, past
+	// the clipped end, so none that the graph holds can change.
+	g := &Graph{n: b.n, edges: slices.Clip(b.edges)}
 	g.buildRows()
 	if e, ok := g.firstDuplicate(); ok {
 		return nil, fmt.Errorf("%w: {%d,%d}", ErrDuplicateEdge, e.U, e.V)
@@ -117,7 +127,9 @@ func (b *Builder) Build() (*Graph, error) {
 // parts, and a second rewrites every higher part from the lower parts.
 // Each sweep appends to a part in ascending order of the row it reads, so
 // both parts come out sorted, and copies of one edge keep their insertion
-// order.
+// order. The second sweep reads every lower part where it stays and writes
+// every higher part where it stays, so it also makes each slot it reads and
+// the slot it writes from it twins.
 func (g *Graph) buildRows() {
 	n := g.n
 	g.off = make([]int, n+1)
@@ -132,17 +144,17 @@ func (g *Graph) buildRows() {
 		mid[u] += g.off[u]
 	}
 	g.nbr = make([]NodeID, 2*len(g.edges))
-	g.eid = make([]int32, 2*len(g.edges))
+	g.slot = make([]slotEdge, 2*len(g.edges))
 	at := slices.Clone(mid) // the next free slot of each part being written
 	for i, e := range g.edges {
-		g.nbr[at[e.U]], g.eid[at[e.U]] = e.V, int32(i)
+		g.nbr[at[e.U]], g.slot[at[e.U]].eid = e.V, int32(i)
 		at[e.U]++
 	}
 	copy(at, g.off)
 	for w := range n {
 		for s := mid[w]; s < g.off[w+1]; s++ {
 			v := g.nbr[s]
-			g.nbr[at[v]], g.eid[at[v]] = NodeID(w), g.eid[s]
+			g.nbr[at[v]], g.slot[at[v]].eid = NodeID(w), g.slot[s].eid
 			at[v]++
 		}
 	}
@@ -150,7 +162,10 @@ func (g *Graph) buildRows() {
 	for w := range n {
 		for s := g.off[w]; s < mid[w]; s++ {
 			v := g.nbr[s]
-			g.nbr[at[v]], g.eid[at[v]] = NodeID(w), g.eid[s]
+			t := at[v]
+			g.nbr[t] = NodeID(w)
+			g.slot[t] = slotEdge{eid: g.slot[s].eid, twin: int32(s - g.off[w])}
+			g.slot[s].twin = int32(t - g.off[v])
 			at[v]++
 		}
 	}
@@ -163,8 +178,8 @@ func (g *Graph) firstDuplicate() (Edge, bool) {
 	first := int32(-1)
 	for u := range g.n {
 		for s := g.off[u] + 1; s < g.off[u+1]; s++ {
-			if g.nbr[s] == g.nbr[s-1] && (first < 0 || g.eid[s] < first) {
-				first = g.eid[s]
+			if g.nbr[s] == g.nbr[s-1] && (first < 0 || g.slot[s].eid < first) {
+				first = g.slot[s].eid
 			}
 		}
 	}
@@ -236,14 +251,24 @@ func (g *Graph) EdgeIndex(a, b NodeID) (int, bool) {
 	}
 	row := g.off[a]
 	if i, ok := slices.BinarySearch(g.nbr[row:g.off[a+1]], b); ok {
-		return int(g.eid[row+i]), true
+		return int(g.slot[row+i].eid), true
 	}
 	return 0, false
 }
 
 // EdgeAt returns the index in Edges of the edge at u's i-th slot, the one
 // to Neighbors(u)[i].
-func (g *Graph) EdgeAt(u NodeID, i int) int { return int(g.eid[g.off[u]:g.off[u+1]][i]) }
+func (g *Graph) EdgeAt(u NodeID, i int) int { return int(g.slot[g.off[u]:g.off[u+1]][i].eid) }
+
+// TwinAt returns the twin of u's i-th slot: the index j of the same edge
+// in the row of its other end v = Neighbors(u)[i], so that Neighbors(v)[j]
+// is u. It pairs dir[u,v] with dir[v,u], as Invariant 3.1 does.
+func (g *Graph) TwinAt(u NodeID, i int) int { return int(g.slot[g.off[u]:g.off[u+1]][i].twin) }
+
+// RowStart returns where u's slots begin among the 2·NumEdges slots of all
+// rows, which run node by node in ID order: u's i-th slot is slot
+// RowStart(u)+i.
+func (g *Graph) RowStart(u NodeID) int { return g.off[u] }
 
 // Equal reports whether g and h have the same node count and the same edge
 // list in the same order, so that their slots and edge indices coincide.

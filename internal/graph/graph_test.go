@@ -153,6 +153,25 @@ func TestEdgesReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestBuilderReuseLeavesGraph adds edges to a Builder after it has built a
+// graph, which shares the recorded edges: the first graph must keep its
+// edges, and the second must have them all.
+func TestBuilderReuseLeavesGraph(t *testing.T) {
+	b := NewBuilder(4)
+	for i := range 3 {
+		b.AddEdge(NodeID(i), NodeID(i+1))
+	}
+	first := b.MustBuild()
+	want := first.Edges()
+	second := b.AddEdge(0, 3).AddEdge(0, 2).MustBuild()
+	if got := first.Edges(); len(got) != 3 || got[0] != want[0] || got[2] != want[2] || first.Degree(0) != 1 {
+		t.Errorf("first graph changed after AddEdge: edges %v, degree(0) %d", got, first.Degree(0))
+	}
+	if second.NumEdges() != 5 || second.Degree(0) != 3 {
+		t.Errorf("second graph: %d edges, degree(0) %d; want 5 and 3", second.NumEdges(), second.Degree(0))
+	}
+}
+
 func TestEdgeIndexDense(t *testing.T) {
 	g := mustGraph(t, 4, [2]NodeID{0, 1}, [2]NodeID{1, 2}, [2]NodeID{2, 3})
 	seen := make(map[int]bool)

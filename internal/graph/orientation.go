@@ -232,7 +232,7 @@ func (o *Orientation) neighbors(u NodeID, in bool) []NodeID {
 }
 
 // in reports whether the edge at u's absolute slot s points toward u.
-func (o *Orientation) in(u NodeID, s int) bool { return o.toward[o.g.eid[s]] == u }
+func (o *Orientation) in(u NodeID, s int) bool { return o.toward[o.g.slot[s].eid] == u }
 
 // Clone returns a deep copy sharing the immutable underlying Graph.
 func (o *Orientation) Clone() *Orientation {

@@ -110,8 +110,8 @@ func (r *refGraph) bad(dest NodeID) []NodeID {
 }
 
 // FuzzGraphReference checks the CSR graph and its orientation against
-// refGraph: Build's errors, the rows, every edge lookup (out-of-range
-// nodes included), and every orientation query after a fuzzed initial
+// refGraph: Build's errors, the rows and every slot's twin, every edge
+// lookup (out-of-range nodes included), and every orientation query after a fuzzed initial
 // orientation and a fuzzed sequence of reversals, DestinationDAG's two
 // answers among them.
 func FuzzGraphReference(f *testing.F) {
@@ -158,6 +158,12 @@ func FuzzGraphReference(f *testing.F) {
 			}
 			if !slices.Equal(row, want) || cap(row) != len(row) {
 				t.Fatalf("Neighbors(%d) = %v (cap %d), reference %v", u, row, cap(row), want)
+			}
+			for i, v := range row {
+				j := g.TwinAt(u, i)
+				if back := g.Neighbors(v); j < 0 || j >= len(back) || back[j] != u || g.EdgeAt(v, j) != g.EdgeAt(u, i) {
+					t.Fatalf("TwinAt(%d, %d) = %d: not the edge {%d,%d} in row %v", u, i, j, u, v, back)
+				}
 			}
 			for _, v := range nodes {
 				e := NormalizedEdge(u, v)
