@@ -119,3 +119,44 @@ func TestOrientationQueriesAllocFree(t *testing.T) {
 		t.Errorf("Dir, PointsTo, Reverse, HasEdge and EdgeIndex allocate %.1f times per sweep, want 0", allocs)
 	}
 }
+
+// TestRouterPartitionedAllocFree pins Router.Partitioned, which lrroute's
+// status command calls once per node: the router keeps the destination's
+// component until a link changes, so a call between changes is a binary
+// search that allocates nothing, and a cut is seen by the next call.
+func TestRouterPartitionedAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	r, err := lr.NewRouter(lr.Grid(100, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Stabilize(); err != nil {
+		t.Fatal(err)
+	}
+	corner := lr.NodeID(r.NumNodes() - 1)
+	partitioned := func(u lr.NodeID) bool {
+		p, err := r.Partitioned(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if partitioned(corner) {
+			t.Fatal("connected corner reads as partitioned")
+		}
+	}); allocs != 0 {
+		t.Errorf("Partitioned allocates %.1f times per call, want 0", allocs)
+	}
+	for _, v := range r.Neighbors(corner) {
+		if err := r.RemoveLink(corner, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !partitioned(corner) || partitioned(corner-1) {
+		t.Errorf("after cutting node %d off: Partitioned = %v, and %v for its neighbour %d; want true, false",
+			corner, partitioned(corner), partitioned(corner-1), corner-1)
+	}
+}

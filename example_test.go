@@ -142,40 +142,3 @@ func ExampleServe() {
 	}
 	// Output: hops=4 path=[4 3 2 1 0]
 }
-
-// ExampleNewMutexManager serves two critical-section requests.
-func ExampleNewMutexManager() {
-	mgr, err := lr.NewMutexManager(lr.GoodChain(4))
-	if err != nil {
-		panic(err)
-	}
-	if err := mgr.Request(3); err != nil {
-		panic(err)
-	}
-	rec, err := mgr.Grant()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("token %d→%d in %d hops\n", rec.From, rec.To, rec.Hops)
-	// Output: token 0→3 in 3 hops
-}
-
-// ExampleNewElectionService elects a new leader after a failure.
-func ExampleNewElectionService() {
-	svc, err := lr.NewElectionService(lr.Ring(6, 1))
-	if err != nil {
-		panic(err)
-	}
-	if err := svc.Fail(0); err != nil {
-		panic(err)
-	}
-	if err := svc.Stabilize(); err != nil {
-		panic(err)
-	}
-	leader, err := svc.Leader(4)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("new leader=%d\n", leader)
-	// Output: new leader=1
-}

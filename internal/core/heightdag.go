@@ -40,22 +40,26 @@ func PairStep(h Height, deg int, nbr func(i int) Height) Height {
 // the link {u,v} points from the higher to the lower endpoint. Heights are
 // a total order, so the orientation is acyclic whatever links come and go,
 // and a new link gets its direction from the heights it joins. Stabilize
-// repairs the orientation toward a destination with PairStep.
+// repairs the orientation with PairStep toward the destination of the Init
+// the DAG was built from.
 //
 // Each node keeps an ascending neighbour row. A link change replaces the
 // two rows it touches and never edits a row in place, so a row returned by
 // Neighbors stays as it was. A HeightDAG is not safe for concurrent use.
 type HeightDAG struct {
+	dest    graph.NodeID
 	rows    [][]graph.NodeID
 	heights []Height
 	steps   int
+	// comp caches Component until a link change; nil means not computed.
+	comp []graph.NodeID
 }
 
-// NewHeightDAG starts a HeightDAG on in's graph with the initial pair
-// heights, so its orientation equals G'_init.
+// NewHeightDAG starts a HeightDAG on in's graph and destination with the
+// initial pair heights, so its orientation equals G'_init.
 func NewHeightDAG(in *Init) *HeightDAG {
 	n := in.g.NumNodes()
-	d := &HeightDAG{rows: make([][]graph.NodeID, n), heights: make([]Height, n)}
+	d := &HeightDAG{dest: in.dest, rows: make([][]graph.NodeID, n), heights: make([]Height, n)}
 	for u := range n {
 		id := graph.NodeID(u)
 		d.rows[u] = in.g.Neighbors(id)
@@ -66,6 +70,9 @@ func NewHeightDAG(in *Init) *HeightDAG {
 
 // NumNodes returns the number of nodes.
 func (d *HeightDAG) NumNodes() int { return len(d.rows) }
+
+// Destination returns the node the DAG is stabilized toward.
+func (d *HeightDAG) Destination() graph.NodeID { return d.dest }
 
 // Height returns u's current height.
 func (d *HeightDAG) Height(u graph.NodeID) Height { return d.heights[u] }
@@ -91,6 +98,7 @@ func (d *HeightDAG) AddLink(u, v graph.NodeID) bool {
 	}
 	d.rows[u] = withLink(d.rows[u], v)
 	d.rows[v] = withLink(d.rows[v], u)
+	d.comp = nil
 	return true
 }
 
@@ -101,6 +109,7 @@ func (d *HeightDAG) RemoveLink(u, v graph.NodeID) bool {
 	}
 	d.rows[u] = withoutLink(d.rows[u], v)
 	d.rows[v] = withoutLink(d.rows[v], u)
+	d.comp = nil
 	return true
 }
 
@@ -116,12 +125,16 @@ func withoutLink(row []graph.NodeID, v graph.NodeID) []graph.NodeID {
 	return slices.Delete(slices.Clone(row), i, i+1)
 }
 
-// Component returns the members of root's undirected component in
-// ascending order.
-func (d *HeightDAG) Component(root graph.NodeID) []graph.NodeID {
+// Component returns the members of the destination's undirected component
+// in ascending order. The slice is computed once per link set and shared
+// until the next link change; it must not be modified.
+func (d *HeightDAG) Component() []graph.NodeID {
+	if d.comp != nil {
+		return d.comp
+	}
 	seen := make([]bool, len(d.rows))
-	seen[root] = true
-	comp := []graph.NodeID{root}
+	seen[d.dest] = true
+	comp := []graph.NodeID{d.dest}
 	for i := 0; i < len(comp); i++ {
 		for _, v := range d.rows[comp[i]] {
 			if !seen[v] {
@@ -131,6 +144,7 @@ func (d *HeightDAG) Component(root graph.NodeID) []graph.NodeID {
 		}
 	}
 	slices.Sort(comp)
+	d.comp = comp
 	return comp
 }
 
@@ -147,10 +161,11 @@ func (d *HeightDAG) NextHop(u graph.NodeID) (graph.NodeID, bool) {
 	return best, best != u
 }
 
-// sink reports whether u is a node other than dest with links and no lower
-// neighbour.
-func (d *HeightDAG) sink(u, dest graph.NodeID) bool {
-	if u == dest || len(d.rows[u]) == 0 {
+// sink reports whether u is a node other than the destination with no
+// lower neighbour. Stabilize asks only about members of the destination's
+// component, so a sink has a link for PairStep to read.
+func (d *HeightDAG) sink(u graph.NodeID) bool {
+	if u == d.dest {
 		return false
 	}
 	for _, v := range d.rows[u] {
@@ -161,28 +176,21 @@ func (d *HeightDAG) sink(u, dest graph.NodeID) bool {
 	return true
 }
 
-// Stabilize runs the pair rule toward dest over members, which must be
-// ascending; nil means every node. Each sweep visits the members in
-// ascending order and applies PairStep to every sink it meets, until a
-// sweep finds none; it returns the number of steps taken. On a component
-// that contains dest the rule terminates: its budget of 100·m²+100 steps
-// for m members is exhausted only by a bug, or by members cut off from
-// dest.
-func (d *HeightDAG) Stabilize(dest graph.NodeID, members []graph.NodeID) (int, error) {
+// Stabilize runs the pair rule over the destination's component. Each
+// sweep visits the component in ascending order and applies PairStep to
+// every sink other than the destination, until a sweep finds none; it
+// returns the number of steps taken. Nodes cut off from the destination
+// keep their heights. The rule terminates on the component: its budget of
+// 100·m²+100 steps for m members is exhausted only by a bug.
+func (d *HeightDAG) Stabilize() (int, error) {
+	members := d.Component()
 	m := len(members)
-	if members == nil {
-		m = len(d.rows)
-	}
 	budget := 100*m*m + 100
 	steps := 0
 	for {
 		progressed := false
-		for i := range m {
-			u := graph.NodeID(i)
-			if members != nil {
-				u = members[i]
-			}
-			if !d.sink(u, dest) {
+		for _, u := range members {
+			if !d.sink(u) {
 				continue
 			}
 			row := d.rows[u]
@@ -191,7 +199,7 @@ func (d *HeightDAG) Stabilize(dest graph.NodeID, members []graph.NodeID) (int, e
 			steps++
 			progressed = true
 			if steps > budget {
-				return steps, fmt.Errorf("core: stabilize toward %d exceeded %d steps", dest, budget)
+				return steps, fmt.Errorf("core: stabilize toward %d exceeded %d steps", d.dest, budget)
 			}
 		}
 		if !progressed {
@@ -201,12 +209,12 @@ func (d *HeightDAG) Stabilize(dest graph.NodeID, members []graph.NodeID) (int, e
 }
 
 // Path walks from src to the lowest lower neighbour, hop by hop, until it
-// reaches dst or a node with no lower neighbour, and reports whether it
-// reached dst. Heights strictly decrease along the walk, so it is
-// loop-free.
-func (d *HeightDAG) Path(src, dst graph.NodeID) ([]graph.NodeID, bool) {
+// reaches the destination or a node with no lower neighbour, and reports
+// whether it reached the destination. Heights strictly decrease along the
+// walk, so it is loop-free.
+func (d *HeightDAG) Path(src graph.NodeID) ([]graph.NodeID, bool) {
 	path := []graph.NodeID{src}
-	for u := src; u != dst; {
+	for u := src; u != d.dest; {
 		v, ok := d.NextHop(u)
 		if !ok {
 			return path, false

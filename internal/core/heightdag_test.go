@@ -58,14 +58,20 @@ func TestHeightDAGStabilizeIsGBPair(t *testing.T) {
 		t.Run(topo.Name, func(t *testing.T) {
 			in := topo.MustInit()
 			dag := core.NewHeightDAG(in)
-			steps, err := dag.Stabilize(topo.Dest, nil)
+			if dag.Destination() != topo.Dest {
+				t.Fatalf("Destination() = %d, want %d", dag.Destination(), topo.Dest)
+			}
+			n := topo.Graph.NumNodes()
+			if got := len(dag.Component()); got != n {
+				t.Fatalf("destination's component has %d members, want all %d", got, n)
+			}
+			steps, err := dag.Stabilize()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if steps != dag.Steps() {
 				t.Errorf("Stabilize returned %d steps, Steps() = %d", steps, dag.Steps())
 			}
-			n := topo.Graph.NumNodes()
 			for _, s := range schedulers() {
 				gb := core.NewGBPair(in)
 				res, err := sched.Run(gb, s, sched.Options{})
@@ -86,7 +92,7 @@ func TestHeightDAGStabilizeIsGBPair(t *testing.T) {
 				t.Error("stabilized DAG has a cycle")
 			}
 			for u := range n {
-				if path, ok := dag.Path(graph.NodeID(u), topo.Dest); !ok {
+				if path, ok := dag.Path(graph.NodeID(u)); !ok {
 					t.Errorf("no route from %d: walk stopped at %d", u, path[len(path)-1])
 				}
 			}
@@ -95,36 +101,57 @@ func TestHeightDAGStabilizeIsGBPair(t *testing.T) {
 }
 
 // TestHeightDAGLinks pins the link operations: each reports whether it
-// changed anything, rows stay ascending, and a row handed out earlier is
-// never edited in place.
+// changed anything, rows stay ascending, a row handed out earlier is never
+// edited in place, and the destination's component follows the links, on
+// either side of a cut.
 func TestHeightDAGLinks(t *testing.T) {
-	dag := core.NewHeightDAG(workload.GoodChain(4).MustInit())
-	held := dag.Neighbors(1)
-	if !slices.Equal(held, []graph.NodeID{0, 2}) {
-		t.Fatalf("Neighbors(1) = %v, want [0 2]", held)
-	}
-	if dag.AddLink(0, 1) || dag.RemoveLink(0, 2) {
-		t.Error("AddLink of a present link or RemoveLink of an absent one reported a change")
-	}
-	if !dag.AddLink(3, 1) || !dag.HasLink(1, 3) || !dag.HasLink(3, 1) {
-		t.Fatal("AddLink(3, 1) did not add the link both ways")
-	}
-	if got := dag.Neighbors(1); !slices.Equal(got, []graph.NodeID{0, 2, 3}) {
-		t.Errorf("Neighbors(1) after AddLink = %v, want [0 2 3]", got)
-	}
-	if !dag.RemoveLink(1, 0) || dag.HasLink(0, 1) {
-		t.Fatal("RemoveLink(1, 0) did not remove the link")
-	}
-	if got := dag.Neighbors(1); !slices.Equal(got, []graph.NodeID{2, 3}) {
-		t.Errorf("Neighbors(1) after RemoveLink = %v, want [2 3]", got)
-	}
-	if !slices.Equal(held, []graph.NodeID{0, 2}) {
-		t.Errorf("held row changed to %v", held)
-	}
-	if got := dag.Component(3); !slices.Equal(got, []graph.NodeID{1, 2, 3}) {
-		t.Errorf("Component(3) = %v, want [1 2 3]", got)
-	}
-	if got := dag.Component(0); !slices.Equal(got, []graph.NodeID{0}) {
-		t.Errorf("Component(0) = %v, want [0]", got)
+	topo := workload.GoodChain(4)
+	all := []graph.NodeID{0, 1, 2, 3}
+	for _, tt := range []struct {
+		dest graph.NodeID
+		comp []graph.NodeID // after the link changes below
+	}{
+		{dest: 0, comp: []graph.NodeID{0}},
+		{dest: 3, comp: []graph.NodeID{1, 2, 3}},
+	} {
+		in, err := core.NewInit(topo.Graph, topo.Initial, tt.dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dag := core.NewHeightDAG(in)
+		held := dag.Neighbors(1)
+		if !slices.Equal(held, []graph.NodeID{0, 2}) {
+			t.Fatalf("Neighbors(1) = %v, want [0 2]", held)
+		}
+		if dag.AddLink(0, 1) || dag.RemoveLink(0, 2) {
+			t.Error("AddLink of a present link or RemoveLink of an absent one reported a change")
+		}
+		if !dag.AddLink(3, 1) || !dag.HasLink(1, 3) || !dag.HasLink(3, 1) {
+			t.Fatal("AddLink(3, 1) did not add the link both ways")
+		}
+		if got := dag.Neighbors(1); !slices.Equal(got, []graph.NodeID{0, 2, 3}) {
+			t.Errorf("Neighbors(1) after AddLink = %v, want [0 2 3]", got)
+		}
+		if got := dag.Component(); !slices.Equal(got, all) {
+			t.Errorf("dest %d: Component() = %v, want %v", tt.dest, got, all)
+		}
+		if !dag.RemoveLink(1, 0) || dag.HasLink(0, 1) {
+			t.Fatal("RemoveLink(1, 0) did not remove the link")
+		}
+		if got := dag.Neighbors(1); !slices.Equal(got, []graph.NodeID{2, 3}) {
+			t.Errorf("Neighbors(1) after RemoveLink = %v, want [2 3]", got)
+		}
+		if !slices.Equal(held, []graph.NodeID{0, 2}) {
+			t.Errorf("held row changed to %v", held)
+		}
+		if got := dag.Component(); !slices.Equal(got, tt.comp) {
+			t.Errorf("dest %d: Component() after RemoveLink = %v, want %v", tt.dest, got, tt.comp)
+		}
+		if !dag.AddLink(0, 1) {
+			t.Fatal("AddLink(0, 1) did not restore the link")
+		}
+		if got := dag.Component(); !slices.Equal(got, all) {
+			t.Errorf("dest %d: Component() after the heal = %v, want %v", tt.dest, got, all)
+		}
 	}
 }

@@ -49,8 +49,7 @@ var (
 // Router maintains loop-free routes to a single destination over a mutable
 // topology. It is not safe for concurrent use.
 type Router struct {
-	dest graph.NodeID
-	dag  *core.HeightDAG
+	dag *core.HeightDAG
 	// events counts topology mutations.
 	events int
 }
@@ -63,14 +62,14 @@ func NewRouter(topo *workload.Topology) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Router{dest: topo.Dest, dag: core.NewHeightDAG(in)}, nil
+	return &Router{dag: core.NewHeightDAG(in)}, nil
 }
 
 // NumNodes returns the number of nodes.
 func (r *Router) NumNodes() int { return r.dag.NumNodes() }
 
 // Destination returns the destination node.
-func (r *Router) Destination() graph.NodeID { return r.dest }
+func (r *Router) Destination() graph.NodeID { return r.dag.Destination() }
 
 // Reversals returns the total number of height updates performed.
 func (r *Router) Reversals() int { return r.dag.Steps() }
@@ -148,7 +147,7 @@ func (r *Router) RemoveLink(u, v graph.NodeID) error {
 // component is a sink. Nodes outside that component are partitioned and
 // skipped. It returns the number of steps performed.
 func (r *Router) Stabilize() (int, error) {
-	steps, err := r.dag.Stabilize(r.dest, r.dag.Component(r.dest))
+	steps, err := r.dag.Stabilize()
 	if err != nil {
 		return steps, fmt.Errorf("routing: %w", err)
 	}
@@ -156,11 +155,13 @@ func (r *Router) Stabilize() (int, error) {
 }
 
 // Partitioned reports whether u is outside the destination's component.
+// The component is kept until the next link change, so a call between
+// changes is a binary search.
 func (r *Router) Partitioned(u graph.NodeID) (bool, error) {
 	if !r.valid(u) {
 		return false, fmt.Errorf("%w: %d", ErrUnknownNode, u)
 	}
-	_, in := slices.BinarySearch(r.dag.Component(r.dest), u)
+	_, in := slices.BinarySearch(r.dag.Component(), u)
 	return !in, nil
 }
 
@@ -175,7 +176,7 @@ func (r *Router) Route(src graph.NodeID) ([]graph.NodeID, error) {
 	if part {
 		return nil, fmt.Errorf("%w: node %d", ErrPartitioned, src)
 	}
-	path, ok := r.dag.Path(src, r.dest)
+	path, ok := r.dag.Path(src)
 	if !ok {
 		return nil, fmt.Errorf("%w: node %d is a sink", ErrNotStabilized, path[len(path)-1])
 	}

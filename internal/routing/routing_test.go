@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"linkreversal/internal/core"
 	"linkreversal/internal/graph"
 	"linkreversal/internal/routing"
 	"linkreversal/internal/workload"
@@ -97,41 +98,79 @@ func TestLinkFailureTriggersRepair(t *testing.T) {
 		steps, r.Reversals(), before)
 }
 
+// TestPartitionDetection cuts a chain in two. Stabilize repairs the
+// destination's half alone: the cut-off nodes keep their heights, the
+// steps it counts are those the half takes on its own, and the cut-off
+// nodes read as partitioned until a heal restores their routes.
 func TestPartitionDetection(t *testing.T) {
-	// Chain 0-1-2-3: removing {1,2} cuts nodes 2,3 from destination 0.
-	r := newRouter(t, workload.GoodChain(4))
-	stabilize(t, r)
-	if err := r.RemoveLink(1, 2); err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		name   string
+		topo   *workload.Topology
+		settle bool // stabilize before the cut
+		cut    [2]graph.NodeID
+		off    []graph.NodeID     // cut off from destination 0
+		half   *workload.Topology // the destination's half on its own
+	}{
+		// Chain 0-1-2-3 oriented toward 0: removing {1,2} cuts nodes 2,3
+		// off and leaves 0-1 oriented.
+		{name: "oriented", topo: workload.GoodChain(4), settle: true, cut: [2]graph.NodeID{1, 2},
+			off: []graph.NodeID{2, 3}, half: workload.GoodChain(2)},
+		// Chain 0-1-2-3-4 oriented away from 0, cut at {2,3} before any
+		// repair: 0-1-2 must reverse, while 3 is a sink of its own half.
+		{name: "unrepaired", topo: workload.BadChain(4), cut: [2]graph.NodeID{2, 3},
+			off: []graph.NodeID{3, 4}, half: workload.BadChain(2)},
 	}
-	if _, err := r.Stabilize(); err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range []graph.NodeID{2, 3} {
-		p, err := r.Partitioned(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !p {
-			t.Errorf("node %d should be partitioned", u)
-		}
-		if _, err := r.Route(u); !errors.Is(err, routing.ErrPartitioned) {
-			t.Errorf("route from %d: error = %v, want ErrPartitioned", u, err)
-		}
-	}
-	// Node 1 still routes fine.
-	if _, err := r.Route(1); err != nil {
-		t.Errorf("route from 1: %v", err)
-	}
-	// Healing the partition restores routes.
-	if err := r.AddLink(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Stabilize(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Route(3); err != nil {
-		t.Errorf("route from 3 after healing: %v", err)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			r := newRouter(t, tt.topo)
+			if tt.settle {
+				stabilize(t, r)
+			}
+			before := r.Reversals()
+			if err := r.RemoveLink(tt.cut[0], tt.cut[1]); err != nil {
+				t.Fatal(err)
+			}
+			heights := make([]core.Height, len(tt.off))
+			for i, u := range tt.off {
+				heights[i], _ = r.Height(u)
+			}
+			steps := stabilize(t, r)
+			if want := stabilize(t, newRouter(t, tt.half)); steps != want || r.Reversals()-before != want {
+				t.Errorf("repair took %d steps and counted %d reversals; the destination's half alone takes %d",
+					steps, r.Reversals()-before, want)
+			}
+			for i, u := range tt.off {
+				if h, _ := r.Height(u); h != heights[i] {
+					t.Errorf("cut-off node %d moved from %v to %v", u, heights[i], h)
+				}
+				p, err := r.Partitioned(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !p {
+					t.Errorf("node %d should be partitioned", u)
+				}
+				if _, err := r.Route(u); !errors.Is(err, routing.ErrPartitioned) {
+					t.Errorf("route from %d: error = %v, want ErrPartitioned", u, err)
+				}
+			}
+			// The destination's half still routes.
+			for u := graph.NodeID(1); u < tt.off[0]; u++ {
+				if _, err := r.Route(u); err != nil {
+					t.Errorf("route from %d: %v", u, err)
+				}
+			}
+			// Healing the partition restores routes.
+			if err := r.AddLink(tt.cut[0], tt.cut[1]); err != nil {
+				t.Fatal(err)
+			}
+			stabilize(t, r)
+			for _, u := range tt.off {
+				if _, err := r.Route(u); err != nil {
+					t.Errorf("route from %d after healing: %v", u, err)
+				}
+			}
+		})
 	}
 }
 

@@ -40,10 +40,8 @@ import (
 	"linkreversal/internal/automaton"
 	"linkreversal/internal/core"
 	"linkreversal/internal/dist"
-	"linkreversal/internal/election"
 	"linkreversal/internal/faults"
 	"linkreversal/internal/graph"
-	"linkreversal/internal/mutex"
 	"linkreversal/internal/obs"
 	"linkreversal/internal/routing"
 	"linkreversal/internal/sched"
@@ -69,12 +67,6 @@ type (
 	Router = routing.Router
 	// Height is the (a, b, id) triple of the height-based formulation.
 	Height = core.Height
-	// ElectionService maintains per-component leaders via link reversal.
-	ElectionService = election.Service
-	// MutexManager coordinates token-based mutual exclusion on the DAG.
-	MutexManager = mutex.Manager
-	// GrantRecord describes one mutual-exclusion token handoff.
-	GrantRecord = mutex.GrantRecord
 	// DynamicNetwork runs the height-based protocol over a topology that
 	// changes at runtime: link and node churn, crash-stop and recovery,
 	// exact partition detection, on a pool of shard goroutines.
@@ -149,18 +141,6 @@ var (
 
 // NewRouter builds a dynamic-topology router from a topology (see Router).
 func NewRouter(topo *Topology) (*Router, error) { return routing.NewRouter(topo) }
-
-// NewElectionService builds a leader-election service from a topology; all
-// nodes start alive and the initial leaders are elected immediately.
-func NewElectionService(topo *Topology) (*ElectionService, error) {
-	return election.NewService(topo)
-}
-
-// NewMutexManager builds a mutual-exclusion manager from a topology; the
-// topology's destination holds the token initially.
-func NewMutexManager(topo *Topology) (*MutexManager, error) {
-	return mutex.NewManager(topo)
-}
 
 // NewDynamicNetwork starts the dynamic-topology protocol with default
 // options (GOMAXPROCS shards, reliable network). Call
